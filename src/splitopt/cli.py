@@ -279,12 +279,20 @@ def cmd_run(args) -> int:
                 )
                 jobs.append(run_cfg)
 
+    def run_cell(c):
+        try:
+            return run(pb, holdout, c)
+        except (SplitOptError, ValueError) as exc:
+            raise SplitOptError(
+                f"method={c.method} alpha={c.alpha:g} init_seed={c.init_seed}: {exc}"
+            ) from exc
+
     threads = max(1, args.threads)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            traces = list(pool.map(lambda c: run(pb, holdout, c), jobs))
+            traces = list(pool.map(run_cell, jobs))
     else:
-        traces = [run(pb, holdout, c) for c in jobs]
+        traces = [run_cell(c) for c in jobs]
 
     summary_rows = []
     for trace in traces:

@@ -173,6 +173,7 @@ def run(
         qr_seconds=qr_seconds,
     )
     eval_every = cfg.stop.eval_every if cfg.stop else 0
+    step = _batch_step(pb, cfg, h)
 
     t0 = time.perf_counter()
 
@@ -220,15 +221,7 @@ def run(
                 else np.arange(m)
             )
             for idx in order:
-                bf = batches[idx]
-                if cfg.method == "sgd":
-                    theta = euler_step(pb, bf, theta, cfg.alpha)
-                elif cfg.method == "kaczmarz":
-                    theta = kaczmarz_step(bf.x_i[0], float(bf.y_i[0]), theta)
-                elif pb.kind == "least-squares":
-                    theta = lls_local_exact(bf, theta, h, pb.n)
-                else:
-                    theta = local_step_rk(pb, bf, theta, h, cfg.integrator).theta_next
+                theta = step(batches[idx], theta)
                 iteration += 1
                 if eval_every > 0 and iteration % eval_every == 0:
                     done = observe(epoch, iteration)
@@ -239,6 +232,25 @@ def run(
 
     trace.theta = theta
     return trace
+
+
+def _batch_step(pb: Problem, cfg: RunConfig, h: float):
+    """The run's batch-local update, ``step(bf, theta) -> theta``.
+
+    The solver is looked up in this module's globals when the run starts,
+    so a function swapped in there (a tracer's wrapper, say) sees every step.
+    """
+    if cfg.method == "sgd":
+        sgd = euler_step
+        return lambda bf, theta: sgd(pb, bf, theta, cfg.alpha)
+    if cfg.method == "kaczmarz":
+        project = kaczmarz_step
+        return lambda bf, theta: project(bf.x_i[0], float(bf.y_i[0]), theta)
+    if pb.kind == "least-squares":
+        exact = lls_local_exact
+        return lambda bf, theta: exact(bf, theta, h, pb.n)
+    rk = local_step_rk
+    return lambda bf, theta: rk(pb, bf, theta, h, cfg.integrator).theta_next
 
 
 def _check_shape(pb, theta0):

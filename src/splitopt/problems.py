@@ -19,7 +19,7 @@ min(b, p) (times K) needs to be evolved.  ``local_rhs`` is the original
 full-space right-hand side, ``reduced_rhs`` the restricted one.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,12 +83,17 @@ class BatchFactorization:
     ``qr.q`` spans the subspace the local flow moves in.  For batches wider
     than the feature count (b > p) the factors are the economy QR of the
     wide x_i^T: q is square and the "reduced" state simply has size p.
+
+    ``lls_plan`` caches the least-squares step's work that depends only on
+    (h, n), as the tuple ``(h, n, core_minus_i, eta_star)``; see
+    ``solvers.lls_local_exact``.  It is replaced whole, never mutated.
     """
 
     x_i: np.ndarray
     y_i: np.ndarray
     qr: ThinQR
     index: int  # batch ordinal, 1-based
+    lls_plan: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def b(self) -> int:

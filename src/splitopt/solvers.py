@@ -8,11 +8,14 @@ closed form through the QR factors of x_i^T:
 
 computed entirely through applications of q (no p x p matrix is ever
 formed), so the component of theta_0 orthogonal to range(q) is preserved
-exactly.  With a single row the formula collapses to a rank-one update
-whose h -> infinity limit is the Kaczmarz projection.  Logistic and softmax
-local flows have no closed form and are integrated in the reduced
-coordinates eta = q^T theta with the adaptive Runge-Kutta pair, then lifted
-back by theta(h) = q (eta(h) - eta(0)) + theta_0.
+exactly.  The k x k matrix e^{-(1/n) r r^T h} - I and eta* depend only on
+the batch and on (h, n), so they are built once and kept on the batch; a
+step is then theta_0 + q (e^{...} - I)(q^T theta_0 - eta*).  With a single
+row the formula collapses to a rank-one update whose h -> infinity limit
+is the Kaczmarz projection.  Logistic and softmax local flows have no
+closed form and are integrated in the reduced coordinates eta = q^T theta
+with the adaptive Runge-Kutta pair, then lifted back by
+theta(h) = q (eta(h) - eta(0)) + theta_0.
 
 An explicit Euler step of the local flow at step h = alpha * m is exactly
 one SGD step at learning rate alpha; ``euler_step`` is that baseline.
@@ -60,17 +63,32 @@ def _solve_rt(r: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.linalg.solve(r @ r.T, r @ y)
 
 
+def _lls_plan(bf: BatchFactorization, h: float, n: int) -> tuple:
+    """(h, n, e^{-(1/n) r r^T h} - I, eta*) for one batch: the k x k work of
+    a least-squares step, k = min(b, p)."""
+    r = bf.qr.r
+    eta_star = _solve_rt(r, bf.y_i)
+    core_minus_i = expm_sym(r @ r.T, -h / n) - np.eye(r.shape[0])
+    return (h, n, core_minus_i, eta_star)
+
+
 def lls_local_exact(bf: BatchFactorization, theta0: np.ndarray, h: float, n: int) -> np.ndarray:
-    """Exact flow of the least-squares local ODE at time h (1/n scaling)."""
+    """Exact flow of the least-squares local ODE at time h (1/n scaling).
+
+    The (h, n) plan is read from ``bf.lls_plan`` and rebuilt, as a whole
+    new tuple, when its key differs; a batch shared across threads at worst
+    builds it twice.
+    """
     if h < 0:
         raise ValueError("h must be nonnegative")
     theta0 = np.asarray(theta0, dtype=float)
-    q, r = bf.qr.q, bf.qr.r
-    eta0 = q.T @ theta0
-    eta_star = _solve_rt(r, bf.y_i)
-    core = expm_sym(r @ r.T, -h / n)
-    eta_h = core @ (eta0 - eta_star) + eta_star
-    return theta0 + q @ (eta_h - eta0)
+    plan = bf.lls_plan
+    if plan is None or plan[0] != h or plan[1] != n:
+        plan = _lls_plan(bf, h, n)
+        bf.lls_plan = plan
+    _, _, core_minus_i, eta_star = plan
+    q = bf.qr.q
+    return theta0 + q @ (core_minus_i @ (q.T @ theta0 - eta_star))
 
 
 def lls_local_unit(x: np.ndarray, y: float, theta0: np.ndarray, h: float, n: int) -> np.ndarray:

@@ -3,15 +3,17 @@
 Each test prints one pass/fail line (visible with ``pytest -s``) and then
 asserts, so the whole table is produced even when a case is red.
 
-Known-infeasible case: the stepsize-robustness benchmark (criterion 6)
-fixes a 1000 x 100 least-squares instance with noise standard deviation
-0.01 and a relative-residual stop of 1e-3.  At that scale the best
-achievable residual of ANY solver — the least-squares noise floor
-sigma * sqrt(n - p) / ||y|| — is about 1.0e-3, i.e. at the stop threshold
-itself (it is ~4.4e-4 at the 10000 x 500 scale the noise level was
-calibrated for), and the fixed-step splitting cycle settles ~1.3x above
-the floor.  The test is kept faithful to the stated configuration and is
-expected to fail; see test_criterion_6 for the measured numbers.
+Known failing case: the stepsize-robustness benchmark (criterion 6) fixes
+a 1000 x 100 least-squares instance with noise standard deviation 0.01
+and a relative-residual stop of 1e-3.  The instance is feasible: its
+measured noise floor, the relative residual of the exact least-squares
+solution, is 7.69e-4, below the threshold.  What fails is the method.
+Fixed-step splitting settles at 1.11e-3 to 1.14e-3 for alpha >= 1, about
+1.45-1.5x the floor.  That gap is the splitting bias: with a fixed local
+time h the sweep converges to a cycle offset from the least-squares
+solution (the ||Pi_k ... Pi_1|| limit of the paper), not to the solution.
+The test is kept faithful to the stated configuration and is expected to
+fail; test_criterion_6 prints the measured numbers.
 """
 
 import os
@@ -179,8 +181,9 @@ def test_criterion_5_low_rank_exponential_identity():
 def test_criterion_6_stepsize_robustness_at_stated_noise():
     """Faithful run of the stated configuration (1000 x 100, sigma=0.01,
     b=20, decade grid 1e-3..1e2, relative residual 1e-3).  Expected to
-    fail: the instance's noise floor is at the stop threshold (module
-    docstring has the analysis).  Under 2 min either way."""
+    fail: the noise floor (7.69e-4) is below the threshold, but fixed-step
+    splitting settles at 1.11e-3 to 1.14e-3 for alpha >= 1, the splitting
+    bias (module docstring has the analysis).  Under 2 min either way."""
     t_start = time.perf_counter()
     pb = gen_random_lls(1000, 100, 0.01, 2)
     theta_ls, *_ = np.linalg.lstsq(pb.x, pb.targets, rcond=None)

@@ -164,6 +164,25 @@ class TestRun:
         assert main(["run", "--config", str(cfg_path)]) != 0
         assert "config.dataset.bogus" in capsys.readouterr().err
 
+    def test_failing_cell_is_named_on_stderr(self, tmp_path, capsys):
+        cfg = base_config(
+            dataset={"kind": "gaussian-blobs", "n": 200, "p": 5, "k": 2,
+                     "separation": 4.0, "seed": 4},
+            methods=["splitting"],
+            alphas=[2.0],
+            batch_size=20,
+            seed=7,
+            integrator={"max_steps": 5},
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["--out", str(tmp_path / "runs"), "run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "method=splitting" in err
+        assert "alpha=2" in err
+        assert "init_seed=7" in err
+        assert "needed more than 5 steps" in err
+
     def test_threads_match_serial_output(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_config(alphas=[0.02, 0.05])))

@@ -4,12 +4,18 @@ The closed-form least-squares flow is checked against a tight-tolerance
 integration of the original full-space ODE, which shares no code with it.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import splitopt.solvers
 from splitopt import (
+    BatchFactorization,
     IntegratorConfig,
     Problem,
+    RunConfig,
     batch_loss,
     euler_step,
     gen_gaussian_blobs,
@@ -21,7 +27,9 @@ from splitopt import (
     local_step_rk,
     partition,
     rk45_integrate,
+    run,
 )
+from splitopt.linalg import expm_sym
 from splitopt.errors import SingularR, ZeroRow
 
 
@@ -114,6 +122,110 @@ class TestLlsLocalExact:
         )
         with pytest.raises(SingularR):
             lls_local_exact(broken, np.zeros(4), 1.0, pb.n)
+
+
+def fresh(bf):
+    """The same batch without a cached least-squares plan."""
+    return BatchFactorization(x_i=bf.x_i, y_i=bf.y_i, qr=bf.qr, index=bf.index)
+
+
+class TestLlsPlanCache:
+    """The (h, n) plan kept on the batch never changes a step's result."""
+
+    def test_chained_steps_bit_identical_to_uncached(self):
+        pb = gen_random_lls(200, 50, 0.2, 7)
+        _, batches = partition(pb, 20, 7)
+        bf = batches[0]
+        cached = uncached = np.random.default_rng(3).standard_normal(50)
+        for _ in range(2000):
+            cached = lls_local_exact(bf, cached, 0.7, pb.n)
+            uncached = lls_local_exact(fresh(bf), uncached, 0.7, pb.n)
+            assert np.array_equal(cached, uncached)
+
+    def test_changed_h_or_n_rebuilds_the_plan(self):
+        pb = gen_random_lls(60, 12, 0.3, 4)
+        _, batches = partition(pb, 6, 4)
+        bf = batches[1]
+        theta = np.random.default_rng(8).standard_normal(12)
+        for h, n in ((0.5, pb.n), (4.0, pb.n), (0.5, pb.n), (0.5, 2 * pb.n)):
+            got = lls_local_exact(bf, theta, h, n)
+            assert np.array_equal(got, lls_local_exact(fresh(bf), theta, h, n))
+            assert bf.lls_plan[:2] == (h, n)
+            theta = got
+
+    def test_negative_h_rejected_with_a_plan_cached(self):
+        pb = gen_random_lls(30, 8, 0.1, 0)
+        _, batches = partition(pb, 5, 0)
+        lls_local_exact(batches[0], np.zeros(8), 1.0, pb.n)
+        with pytest.raises(ValueError):
+            lls_local_exact(batches[0], np.zeros(8), -1.0, pb.n)
+
+    def test_wide_batch_matches_per_step_formula(self):
+        """b > p (normal-equations branch) against the formula that built
+        the exponential and eta* afresh on every step."""
+        pb = gen_random_lls(40, 5, 0.3, 12)
+        _, batches = partition(pb, 10, 12)
+        bf = batches[2]
+        assert bf.b > pb.p
+        q, r = bf.qr.q, bf.qr.r
+        eta_star = np.linalg.solve(r @ r.T, r @ bf.y_i)
+        theta = np.random.default_rng(9).standard_normal(5)
+        for h in (0.3, 0.3, 5.0, 0.3, 80.0):
+            eta0 = q.T @ theta
+            core = expm_sym(r @ r.T, -h / pb.n)
+            want = theta + q @ (core @ (eta0 - eta_star) + eta_star - eta0)
+            got = lls_local_exact(bf, theta, h, pb.n)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            theta = got
+
+    def test_splitting_run_builds_one_exponential_per_batch(self, monkeypatch):
+        calls = []
+
+        def counting_expm_sym(s, t, sym_tol=None):
+            calls.append(t)
+            return expm_sym(s, t, sym_tol)
+
+        monkeypatch.setattr(splitopt.solvers, "expm_sym", counting_expm_sym)
+        pb = gen_random_lls(120, 10, 0.1, 5)
+        trace = run(pb, None, RunConfig(method="splitting", alpha=0.5, batch_size=8,
+                                        seed=5, max_epochs=4))
+        assert trace.m == 15
+        assert trace.records[-1].iteration == 4 * trace.m
+        assert len(calls) == trace.m
+
+    def test_shared_batch_across_threads(self):
+        """Threads stepping one batch at different h never see each
+        other's plan."""
+        pb = gen_random_lls(60, 12, 0.3, 6)
+        _, batches = partition(pb, 6, 6)
+        bf = batches[0]
+        theta0 = np.random.default_rng(2).standard_normal(12)
+        steps = {h: [theta0] for h in (0.5, 3.0)}
+        for h, seq in steps.items():
+            for _ in range(100):
+                seq.append(lls_local_exact(fresh(bf), seq[-1], h, pb.n))
+        mismatches = []
+
+        def work(h):
+            theta = theta0
+            for want in steps[h][1:]:
+                theta = lls_local_exact(bf, theta, h, pb.n)
+                if not np.array_equal(theta, want):
+                    mismatches.append(h)
+                theta = want
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=work, args=(h,)) for h in (0.5, 3.0) * 4]
+            for t in pool:
+                t.start()
+            for t in pool:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in pool)
+        finally:
+            sys.setswitchinterval(interval)
+        assert mismatches == []
 
 
 class TestLlsLocalUnit:

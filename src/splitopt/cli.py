@@ -21,8 +21,10 @@ import argparse
 import csv
 import json
 import sys
+import types
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,7 @@ from . import bounds as bounds_mod
 from .data import DatasetSpec, make_problem, partition, save_linear_system, split_holdout
 from .errors import EmptyTrace, SplitOptError
 from .ode import IntegratorConfig
-from .optimizers import RunConfig, StoppingRule, Trace, run
+from .optimizers import METHODS, RunConfig, StoppingRule, Trace, run
 from .plotting import PALETTE, Series, render_line_chart
 
 TRACE_HEADER = (
@@ -64,9 +66,9 @@ SUMMARY_HEADER = (
 @dataclass
 class ExperimentConfig:
     dataset: DatasetSpec
-    methods: list
-    alphas: list
+    alphas: list[float]
     batch_size: int
+    methods: list[str] = field(default_factory=lambda: ["sgd", "splitting"])
     max_epochs: int = 100
     stop: StoppingRule | None = None
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
@@ -78,113 +80,65 @@ class ExperimentConfig:
     holdout: DatasetSpec | None = None
     holdout_size: int = 0
 
-
-def _get(d, key, kind, path, default=...):
-    if key not in d:
-        if default is ...:
-            raise ValueError(f"{path}.{key}: required field missing")
-        return default
-    val = d[key]
-    if kind is float and isinstance(val, (int, float)) and not isinstance(val, bool):
-        return float(val)
-    if kind is int and isinstance(val, int) and not isinstance(val, bool):
-        return val
-    if kind is not None and not isinstance(val, kind):
-        raise ValueError(f"{path}.{key}: expected {kind.__name__}, got {type(val).__name__}")
-    return val
+    def __post_init__(self):
+        if self.repeat < 1:
+            raise ValueError("repeat must be at least 1")
+        if self.repeat > 1 and self.seed_stride == 0:
+            raise ValueError("seed_stride must be nonzero when repeat > 1")
+        if not self.alphas:
+            raise ValueError("alphas must be nonempty")
+        for m in self.methods:
+            if m not in METHODS:
+                raise ValueError(f"unknown method {m!r} in methods")
 
 
-def _parse_dataset(d, path) -> DatasetSpec:
+def _build(cls, d, path):
+    """An instance of dataclass ``cls`` from a JSON object.
+
+    Each key is checked against its field's annotation; an absent key or a
+    null takes the field's default, and an unknown key is an error.
+    """
     if not isinstance(d, dict):
         raise ValueError(f"{path}: expected an object")
-    kind = _get(d, "kind", str, path)
-    allowed = {
-        "kind", "n", "p", "k", "noise_sigma", "seed", "separation",
-        "image_side", "rays", "path", "images_path", "labels_path", "class_filter",
-    }
+    known = {f.name for f in fields(cls)}
     for key in d:
-        if key not in allowed:
+        if key not in known:
             raise ValueError(f"{path}.{key}: unknown field")
+    kwargs = {}
+    for f in fields(cls):
+        if d.get(f.name) is not None:
+            kwargs[f.name] = _convert(f.type, d[f.name], f"{path}.{f.name}")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"{path}.{f.name}: required field missing")
     try:
-        return DatasetSpec(
-            kind=kind,
-            n=_get(d, "n", int, path, 1000),
-            p=_get(d, "p", int, path, 50),
-            k=_get(d, "k", int, path, 2),
-            noise_sigma=_get(d, "noise_sigma", float, path, 0.0),
-            seed=_get(d, "seed", int, path, 0),
-            separation=_get(d, "separation", float, path, 4.0),
-            image_side=_get(d, "image_side", int, path, 10),
-            rays=_get(d, "rays", int, path, 200),
-            path=_get(d, "path", str, path, None),
-            images_path=_get(d, "images_path", str, path, None),
-            labels_path=_get(d, "labels_path", str, path, None),
-            class_filter=tuple(_get(d, "class_filter", list, path, None) or ()) or None,
-        )
+        return cls(**kwargs)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _convert(kind, val, path):
+    """A JSON value as the annotated type ``kind``: an int serves for a
+    float, a list for a tuple, and a bool only for a bool."""
+    if is_dataclass(kind):
+        return _build(kind, val, path)
+    if isinstance(kind, types.UnionType):  # X | None, a null never gets here
+        return _convert(typing.get_args(kind)[0], val, path)
+    origin = typing.get_origin(kind) or kind
+    if origin in (list, tuple) and isinstance(val, list):
+        args = typing.get_args(kind)
+        if args:
+            val = [_convert(args[0], v, f"{path}[{i}]") for i, v in enumerate(val)]
+        return origin(val)
+    if origin is float and isinstance(val, int) and not isinstance(val, bool):
+        return float(val)
+    if isinstance(val, origin) and (origin is bool or not isinstance(val, bool)):
+        return val
+    raise ValueError(f"{path}: expected {origin.__name__}, got {type(val).__name__}")
+
+
 def parse_experiment_config(d: dict) -> ExperimentConfig:
     """Validate a JSON config dict; errors carry the offending field path."""
-    if not isinstance(d, dict):
-        raise ValueError("config: expected a JSON object")
-    dataset = _parse_dataset(_get(d, "dataset", dict, "config"), "config.dataset")
-    methods = _get(d, "methods", list, "config", ["sgd", "splitting"])
-    alphas = [float(a) for a in _get(d, "alphas", list, "config")]
-    stop = None
-    if d.get("stop") is not None:
-        s = _get(d, "stop", dict, "config")
-        try:
-            stop = StoppingRule(
-                kind=_get(s, "kind", str, "config.stop"),
-                threshold=_get(s, "threshold", float, "config.stop"),
-                eval_every=_get(s, "eval_every", int, "config.stop", 0),
-            )
-        except ValueError as exc:
-            raise ValueError(f"config.stop: {exc}") from None
-    integ = IntegratorConfig()
-    if d.get("integrator") is not None:
-        i = _get(d, "integrator", dict, "config")
-        try:
-            integ = IntegratorConfig(
-                rtol=_get(i, "rtol", float, "config.integrator", 1e-6),
-                atol=_get(i, "atol", float, "config.integrator", 1e-9),
-                h_init=_get(i, "h_init", float, "config.integrator", 0.0),
-                h_max=_get(i, "h_max", float, "config.integrator", float("inf")),
-                max_steps=_get(i, "max_steps", int, "config.integrator", 10_000),
-            )
-        except ValueError as exc:
-            raise ValueError(f"config.integrator: {exc}") from None
-    holdout = None
-    if d.get("holdout") is not None:
-        holdout = _parse_dataset(_get(d, "holdout", dict, "config"), "config.holdout")
-    cfg = ExperimentConfig(
-        dataset=dataset,
-        methods=[str(m) for m in methods],
-        alphas=alphas,
-        batch_size=_get(d, "batch_size", int, "config"),
-        max_epochs=_get(d, "max_epochs", int, "config", 100),
-        stop=stop,
-        integrator=integ,
-        repeat=_get(d, "repeat", int, "config", 30),
-        seed=_get(d, "seed", int, "config", 0),
-        seed_stride=_get(d, "seed_stride", int, "config", 1),
-        shuffle_each_epoch=_get(d, "shuffle_each_epoch", bool, "config", True),
-        init_scale=_get(d, "init_scale", float, "config", 0.01),
-        holdout=holdout,
-        holdout_size=_get(d, "holdout_size", int, "config", 0),
-    )
-    if cfg.repeat < 1:
-        raise ValueError("config.repeat: must be at least 1")
-    if cfg.repeat > 1 and cfg.seed_stride == 0:
-        raise ValueError("config.seed_stride: must be nonzero when repeat > 1")
-    if not cfg.alphas:
-        raise ValueError("config.alphas: must be nonempty")
-    for m in cfg.methods:
-        if m not in ("sgd", "splitting", "kaczmarz"):
-            raise ValueError(f"config.methods: unknown method {m!r}")
-    return cfg
+    return _build(ExperimentConfig, d, "config")
 
 
 def write_trace_csv(trace: Trace, path) -> None:

@@ -217,10 +217,7 @@ def load_idx(images_path, labels_path, class_filter=None) -> Problem:
     if len(classes) == 2:
         y = (labels == classes[1]).astype(float)
         return Problem(kind="logistic", x=x, targets=y)
-    remap = {c: i for i, c in enumerate(classes)}
-    onehot = np.zeros((x.shape[0], len(classes)))
-    for i, lab in enumerate(labels):
-        onehot[i, remap[lab]] = 1.0
+    onehot = (labels[:, None] == np.array(classes)).astype(float)
     return Problem(kind="softmax", x=x, targets=onehot)
 
 

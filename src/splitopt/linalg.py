@@ -6,7 +6,9 @@ matrices through their eigendecomposition, the rank-structured identity
     e^{t Q B Q^T} = (I - Q Q^T) + Q e^{tB} Q^T     (Q^T Q = I),
 
 which lets an N x N exponential be assembled from an r x r one, and the
-spectral / logarithmic norms used by the splitting-error analysis.
+spectral norm (numpy's, from the SVD) and logarithmic norm used by the
+splitting-error analysis.  ``economy_qr`` is the one QR routine;
+``thin_qr`` is the same factorization restricted to tall inputs.
 
 Everything here is a pure function of its inputs and safe to call
 concurrently.  Matrices are plain float ndarrays.
@@ -37,21 +39,6 @@ class ThinQR:
     r: np.ndarray
 
 
-def _qr_nonneg(m: np.ndarray, rank_tol: float) -> ThinQR:
-    q, r = np.linalg.qr(m, mode="reduced")
-    d = np.sign(np.diag(r))
-    d[d == 0] = 1.0
-    q = q * d
-    r = np.triu(d[:, None] * r)
-    scale = np.linalg.norm(m)
-    if np.any(np.abs(np.diag(r)) < rank_tol * max(scale, np.finfo(float).tiny)):
-        raise RankDeficient(
-            f"matrix of shape {m.shape} is rank deficient below "
-            f"relative tolerance {rank_tol:g}"
-        )
-    return ThinQR(q, r)
-
-
 def thin_qr(m: np.ndarray, rank_tol: float | None = None) -> ThinQR:
     """Thin QR of a tall matrix (rows >= cols), diagonal of r nonnegative.
 
@@ -59,19 +46,15 @@ def thin_qr(m: np.ndarray, rank_tol: float | None = None) -> ThinQR:
     ``rank_tol * ||m||_F``: the input columns are (numerically) dependent.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise DimensionMismatch(f"expected a matrix, got ndim={m.ndim}")
-    if m.shape[0] < m.shape[1]:
+    if m.ndim == 2 and m.shape[0] < m.shape[1]:
         raise DimensionMismatch(
             f"thin_qr needs rows >= cols, got {m.shape}; use economy_qr"
         )
-    if not np.all(np.isfinite(m)):
-        raise ValueError("thin_qr requires finite entries")
-    return _qr_nonneg(m, RANK_TOL if rank_tol is None else rank_tol)
+    return economy_qr(m, rank_tol)
 
 
 def economy_qr(m: np.ndarray, rank_tol: float | None = None) -> ThinQR:
-    """QR of an arbitrary matrix with the same sign fix and rank check.
+    """QR of an arbitrary matrix with thin_qr's sign fix and rank check.
 
     For wide inputs q is square (rows x rows) and r upper trapezoidal; this
     is the factorization used for batches with more samples than features.
@@ -80,8 +63,20 @@ def economy_qr(m: np.ndarray, rank_tol: float | None = None) -> ThinQR:
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got ndim={m.ndim}")
     if not np.all(np.isfinite(m)):
-        raise ValueError("economy_qr requires finite entries")
-    return _qr_nonneg(m, RANK_TOL if rank_tol is None else rank_tol)
+        raise ValueError("QR requires finite entries")
+    q, r = np.linalg.qr(m, mode="reduced")
+    d = np.sign(np.diag(r))
+    d[d == 0] = 1.0
+    q = q * d
+    r = np.triu(d[:, None] * r)
+    tol = RANK_TOL if rank_tol is None else rank_tol
+    scale = np.linalg.norm(m)
+    if np.any(np.abs(np.diag(r)) < tol * max(scale, np.finfo(float).tiny)):
+        raise RankDeficient(
+            f"matrix of shape {m.shape} is rank deficient below "
+            f"relative tolerance {tol:g}"
+        )
+    return ThinQR(q, r)
 
 
 def expm_sym(s: np.ndarray, t: float, sym_tol: float | None = None) -> np.ndarray:
@@ -130,40 +125,9 @@ def expm_lowrank(
     return (out + out.T) / 2.0 if q.shape[0] == q.shape[1] else out
 
 
-def spectral_norm(m: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000) -> float:
-    """Largest singular value, by block power iteration on the Gram matrix.
-
-    A 4-vector subspace iteration with Rayleigh-Ritz extraction and a
-    deterministic seeded start; the residual bound for symmetric matrices
-    makes the returned value accurate to ~tol relative.  Falls back to a
-    dense symmetric eigensolve in the (stagnation) corner case.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.size == 0:
-        return 0.0
-    scale = float(np.max(np.abs(m)))
-    if scale == 0.0:
-        return 0.0
-    ms = m / scale
-    g = ms @ ms.T if ms.shape[0] <= ms.shape[1] else ms.T @ ms
-    g = (g + g.T) / 2.0
-    n = g.shape[0]
-    k = min(4, n)
-    v = np.random.default_rng(0x5EED).standard_normal((n, k))
-    q, _ = np.linalg.qr(v)
-    theta = 0.0
-    for _ in range(max_iter):
-        w = g @ q
-        h = q.T @ w
-        evals, evecs = np.linalg.eigh((h + h.T) / 2.0)
-        theta = float(evals[-1])
-        top = q @ evecs[:, -1]
-        res = float(np.linalg.norm(g @ top - theta * top))
-        if res <= tol * max(abs(theta), np.finfo(float).tiny):
-            return float(np.sqrt(max(theta, 0.0))) * scale
-        q, _ = np.linalg.qr(w)
-    theta = float(np.linalg.eigvalsh(g)[-1])
-    return float(np.sqrt(max(theta, 0.0))) * scale
+def spectral_norm(m: np.ndarray) -> float:
+    """Largest singular value (the matrix 2-norm)."""
+    return float(np.linalg.norm(np.asarray(m, dtype=float), 2))
 
 
 def log_norm(m: np.ndarray) -> float:

@@ -11,7 +11,9 @@ order, applying one of
                 (least squares, unit batches only)
 
 Metrics are recorded once per epoch by default; positive
-``StoppingRule.eval_every`` switches to every that many inner iterations.
+``StoppingRule.eval_every`` switches to every that many inner iterations,
+plus one record after the last step when the count does not divide the
+run's iterations.
 Divergence (non-finite loss or loss above ``divergence_factor`` times the
 initial one) is recorded in the trace and ends the run, it is not an error.
 Traces are deterministic given the config, except for wall-clock times.
@@ -271,6 +273,9 @@ def run(
                         break
             if not done and eval_every == 0:
                 done = observe(epoch, iteration)
+        # The budget ran out between two evaluations: measure where it ended.
+        if not done and eval_every > 0 and iteration % eval_every:
+            observe(epoch, iteration)
 
     trace.theta = reported()
     return trace

@@ -131,9 +131,7 @@ def softmax_cols(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a K x b matrix, got ndim={m.ndim}")
-    z = m - m.max(axis=0, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=0, keepdims=True)
+    return _softmax_rows(m.T).T
 
 
 def _softmax_rows(m: np.ndarray) -> np.ndarray:

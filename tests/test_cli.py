@@ -156,13 +156,39 @@ class TestRun:
         assert main(["run", "--config", str(cfg_path)]) != 0
         assert "alphas" in capsys.readouterr().err
 
-    def test_unknown_dataset_field_reports_path(self, tmp_path, capsys):
-        cfg = base_config()
-        cfg["dataset"]["bogus"] = 1
+    @pytest.mark.parametrize(
+        "section", ["config", "config.dataset", "config.stop", "config.integrator",
+                    "config.holdout"],
+    )
+    def test_unknown_dataset_field_reports_path(self, tmp_path, capsys, section):
+        cfg = base_config(
+            stop={"kind": "loss-threshold", "threshold": 1e-9},
+            integrator={},
+            holdout={"kind": "random-lls", "n": 20, "p": 6, "seed": 4},
+        )
+        target = cfg if section == "config" else cfg[section.split(".")[1]]
+        target["bogus"] = 1
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        assert main(["run", "--config", str(cfg_path)]) != 0
-        assert "config.dataset.bogus" in capsys.readouterr().err
+        assert main(["--out", str(tmp_path / "runs"), "run", "--config", str(cfg_path)]) == 2
+        assert f"{section}.bogus: unknown field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, drop, message",
+        [
+            ({"batch_size": True}, None, "config.batch_size: expected int, got bool"),
+            ({"init_scale": "0.01"}, None, "config.init_scale: expected float, got str"),
+            ({}, "batch_size", "config.batch_size: required field missing"),
+        ],
+        ids=["bool-batch-size", "str-init-scale", "missing-batch-size"],
+    )
+    def test_bad_field_reports_path(self, tmp_path, capsys, overrides, drop, message):
+        cfg = base_config(**overrides)
+        cfg.pop(drop, None)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["--out", str(tmp_path / "runs"), "run", "--config", str(cfg_path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_failing_cell_is_named_on_stderr(self, tmp_path, capsys):
         cfg = base_config(
@@ -309,6 +335,9 @@ class TestConfigParsing:
         assert cfg.repeat == 1
         assert cfg.stop is None
         assert cfg.integrator.rtol == 1e-6
+        bare = base_config()
+        del bare["methods"]
+        assert parse_experiment_config(bare).methods == ["sgd", "splitting"]
 
     def test_stop_threshold_validation(self):
         bad = base_config(stop={"kind": "relative-residual", "threshold": -1})

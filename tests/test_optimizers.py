@@ -17,6 +17,7 @@ from splitopt import (
     lls_local_exact,
     lls_local_unit,
     local_rhs,
+    loss,
     lr_grid,
     partition,
     random_full_rank,
@@ -397,3 +398,20 @@ class TestEvalEvery:
         # initial record + one per inner iteration (m = 4, 2 epochs)
         assert len(trace.records) == 1 + 8
         assert trace.iterations().tolist() == list(range(9))
+
+    def test_last_record_is_the_end_of_the_run(self):
+        """An eval_every that does not divide the run's iterations still
+        records the point after the last step, the reported theta."""
+        pb = gen_random_lls(30, 3, 0.1, 0)
+        cfg = RunConfig(
+            method="sgd",
+            alpha=0.05,
+            batch_size=6,
+            seed=0,
+            max_epochs=2,
+            stop=StoppingRule("loss-threshold", 1e-30, eval_every=7),
+        )
+        trace = run(pb, None, cfg)
+        assert trace.iterations().tolist() == [0, 7, 10]
+        assert trace.records[-1].epoch == 2
+        assert trace.records[-1].loss == loss(pb, trace.theta)

@@ -87,6 +87,13 @@ class ExperimentConfig:
             raise ValueError("seed_stride must be nonzero when repeat > 1")
         if not self.alphas:
             raise ValueError("alphas must be nonempty")
+        for a in self.alphas:
+            if a <= 0:
+                raise ValueError(f"alphas must be positive, got {a!r}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be at least 1, got {self.max_epochs}")
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r} in methods")
@@ -213,6 +220,10 @@ def cmd_run(args) -> int:
         holdout = make_problem(cfg.holdout)
     elif cfg.holdout_size > 0:
         pb, holdout = split_holdout(pb, cfg.holdout_size, cfg.seed)
+    if cfg.batch_size > pb.n:
+        raise ValueError(
+            f"config.batch_size: {cfg.batch_size} exceeds the {pb.n} training samples"
+        )
 
     # Every cell shares the data, batch size and seed, so one partition
     # serves the grid; it is factored only if a splitting cell reads QR.

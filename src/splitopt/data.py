@@ -305,7 +305,6 @@ class Partition:
 
     batch_size: int
     m: int
-    bounds: tuple  # (lo, hi) slice bounds per batch, over the shuffled rows
     order_seed: int
 
     def epoch_order(self, epoch: int) -> np.ndarray:
@@ -336,4 +335,4 @@ def partition(pb: Problem, b: int, seed: int, qr: bool = True):
                 x_i=x_i, y_i=y_i, qr=economy_qr(x_i.T) if qr else None, index=i + 1
             )
         )
-    return Partition(batch_size=b, m=m, bounds=bounds, order_seed=seed), batches
+    return Partition(batch_size=b, m=m, order_seed=seed), batches

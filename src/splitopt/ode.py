@@ -6,6 +6,10 @@ step-size controller: error estimated from the difference of the 5th- and
 when the RMS of the scaled error is at most 1, and the next step chosen as
 ``h * clip(0.9 * err^(-1/5), 0.2, 5.0)``.
 
+The pair is first-same-as-last (FSAL): an accepted step's last stage is the
+next step's first, so a step costs six right-hand-side evaluations.  The
+stages are the rows of one (7, d) array, combined by weighted products.
+
 The right-hand side is autonomous: a callable mapping the state vector to
 its derivative, with no side effects.  States are 1-D float arrays; callers
 integrating matrix-valued states flatten and reshape around the call.
@@ -18,20 +22,19 @@ import numpy as np
 
 from .errors import NonFiniteState, StepBudgetExceeded
 
-# Dormand-Prince 5(4) tableau.
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+# Dormand-Prince 5(4) tableau; an autonomous RHS needs no nodes c_i.  Row 6
+# of _A holds the 5th-order weights (b_7 = 0), so its stage input is y_new.
+_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+])
 # Difference between the 5th-order weights and the embedded 4th-order ones.
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -93,10 +96,11 @@ def _initial_step(rhs, y0, f0, t_len, cfg):
 def rk45_integrate(rhs, y0, t_span, cfg: IntegratorConfig | None = None) -> OdeSolution:
     """Integrate ``dy/dt = rhs(y)`` from t0 to t1 with adaptive steps.
 
-    Raises StepBudgetExceeded when ``cfg.max_steps`` accepted steps were not
-    enough to reach t1 (or the step size underflows), and NonFiniteState
-    when the right-hand side turns non-finite at an accepted state, which
-    signals divergence or severe stiffness.
+    Raises NonFiniteState when the initial state or the right-hand side there
+    is non-finite, and StepBudgetExceeded when ``cfg.max_steps`` accepted
+    steps do not reach t1 or the step size underflows.  A right-hand side
+    that turns non-finite later (divergence, severe stiffness) makes the
+    error estimate non-finite; its steps are rejected until h underflows.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -117,16 +121,16 @@ def rk45_integrate(rhs, y0, t_span, cfg: IntegratorConfig | None = None) -> OdeS
         return np.asarray(rhs(state), dtype=float).ravel()
 
     t_len = t1 - t0
-    k1 = f(y)
-    if not np.all(np.isfinite(k1)):
+    k = np.empty((7, y.size))
+    k[0] = f(y)
+    if not np.all(np.isfinite(k[0])):
         raise NonFiniteState("right-hand side is non-finite at the initial state")
-    h = cfg.h_init if cfg.h_init > 0 else _initial_step(f, y, k1, t_len, cfg)
+    h = cfg.h_init if cfg.h_init > 0 else _initial_step(f, y, k[0], t_len, cfg)
     h = min(h, cfg.h_max, t_len)
 
     t = t0
     steps = 0
     rejected = 0
-    k = [k1] + [np.empty_like(y) for _ in range(6)]
     while t < t1:
         remaining = t1 - t
         if remaining <= 1e-14 * t_len:
@@ -139,10 +143,9 @@ def rk45_integrate(rhs, y0, t_span, cfg: IntegratorConfig | None = None) -> OdeS
             raise StepBudgetExceeded(f"step size underflow at t={t:g}")
         h_step = min(h, remaining)
         for i in range(1, 7):
-            yi = y + h_step * sum(a * ki for a, ki in zip(_A[i], k[:i]))
-            k[i] = f(yi)
-        y_new = y + h_step * sum(b * ki for b, ki in zip(_B5, k))
-        err_vec = h_step * sum(e * ki for e, ki in zip(_E, k))
+            y_new = y + h_step * (_A[i, :i] @ k[:i])
+            k[i] = f(y_new)
+        err_vec = h_step * (_E @ k)
         if np.all(np.isfinite(y_new)) and np.all(np.isfinite(err_vec)):
             sc = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y_new))
             err = _rms(err_vec / sc)
@@ -152,13 +155,7 @@ def rk45_integrate(rhs, y0, t_span, cfg: IntegratorConfig | None = None) -> OdeS
             t += h_step
             y = y_new
             steps += 1
-            if t < t1:
-                k1 = f(y)
-                if not np.all(np.isfinite(k1)):
-                    raise NonFiniteState(
-                        f"right-hand side turned non-finite at t={t:g}"
-                    )
-                k[0] = k1
+            k[0] = k[6]  # first same as last
         else:
             rejected += 1
         if err == 0.0 or err == math.inf:

@@ -115,15 +115,8 @@ def _check_theta(pb: Problem, theta: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x):
-    """Elementwise logistic function, stable for arguments of any size."""
-    scalar = np.ndim(x) == 0
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return float(out[0]) if scalar else out
+    """Elementwise logistic function: bounded in [0, 1], exactly 1/2 at 0."""
+    return 0.5 + 0.5 * np.tanh(0.5 * np.asarray(x, dtype=float))
 
 
 def softmax_cols(m: np.ndarray) -> np.ndarray:
@@ -140,13 +133,18 @@ def _softmax_rows(m: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _predict(kind: str, scores: np.ndarray) -> np.ndarray:
+    """Predictions from scores: identity, sigmoid or row softmax by kind."""
+    if kind == "least-squares":
+        return scores
+    if kind == "logistic":
+        return sigmoid(scores)
+    return _softmax_rows(scores)
+
+
 def _residual(kind: str, x: np.ndarray, targets: np.ndarray, theta: np.ndarray):
     """Prediction minus target; rows x 1 target layout matching the kind."""
-    if kind == "least-squares":
-        return x @ theta - targets
-    if kind == "logistic":
-        return sigmoid(x @ theta) - targets
-    return _softmax_rows(x @ theta) - targets
+    return _predict(kind, x @ theta) - targets
 
 
 def _mean_loss(kind: str, x: np.ndarray, targets: np.ndarray, theta: np.ndarray) -> float:
@@ -209,14 +207,7 @@ def reduced_rhs(pb: Problem, bf: BatchFactorization, eta: np.ndarray) -> np.ndar
     want = (r.shape[0], pb.k) if pb.kind == "softmax" else (r.shape[0],)
     if eta.shape != want:
         raise DimensionMismatch(f"reduced state must have shape {want}, got {eta.shape}")
-    scores = r.T @ eta
-    if pb.kind == "least-squares":
-        resid = scores - bf.y_i
-    elif pb.kind == "logistic":
-        resid = sigmoid(scores) - bf.y_i
-    else:
-        resid = _softmax_rows(scores) - bf.y_i
-    return -(r @ resid) / pb.n
+    return -(r @ (_predict(pb.kind, r.T @ eta) - bf.y_i)) / pb.n
 
 
 def test_error(pb: Problem, theta: np.ndarray, holdout: Problem) -> float:

@@ -29,22 +29,15 @@ from scipy.linalg import solve_triangular
 from .errors import SingularR, ZeroRow
 from .linalg import expm_sym
 from .ode import IntegratorConfig, rk45_integrate
-from .problems import (
-    BatchFactorization,
-    Problem,
-    batch_gradient,
-    batch_loss,
-    reduced_rhs,
-)
+from .problems import BatchFactorization, Problem, batch_gradient, reduced_rhs
 
 
 @dataclass
 class LocalStepReport:
+    """An RK local step's result and the right-hand-side evaluations it spent."""
+
     theta_next: np.ndarray
-    method: str
     rhs_evals: int
-    batch_loss_before: float
-    batch_loss_after: float
 
 
 def _solve_rt(r: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -127,8 +120,10 @@ def local_step_rk(
     """One local step for logistic/softmax: integrate the reduced flow.
 
     The state q^T theta (size min(b, p), times K for softmax) is integrated
-    from 0 to h and lifted back; least-squares batches are served by the
-    closed form instead and are rejected here.
+    from 0 to h with ``rk45_integrate`` and lifted back; least-squares
+    batches are served by the closed form instead and are rejected here.
+    No loss is evaluated: callers that want the batch loss call
+    ``batch_loss`` on ``theta_next``.
     """
     if pb.kind == "least-squares":
         raise ValueError("least-squares local steps use lls_local_exact")
@@ -142,17 +137,9 @@ def local_step_rk(
     def rhs(v):
         return reduced_rhs(pb, bf, v.reshape(shape)).ravel()
 
-    before = batch_loss(pb, bf, theta0)
     sol = rk45_integrate(rhs, eta0.ravel(), (0.0, h), cfg)
-    eta_h = sol.y_end.reshape(shape)
-    theta = theta0 + q @ (eta_h - eta0)
-    return LocalStepReport(
-        theta_next=theta,
-        method="rk45",
-        rhs_evals=sol.rhs_evals,
-        batch_loss_before=before,
-        batch_loss_after=batch_loss(pb, bf, theta),
-    )
+    theta = theta0 + q @ (sol.y_end.reshape(shape) - eta0)
+    return LocalStepReport(theta_next=theta, rhs_evals=sol.rhs_evals)
 
 
 def euler_step(pb: Problem, bf: BatchFactorization, theta0: np.ndarray, alpha: float) -> np.ndarray:

@@ -347,16 +347,14 @@ def test_criterion_9_invariant_suites():
             theta0 = rng.standard_normal(10)
             h = float(rng.uniform(0.1, 20.0))
             theta1 = lls_local_exact(bf, theta0, h, pb.n)
-            before, after = batch_loss(pb, bf, theta0), batch_loss(pb, bf, theta1)
         else:
             pb = gen_gaussian_blobs(24, 8, 2, 2.0, seed)
             _, batches = partition(pb, 3, seed)
             bf = batches[int(rng.integers(len(batches)))]
             theta0 = rng.standard_normal(8)
             h = float(rng.uniform(0.1, 5.0))
-            rep = local_step_rk(pb, bf, theta0, h)
-            theta1 = rep.theta_next
-            before, after = rep.batch_loss_before, rep.batch_loss_after
+            theta1 = local_step_rk(pb, bf, theta0, h).theta_next
+        before, after = batch_loss(pb, bf, theta0), batch_loss(pb, bf, theta1)
         delta = theta1 - theta0
         perp = delta - bf.qr.q @ (bf.qr.q.T @ delta)
         if np.linalg.norm(perp) > 1e-10:

@@ -179,8 +179,14 @@ class TestRun:
             ({"batch_size": True}, None, "config.batch_size: expected int, got bool"),
             ({"init_scale": "0.01"}, None, "config.init_scale: expected float, got str"),
             ({}, "batch_size", "config.batch_size: required field missing"),
+            ({"alphas": [0.05, -0.1]}, None, "config: alphas must be positive, got -0.1"),
+            ({"batch_size": 0}, None, "config: batch_size must be at least 1, got 0"),
+            ({"batch_size": 500}, None,
+             "config.batch_size: 500 exceeds the 60 training samples"),
+            ({"max_epochs": 0}, None, "config: max_epochs must be at least 1, got 0"),
         ],
-        ids=["bool-batch-size", "str-init-scale", "missing-batch-size"],
+        ids=["bool-batch-size", "str-init-scale", "missing-batch-size", "negative-alpha",
+             "zero-batch-size", "batch-size-over-n", "zero-max-epochs"],
     )
     def test_bad_field_reports_path(self, tmp_path, capsys, overrides, drop, message):
         cfg = base_config(**overrides)

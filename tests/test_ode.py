@@ -24,11 +24,26 @@ class TestBasics:
         assert np.array_equal(sol.y_end, y0)
         assert sol.steps_taken == 0 and sol.rhs_evals == 0
 
-    def test_counters_are_consistent(self):
-        sol = rk45_integrate(lambda y: -y, np.array([1.0]), (0.0, 10.0))
-        assert sol.steps_taken >= 1
-        assert sol.rejected_steps >= 0
-        assert sol.rhs_evals >= 7 * sol.steps_taken
+    @pytest.mark.parametrize(
+        "rhs, y0, t1, h_init, accepted, rejected",
+        [
+            (lambda y: -y, [1.0], 10.0, 0.0, 41, 0),
+            (lambda y: 50 * np.cos(50 * y), [0.1], 10.0, 0.0, 7573, 197),
+            (lambda y: np.array([y[1], -100 * y[0]]), [0.0, 1.0], 20.0, 0.0, 971, 204),
+            (lambda y: -y, [1.0], 10.0, 0.1, 41, 0),
+            (lambda y: 50 * np.cos(50 * y), [0.1], 10.0, 0.1, 7573, 199),
+        ],
+        ids=["decay", "cos", "oscillator", "decay-hinit", "cos-hinit"],
+    )
+    def test_counters_are_consistent(self, rhs, y0, t1, h_init, accepted, rejected):
+        """Pinned step sequence; with the last stage reused (FSAL) a run
+        spends the initial f(y0), one start-step probe when h_init = 0, and
+        six evaluations per attempted step."""
+        cfg = IntegratorConfig(h_init=h_init)
+        sol = rk45_integrate(rhs, np.array(y0), (0.0, t1), cfg)
+        assert (sol.steps_taken, sol.rejected_steps) == (accepted, rejected)
+        start_evals = 1 if h_init > 0 else 2
+        assert sol.rhs_evals == start_evals + 6 * (sol.steps_taken + sol.rejected_steps)
 
     def test_reversed_span_rejected(self):
         with pytest.raises(ValueError):

@@ -341,8 +341,8 @@ class TestLocalStepRK:
         _, batches = partition(pb, 10, 7)
         theta0 = 0.5 * np.random.default_rng(3).standard_normal(5)
         for bf in batches[:3]:
-            rep = local_step_rk(pb, bf, theta0, 5.0)
-            assert rep.batch_loss_after <= rep.batch_loss_before + 1e-8
+            theta1 = local_step_rk(pb, bf, theta0, 5.0).theta_next
+            assert batch_loss(pb, bf, theta1) <= batch_loss(pb, bf, theta0) + 1e-8
 
     def test_orthogonal_complement_preserved(self):
         pb = gen_gaussian_blobs(40, 9, 2, 2.0, 8)

@@ -75,7 +75,6 @@ class ExperimentConfig:
     repeat: int = 30
     seed: int = 0
     seed_stride: int = 1
-    shuffle_each_epoch: bool = True
     init_scale: float = 0.01
     holdout: DatasetSpec | None = None
     holdout_size: int = 0
@@ -97,6 +96,19 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r} in methods")
+        # Trace files are named by method and f"{alpha:g}"; two entries
+        # with one name would overwrite each other's files.
+        for name, vals, tag in (
+            ("methods", self.methods, str),
+            ("alphas", self.alphas, "{:g}".format),
+        ):
+            tags = [tag(v) for v in vals]
+            for i, t in enumerate(tags):
+                if t in tags[:i]:
+                    first = vals[tags.index(t)]
+                    raise ValueError(
+                        f"{name} {first!r} and {vals[i]!r} would write the same trace files"
+                    )
 
 
 def _build(cls, d, path):
@@ -214,7 +226,13 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out or "runs")
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    if cfg.holdout is not None and cfg.holdout_size:
+        raise ValueError("config.holdout_size: give holdout or holdout_size, not both")
     pb = make_problem(cfg.dataset)
+    if not 0 <= cfg.holdout_size < pb.n:
+        raise ValueError(
+            f"config.holdout_size: must be in [0, {pb.n}), got {cfg.holdout_size}"
+        )
     holdout = None
     if cfg.holdout is not None:
         holdout = make_problem(cfg.holdout)
@@ -241,7 +259,6 @@ def cmd_run(args) -> int:
                     max_epochs=cfg.max_epochs,
                     stop=cfg.stop,
                     integrator=cfg.integrator,
-                    shuffle_each_epoch=cfg.shuffle_each_epoch,
                     init_scale=cfg.init_scale,
                     init_seed=init_seed,
                 )

@@ -11,7 +11,8 @@ splitting-error analysis.  ``economy_qr`` is the one QR routine;
 ``thin_qr`` is the same factorization restricted to tall inputs.
 
 Everything here is a pure function of its inputs and safe to call
-concurrently.  Matrices are plain float ndarrays.
+concurrently.  Matrices are plain float ndarrays.  Each check runs at the
+fixed threshold of its module constant below.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotOrthonormal, NotSymmetric, RankDeficient
 
-# Default tolerances; every operation accepts an override.
 RANK_TOL = 1e-10
 SYMMETRY_TOL = 1e-10
 ORTHONORMALITY_TOL = 1e-8
@@ -39,21 +39,21 @@ class ThinQR:
     r: np.ndarray
 
 
-def thin_qr(m: np.ndarray, rank_tol: float | None = None) -> ThinQR:
+def thin_qr(m: np.ndarray) -> ThinQR:
     """Thin QR of a tall matrix (rows >= cols), diagonal of r nonnegative.
 
     Raises RankDeficient when any diagonal entry of r falls below
-    ``rank_tol * ||m||_F``: the input columns are (numerically) dependent.
+    ``RANK_TOL * ||m||_F``: the input columns are (numerically) dependent.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim == 2 and m.shape[0] < m.shape[1]:
         raise DimensionMismatch(
             f"thin_qr needs rows >= cols, got {m.shape}; use economy_qr"
         )
-    return economy_qr(m, rank_tol)
+    return economy_qr(m)
 
 
-def economy_qr(m: np.ndarray, rank_tol: float | None = None) -> ThinQR:
+def economy_qr(m: np.ndarray) -> ThinQR:
     """QR of an arbitrary matrix with thin_qr's sign fix and rank check.
 
     For wide inputs q is square (rows x rows) and r upper trapezoidal; this
@@ -69,40 +69,36 @@ def economy_qr(m: np.ndarray, rank_tol: float | None = None) -> ThinQR:
     d[d == 0] = 1.0
     q = q * d
     r = np.triu(d[:, None] * r)
-    tol = RANK_TOL if rank_tol is None else rank_tol
     scale = np.linalg.norm(m)
-    if np.any(np.abs(np.diag(r)) < tol * max(scale, np.finfo(float).tiny)):
+    if np.any(np.abs(np.diag(r)) < RANK_TOL * max(scale, np.finfo(float).tiny)):
         raise RankDeficient(
             f"matrix of shape {m.shape} is rank deficient below "
-            f"relative tolerance {tol:g}"
+            f"relative tolerance {RANK_TOL:g}"
         )
     return ThinQR(q, r)
 
 
-def expm_sym(s: np.ndarray, t: float, sym_tol: float | None = None) -> np.ndarray:
+def expm_sym(s: np.ndarray, t: float) -> np.ndarray:
     """exp(t*s) for symmetric s, via the eigendecomposition of s.
 
     The input is symmetrized before use; asymmetry beyond
-    ``sym_tol * max(1, |s|_max)`` raises NotSymmetric.  For positive
+    ``SYMMETRY_TOL * max(1, |s|_max)`` raises NotSymmetric.  For positive
     semidefinite s and t <= 0 the result has spectral norm at most 1.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {s.shape}")
-    tol = SYMMETRY_TOL if sym_tol is None else sym_tol
     asym = float(np.max(np.abs(s - s.T))) if s.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(s)))) if s.size else 1.0
-    if asym > tol * scale:
-        raise NotSymmetric(f"asymmetry {asym:.3e} exceeds tolerance {tol * scale:.3e}")
+    tol = SYMMETRY_TOL * (max(1.0, float(np.max(np.abs(s)))) if s.size else 1.0)
+    if asym > tol:
+        raise NotSymmetric(f"asymmetry {asym:.3e} exceeds tolerance {tol:.3e}")
     sym = (s + s.T) / 2.0
     w, u = np.linalg.eigh(sym)
     out = (u * np.exp(t * w)) @ u.T
     return (out + out.T) / 2.0
 
 
-def expm_lowrank(
-    q: np.ndarray, b: np.ndarray, t: float, orth_tol: float | None = None
-) -> np.ndarray:
+def expm_lowrank(q: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
     """exp(t * q b q^T) assembled as I + q (exp(t*b) - I) q^T.
 
     q must have orthonormal columns (checked, NotOrthonormal otherwise) and
@@ -116,9 +112,8 @@ def expm_lowrank(
     r = q.shape[1]
     if b.shape != (r, r):
         raise DimensionMismatch(f"core must be {r}x{r}, got {b.shape}")
-    tol = ORTHONORMALITY_TOL if orth_tol is None else orth_tol
     dev = float(np.max(np.abs(q.T @ q - np.eye(r))))
-    if dev > tol:
+    if dev > ORTHONORMALITY_TOL:
         raise NotOrthonormal(f"q^T q deviates from identity by {dev:.3e}")
     core = expm_sym(b, t)
     out = np.eye(q.shape[0]) + q @ ((core - np.eye(r)) @ q.T)

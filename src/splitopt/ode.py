@@ -53,7 +53,6 @@ class IntegratorConfig:
     rtol: float = 1e-6
     atol: float = 1e-9
     h_init: float = 0.0
-    h_max: float = math.inf
     max_steps: int = 10_000
 
     def __post_init__(self):
@@ -61,8 +60,8 @@ class IntegratorConfig:
             raise ValueError("rtol and atol must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
-        if self.h_init < 0 or self.h_max <= 0:
-            raise ValueError("h_init must be >= 0 and h_max > 0")
+        if self.h_init < 0:
+            raise ValueError("h_init must be >= 0")
 
 
 @dataclass
@@ -90,7 +89,7 @@ def _initial_step(rhs, y0, f0, t_len, cfg):
         h1 = max(1e-9, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** _ORDER_EXP
-    return min(100 * h0, h1, t_len, cfg.h_max)
+    return min(100 * h0, h1, t_len)
 
 
 def rk45_integrate(rhs, y0, t_span, cfg: IntegratorConfig | None = None) -> OdeSolution:
@@ -126,7 +125,7 @@ def rk45_integrate(rhs, y0, t_span, cfg: IntegratorConfig | None = None) -> OdeS
     if not np.all(np.isfinite(k[0])):
         raise NonFiniteState("right-hand side is non-finite at the initial state")
     h = cfg.h_init if cfg.h_init > 0 else _initial_step(f, y, k[0], t_len, cfg)
-    h = min(h, cfg.h_max, t_len)
+    h = min(h, t_len)
 
     t = t0
     steps = 0
@@ -162,6 +161,6 @@ def rk45_integrate(rhs, y0, t_span, cfg: IntegratorConfig | None = None) -> OdeS
             factor = _MIN_FACTOR if err == math.inf else _MAX_FACTOR
         else:
             factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** (-_ORDER_EXP)))
-        h = min(h_step * factor, cfg.h_max)
+        h = h_step * factor
 
     return OdeSolution(y_end=y, steps_taken=steps, rhs_evals=evals, rejected_steps=rejected)

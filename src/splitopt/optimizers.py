@@ -14,8 +14,9 @@ Metrics are recorded once per epoch by default; positive
 ``StoppingRule.eval_every`` switches to every that many inner iterations,
 plus one record after the last step when the count does not divide the
 run's iterations.
-Divergence (non-finite loss or loss above ``divergence_factor`` times the
-initial one) is recorded in the trace and ends the run, it is not an error.
+Divergence (non-finite loss or loss above ``DIVERGENCE_FACTOR`` = 1e6
+times the initial one) is recorded in the trace and ends the run, it is
+not an error.
 Traces are deterministic given the config, except for wall-clock times.
 
 Splitting reports the tail average of its epoch-end iterates: after E
@@ -45,6 +46,7 @@ from .solvers import euler_step, kaczmarz_step, lls_local_exact, local_step_rk
 
 METHODS = ("sgd", "splitting", "kaczmarz")
 STOP_KINDS = ("relative-residual", "solution-distance", "test-error", "loss-threshold")
+DIVERGENCE_FACTOR = 1e6
 
 
 @dataclass(frozen=True)
@@ -71,10 +73,8 @@ class RunConfig:
     max_epochs: int = 100
     stop: StoppingRule | None = None
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
-    shuffle_each_epoch: bool = True
     init_scale: float = 0.01
     init_seed: int | None = None  # parameter init; defaults to `seed`
-    divergence_factor: float = 1e6
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -228,7 +228,7 @@ def run(
         # Absolute floor keeps rounding noise near a zero-loss optimum from
         # being read as a blowup.
         bad = not math.isfinite(cur_loss) or (
-            cur_loss > cfg.divergence_factor * initial_loss + 1e-12
+            cur_loss > DIVERGENCE_FACTOR * initial_loss + 1e-12
         )
         trace.records.append(
             TraceRecord(
@@ -259,12 +259,7 @@ def run(
                 window.append(theta)
                 if len(window) > (epoch - 1) // 2:
                     window.popleft()
-            order = (
-                part.epoch_order(epoch - 1)
-                if cfg.shuffle_each_epoch
-                else np.arange(m)
-            )
-            for idx in order:
+            for idx in part.epoch_order(epoch - 1):
                 theta = step(batches[idx], theta)
                 iteration += 1
                 if eval_every > 0 and iteration % eval_every == 0:

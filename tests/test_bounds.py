@@ -8,9 +8,11 @@ from splitopt import (
     build_split,
     error_limit,
     error_sweep,
+    expm_lowrank,
     expm_sym,
     log_norm,
     random_full_rank,
+    spectral_norm,
     splitting_error,
 )
 from splitopt.bounds import LowRankPart, write_sweep_csv
@@ -159,6 +161,53 @@ class TestSweepConvergence:
         assert lines[0] == "t,error,limit"
         back = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         np.testing.assert_allclose(back, rows)
+
+
+def per_t_error(ops, t):
+    """err(t) rebuilt from scratch: every part flow and the exact flow."""
+    prod = np.eye(ops.a_full.shape[0])
+    for part in ops.parts:
+        prod = expm_lowrank(part.q, part.b, t) @ prod
+    return spectral_norm(prod - expm_sym(ops.a_full, t))
+
+
+class TestEvaluator:
+    """The shared evaluator against the formulas it replaces."""
+
+    @pytest.mark.parametrize("blocks", [1, 2, 7])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_t_formula(self, seed, blocks):
+        ops = build_split(random_full_rank(20, seed), blocks)
+        t_grid = [0.0, 0.3, 5.0, 50.0]
+        rows = error_sweep(ops, t_grid)
+        for t, row in zip(t_grid, rows):
+            want = per_t_error(ops, t)
+            assert splitting_error(ops, t) == pytest.approx(want, abs=1e-12)
+            assert row[1] == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("blocks", [1, 2, 7])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_limit_is_projector_product(self, seed, blocks):
+        ops = build_split(random_full_rank(20, seed), blocks)
+        prod = np.eye(20)
+        for part in ops.parts:
+            prod = (np.eye(20) - part.q @ part.q.T) @ prod
+        want = spectral_norm(prod)
+        assert error_limit(ops) == pytest.approx(want, abs=1e-12)
+        assert error_sweep(ops, [0.0, 1.0])[:, 2] == pytest.approx(want, abs=1e-12)
+
+    def test_sweep_decomposes_each_operator_once(self, monkeypatch):
+        ops = build_split(random_full_rank(30, 3), 7)
+        eigh, calls = np.linalg.eigh, []
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        rows = error_sweep(ops, np.linspace(0.0, 50.0, 51))
+        assert rows.shape == (51, 3)
+        assert len(calls) == len(ops.parts) + 1
 
 
 class TestDecayProperty:

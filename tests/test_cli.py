@@ -157,21 +157,25 @@ class TestRun:
         assert "alphas" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "section", ["config", "config.dataset", "config.stop", "config.integrator",
-                    "config.holdout"],
+        "section, key",
+        [("config", "bogus"), ("config.dataset", "bogus"), ("config.stop", "bogus"),
+         ("config.integrator", "bogus"), ("config.holdout", "bogus"),
+         ("config", "shuffle_each_epoch"), ("config.integrator", "h_max")],
+        ids=["config", "config.dataset", "config.stop", "config.integrator",
+             "config.holdout", "config-shuffle_each_epoch", "config.integrator-h_max"],
     )
-    def test_unknown_dataset_field_reports_path(self, tmp_path, capsys, section):
+    def test_unknown_dataset_field_reports_path(self, tmp_path, capsys, section, key):
         cfg = base_config(
             stop={"kind": "loss-threshold", "threshold": 1e-9},
             integrator={},
             holdout={"kind": "random-lls", "n": 20, "p": 6, "seed": 4},
         )
         target = cfg if section == "config" else cfg[section.split(".")[1]]
-        target["bogus"] = 1
+        target[key] = 1
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main(["--out", str(tmp_path / "runs"), "run", "--config", str(cfg_path)]) == 2
-        assert f"{section}.bogus: unknown field" in capsys.readouterr().err
+        assert f"{section}.{key}: unknown field" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "overrides, drop, message",
@@ -184,9 +188,21 @@ class TestRun:
             ({"batch_size": 500}, None,
              "config.batch_size: 500 exceeds the 60 training samples"),
             ({"max_epochs": 0}, None, "config: max_epochs must be at least 1, got 0"),
+            ({"alphas": [0.001, 0.0010000001]}, None,
+             "config: alphas 0.001 and 0.0010000001 would write the same trace files"),
+            ({"methods": ["sgd", "sgd"], "alphas": [0.01, 0.01]}, None,
+             "config: methods 'sgd' and 'sgd' would write the same trace files"),
+            ({"alphas": [0.01, 0.01]}, None,
+             "config: alphas 0.01 and 0.01 would write the same trace files"),
+            ({"holdout_size": -1}, None, "config.holdout_size: must be in [0, 60), got -1"),
+            ({"holdout_size": 60}, None, "config.holdout_size: must be in [0, 60), got 60"),
+            ({"holdout_size": 10, "holdout": {"kind": "random-lls", "n": 20, "p": 6}}, None,
+             "config.holdout_size: give holdout or holdout_size, not both"),
         ],
         ids=["bool-batch-size", "str-init-scale", "missing-batch-size", "negative-alpha",
-             "zero-batch-size", "batch-size-over-n", "zero-max-epochs"],
+             "zero-batch-size", "batch-size-over-n", "zero-max-epochs",
+             "alphas-same-trace-name", "methods-repeated", "alphas-repeated",
+             "negative-holdout-size", "holdout-size-over-n", "holdout-and-holdout-size"],
     )
     def test_bad_field_reports_path(self, tmp_path, capsys, overrides, drop, message):
         cfg = base_config(**overrides)

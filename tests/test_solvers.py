@@ -181,9 +181,9 @@ class TestLlsPlanCache:
     def test_splitting_run_builds_one_exponential_per_batch(self, monkeypatch):
         calls = []
 
-        def counting_expm_sym(s, t, sym_tol=None):
+        def counting_expm_sym(s, t):
             calls.append(t)
-            return expm_sym(s, t, sym_tol)
+            return expm_sym(s, t)
 
         monkeypatch.setattr(splitopt.solvers, "expm_sym", counting_expm_sym)
         pb = gen_random_lls(120, 10, 0.1, 5)

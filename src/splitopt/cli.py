@@ -74,7 +74,6 @@ class ExperimentConfig:
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
     repeat: int = 30
     seed: int = 0
-    seed_stride: int = 1
     init_scale: float = 0.01
     holdout: DatasetSpec | None = None
     holdout_size: int = 0
@@ -82,8 +81,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.repeat < 1:
             raise ValueError("repeat must be at least 1")
-        if self.repeat > 1 and self.seed_stride == 0:
-            raise ValueError("seed_stride must be nonzero when repeat > 1")
         if not self.alphas:
             raise ValueError("alphas must be nonempty")
         for a in self.alphas:
@@ -223,9 +220,6 @@ def cmd_run(args) -> int:
         cfg = parse_experiment_config(json.load(f))
     if args.seed is not None:
         cfg.seed = args.seed
-    out_dir = Path(args.out or "runs")
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     if cfg.holdout is not None and cfg.holdout_size:
         raise ValueError("config.holdout_size: give holdout or holdout_size, not both")
     pb = make_problem(cfg.dataset)
@@ -250,7 +244,6 @@ def cmd_run(args) -> int:
     for method in cfg.methods:
         for alpha in cfg.alphas:
             for rep in range(cfg.repeat):
-                init_seed = cfg.seed + rep * cfg.seed_stride
                 run_cfg = RunConfig(
                     method=method,
                     alpha=alpha,
@@ -260,7 +253,7 @@ def cmd_run(args) -> int:
                     stop=cfg.stop,
                     integrator=cfg.integrator,
                     init_scale=cfg.init_scale,
-                    init_seed=init_seed,
+                    init_seed=cfg.seed + rep,
                 )
                 jobs.append(run_cfg)
 
@@ -279,6 +272,11 @@ def cmd_run(args) -> int:
     else:
         traces = [run_cell(c) for c in jobs]
 
+    # Made only now: some config errors surface inside a cell (kaczmarz at
+    # batch size > 1, a test-error stop without a holdout), and a rejected run
+    # leaves no empty directory behind.
+    out_dir = Path(args.out or "runs")
+    out_dir.mkdir(parents=True, exist_ok=True)
     summary_rows = []
     for trace in traces:
         name = f"trace_{trace.method}_a{trace.alpha:g}_s{trace.seed}.csv"
@@ -307,13 +305,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    out_dir = Path(args.out or "bounds_out")
-    out_dir.mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else 0
     x = bounds_mod.random_full_rank(args.n, seed)
     ops = bounds_mod.build_split(x, args.blocks)
     t_grid = np.linspace(0.0, args.t_max, args.points)
     rows = bounds_mod.error_sweep(ops, t_grid)
+    out_dir = Path(args.out or "bounds_out")
+    out_dir.mkdir(parents=True, exist_ok=True)
     base = out_dir / f"sweep_n{args.n}_k{args.blocks}"
     bounds_mod.write_sweep_csv(rows, base.with_suffix(".csv"))
     chart = render_line_chart(

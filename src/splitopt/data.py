@@ -326,13 +326,8 @@ def partition(pb: Problem, b: int, seed: int, qr: bool = True):
     perm = np.random.default_rng([seed, 0]).permutation(pb.n)
     xs, ys = pb.x[perm], pb.targets[perm]
     m = -(-pb.n // b)
-    bounds = tuple((i * b, min((i + 1) * b, pb.n)) for i in range(m))
     batches = []
-    for i, (lo, hi) in enumerate(bounds):
-        x_i, y_i = xs[lo:hi], ys[lo:hi]
-        batches.append(
-            BatchFactorization(
-                x_i=x_i, y_i=y_i, qr=economy_qr(x_i.T) if qr else None, index=i + 1
-            )
-        )
+    for lo in range(0, pb.n, b):
+        x_i, y_i = xs[lo : lo + b], ys[lo : lo + b]
+        batches.append(BatchFactorization(x_i=x_i, y_i=y_i, qr=economy_qr(x_i.T) if qr else None))
     return Partition(batch_size=b, m=m, order_seed=seed), batches

@@ -103,7 +103,6 @@ class Trace:
     m: int
     h: float
     seed: int
-    stop_kind: str | None
     records: list = field(default_factory=list)
     theta: np.ndarray | None = None
     stopped: bool = False
@@ -201,7 +200,6 @@ def run(
         m=m,
         h=h,
         seed=cfg.seed if cfg.init_seed is None else cfg.init_seed,
-        stop_kind=cfg.stop.kind if cfg.stop else None,
         qr_seconds=qr_seconds,
     )
     eval_every = cfg.stop.eval_every if cfg.stop else 0

@@ -93,7 +93,6 @@ class BatchFactorization:
     x_i: np.ndarray
     y_i: np.ndarray
     qr: ThinQR | None
-    index: int  # batch ordinal, 1-based
     lls_plan: tuple | None = field(default=None, repr=False, compare=False)
 
     @property

@@ -24,7 +24,6 @@ one SGD step at learning rate alpha; ``euler_step`` is that baseline.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import SingularR, ZeroRow
 from .linalg import expm_sym
@@ -43,16 +42,16 @@ class LocalStepReport:
 def _solve_rt(r: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Stationary reduced state eta*: solve r r^T eta = r y.
 
-    For a square (tall-batch) r this is the triangular solve r^T eta = y;
-    for a wide r (batch larger than the feature count) it is the SPD
-    normal-equations solve.
+    For a square (tall-batch) r this is r^T eta = y, solved by LU (numpy
+    has no triangular solver); for a wide r (batch larger than the feature
+    count) it is the SPD normal-equations solve.
     """
     k, cols = r.shape
     dmin = float(np.min(np.abs(np.diag(r)))) if min(k, cols) else 0.0
     if dmin < 1e-12 * max(float(np.max(np.abs(r))), np.finfo(float).tiny):
         raise SingularR("triangular factor has a (numerically) zero diagonal")
     if k == cols:
-        return solve_triangular(r, y, trans="T", lower=False)
+        return np.linalg.solve(r.T, y)
     return np.linalg.solve(r @ r.T, r @ y)
 
 

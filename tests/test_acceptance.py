@@ -72,7 +72,7 @@ def test_criterion_1_closed_form_matches_integration():
         x_i = rng.standard_normal((20, 50))
         y_i = rng.standard_normal(20)
         theta0 = rng.standard_normal(50)
-        bf = BatchFactorization(x_i=x_i, y_i=y_i, qr=thin_qr(x_i.T), index=1)
+        bf = BatchFactorization(x_i=x_i, y_i=y_i, qr=thin_qr(x_i.T))
 
         def rhs(theta):
             return -(x_i.T @ (x_i @ theta - y_i)) / n

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,9 +164,11 @@ class TestRun:
         "section, key",
         [("config", "bogus"), ("config.dataset", "bogus"), ("config.stop", "bogus"),
          ("config.integrator", "bogus"), ("config.holdout", "bogus"),
-         ("config", "shuffle_each_epoch"), ("config.integrator", "h_max")],
+         ("config", "shuffle_each_epoch"), ("config.integrator", "h_max"),
+         ("config", "seed_stride")],
         ids=["config", "config.dataset", "config.stop", "config.integrator",
-             "config.holdout", "config-shuffle_each_epoch", "config.integrator-h_max"],
+             "config.holdout", "config-shuffle_each_epoch", "config.integrator-h_max",
+             "config-seed_stride"],
     )
     def test_unknown_dataset_field_reports_path(self, tmp_path, capsys, section, key):
         cfg = base_config(
@@ -211,6 +217,19 @@ class TestRun:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["--out", str(tmp_path / "runs"), "run", "--config", str(cfg_path)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"holdout_size": 60}, {"methods": ["kaczmarz"]},
+         {"stop": {"kind": "test-error", "threshold": 0.1}}],
+        ids=["holdout-size-over-n", "kaczmarz-batch-size", "test-error-without-holdout"],
+    )
+    def test_rejected_config_leaves_no_out_dir(self, tmp_path, overrides):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(**overrides)))
+        out = tmp_path / "runs"
+        assert main(["--out", str(out), "run", "--config", str(cfg_path)]) == 2
+        assert not out.exists()
 
     def test_failing_cell_is_named_on_stderr(self, tmp_path, capsys):
         cfg = base_config(
@@ -261,6 +280,45 @@ class TestBounds:
                      "--blocks", "1", "--t-max", "10", "--points", "5"]) == 0
         rows = read_csv(out / "sweep_n16_k1.csv")
         assert all(float(r["error"]) <= 1e-10 for r in rows)
+
+    @pytest.mark.parametrize(
+        "bad", [["--blocks", "0"], ["--points", "0"], ["--t-max", "-5"]],
+        ids=["zero-blocks", "zero-points", "negative-t-max"],
+    )
+    def test_rejected_input_leaves_no_out_dir(self, tmp_path, bad):
+        out = tmp_path / "b0"
+        assert main(["--out", str(out), "bounds", "--n", "10", *bad]) == 2
+        assert not out.exists()
+
+
+NUMPY_ONLY_SCRIPT = """
+import sys
+sys.modules["scipy"] = None
+from splitopt.cli import main
+out, cfg = sys.argv[1:]
+assert main(["--out", out + "/b", "bounds", "--n", "20", "--blocks", "4", "--points", "11"]) == 0
+assert main(["--out", out + "/r", "run", "--config", cfg]) == 0
+print(sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod))
+"""
+
+
+def test_cli_runs_with_scipy_blocked(tmp_path):
+    """numpy is the one runtime dependency: with scipy made unimportable,
+    ``bounds`` and a ``run`` grid whose splitting cells solve for each
+    square batch's stationary point succeed in a fresh interpreter, and no
+    scipy module is loaded."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config()))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_ONLY_SCRIPT, str(tmp_path), str(cfg_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "b" / "sweep_n20_k4.csv").exists()
+    assert (tmp_path / "r" / "summary.csv").exists()
 
 
 class TestPlot:

@@ -257,11 +257,6 @@ class TestPartition:
         assert batches[0].qr.q.shape == (5, 5)
         assert batches[0].qr.r.shape == (5, 16)
 
-    def test_one_based_batch_index(self):
-        pb = gen_random_lls(9, 3, 0.0, 5)
-        _, batches = partition(pb, 3, 5)
-        assert [bf.index for bf in batches] == [1, 2, 3]
-
     def test_epoch_order_is_seeded_permutation(self):
         pb = gen_random_lls(30, 5, 0.0, 6)
         part, _ = partition(pb, 5, 6)

@@ -20,6 +20,7 @@ from splitopt import (
     euler_step,
     gen_gaussian_blobs,
     gen_random_lls,
+    gen_tomo_like,
     kaczmarz_step,
     lls_local_exact,
     lls_local_unit,
@@ -113,20 +114,35 @@ class TestLlsLocalExact:
         want, *_ = np.linalg.lstsq(bf.x_i, bf.y_i, rcond=None)
         np.testing.assert_allclose(got, want, atol=1e-8)
 
+    @pytest.mark.parametrize(
+        "pb, b",
+        [(gen_random_lls(200, 50, 0.1, 3), 20), (gen_tomo_like(10, 200, 0), 10)],
+        ids=["random-lls", "tomo-like"],
+    )
+    def test_tall_batch_reaches_block_projection(self, pb, b):
+        """With 1 < b < p and h far past the slowest mode, each batch's
+        step is the projection of theta_0 onto its solution set."""
+        _, batches = partition(pb, b, 0)
+        theta0 = np.random.default_rng(5).standard_normal(pb.p)
+        for bf in batches:
+            r = bf.qr.r
+            h = 1e3 * pb.n / np.linalg.eigvalsh(r @ r.T)[0]
+            got = lls_local_exact(bf, theta0, h, pb.n)
+            want = theta0 + np.linalg.pinv(bf.x_i) @ (bf.y_i - bf.x_i @ theta0)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
     def test_singular_r_rejected(self):
         pb = gen_random_lls(10, 4, 0.0, 3)
         _, batches = partition(pb, 2, 3)
         bf = batches[0]
-        broken = type(bf)(
-            x_i=bf.x_i, y_i=bf.y_i, qr=type(bf.qr)(bf.qr.q, bf.qr.r * 0.0), index=1
-        )
+        broken = type(bf)(x_i=bf.x_i, y_i=bf.y_i, qr=type(bf.qr)(bf.qr.q, bf.qr.r * 0.0))
         with pytest.raises(SingularR):
             lls_local_exact(broken, np.zeros(4), 1.0, pb.n)
 
 
 def fresh(bf):
     """The same batch without a cached least-squares plan."""
-    return BatchFactorization(x_i=bf.x_i, y_i=bf.y_i, qr=bf.qr, index=bf.index)
+    return BatchFactorization(x_i=bf.x_i, y_i=bf.y_i, qr=bf.qr)
 
 
 class TestLlsPlanCache:

@@ -46,6 +46,7 @@ from .optimizers import (
     RunConfig,
     StoppingRule,
     Trace,
+    check_run,
     evaluate_stop,
     lr_grid,
     run,
@@ -91,6 +92,7 @@ __all__ = [
     "batch_gradient",
     "batch_loss",
     "build_split",
+    "check_run",
     "economy_qr",
     "error_limit",
     "error_sweep",

@@ -33,7 +33,7 @@ from . import bounds as bounds_mod
 from .data import DatasetSpec, make_problem, partition, save_linear_system, split_holdout
 from .errors import EmptyTrace, SplitOptError
 from .ode import IntegratorConfig
-from .optimizers import METHODS, RunConfig, StoppingRule, Trace, run
+from .optimizers import METHODS, RunConfig, StoppingRule, Trace, check_run, run
 from .plotting import PALETTE, Series, render_line_chart
 
 TRACE_HEADER = (
@@ -256,6 +256,13 @@ def cmd_run(args) -> int:
                     init_seed=cfg.seed + rep,
                 )
                 jobs.append(run_cfg)
+    # Cells differ only in what the data never constrain (alpha, init
+    # seed), so one check per method rejects a config before any cell runs.
+    for c in {c.method: c for c in jobs}.values():
+        try:
+            check_run(pb, holdout, c)
+        except (SplitOptError, ValueError) as exc:
+            raise ValueError(f"config: {exc}") from None
 
     def run_cell(c):
         try:
@@ -272,9 +279,8 @@ def cmd_run(args) -> int:
     else:
         traces = [run_cell(c) for c in jobs]
 
-    # Made only now: some config errors surface inside a cell (kaczmarz at
-    # batch size > 1, a test-error stop without a holdout), and a rejected run
-    # leaves no empty directory behind.
+    # Made only now, so a run that fails in a cell (an integrator out of
+    # steps, say) leaves no empty directory behind.
     out_dir = Path(args.out or "runs")
     out_dir.mkdir(parents=True, exist_ok=True)
     summary_rows = []

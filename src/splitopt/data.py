@@ -65,6 +65,10 @@ class DatasetSpec:
             raise ValueError("n and p must be at least 1")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be nonnegative")
+        if self.kind == "linear-system-file" and self.path is None:
+            raise ValueError("linear-system-file needs a path")
+        if self.kind == "idx-images" and None in (self.images_path, self.labels_path):
+            raise ValueError("idx-images needs images_path and labels_path")
 
 
 def make_problem(spec: DatasetSpec) -> Problem:

@@ -10,18 +10,14 @@ order, applying one of
     kaczmarz    theta <- projection onto the single-row hyperplane
                 (least squares, unit batches only)
 
-Metrics are recorded once per epoch by default; positive
-``StoppingRule.eval_every`` switches to every that many inner iterations,
-plus one record after the last step when the count does not divide the
-run's iterations.
+A run records its metrics at its start and after every epoch.
 Divergence (non-finite loss or loss above ``DIVERGENCE_FACTOR`` = 1e6
 times the initial one) is recorded in the trace and ends the run, it is
 not an error.
 Traces are deterministic given the config, except for wall-clock times.
 
 Splitting reports the tail average of its epoch-end iterates: after E
-epochs, the mean of the last ceil(E/2) of them (a mid-epoch evaluation
-counts the current iterate as the newest).  With a fixed local time h
+epochs, the mean of the last ceil(E/2) of them.  With a fixed local time h
 the sweep settles on a cycle offset from the minimizer whenever the batch
 minimizers disagree, the ||Pi_k ... Pi_1|| limit of the splitting error;
 averaging the iterates removes most of that offset (Polyak & Juditsky,
@@ -53,15 +49,12 @@ DIVERGENCE_FACTOR = 1e6
 class StoppingRule:
     kind: str
     threshold: float
-    eval_every: int = 0  # 0 = once per epoch
 
     def __post_init__(self):
         if self.kind not in STOP_KINDS:
             raise ValueError(f"unknown stopping rule {self.kind!r}")
         if not self.threshold > 0:
             raise ValueError("threshold must be positive")
-        if self.eval_every < 0:
-            raise ValueError("eval_every must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -107,7 +100,6 @@ class Trace:
     theta: np.ndarray | None = None
     stopped: bool = False
     diverged: bool = False
-    qr_seconds: float = 0.0
 
     def losses(self) -> np.ndarray:
         return np.array([r.loss for r in self.records])
@@ -127,25 +119,42 @@ def evaluate_stop(
     theta_ref: np.ndarray | None = None,
 ) -> bool:
     """Whether the stopping rule fires at theta."""
-    return _metric_value(rule, pb, holdout, theta, theta_ref) <= rule.threshold
+    return _stop_metric(rule, pb, holdout, theta_ref)(theta) <= rule.threshold
 
 
-def _metric_value(rule, pb, holdout, theta, theta_ref):
+def _stop_metric(rule, pb, holdout, theta_ref):
+    """The rule's metric as a function of theta; raises first if the data
+    lack what the rule reads."""
     if rule.kind == "relative-residual":
         if pb.kind != "least-squares":
             raise ValueError("relative-residual applies to least-squares problems")
-        ynorm = float(np.linalg.norm(pb.targets))
-        return float(np.linalg.norm(pb.x @ theta - pb.targets)) / max(ynorm, 1e-300)
+        ynorm = max(float(np.linalg.norm(pb.targets)), 1e-300)
+        return lambda theta: float(np.linalg.norm(pb.x @ theta - pb.targets)) / ynorm
     if rule.kind == "solution-distance":
         if theta_ref is None:
             raise MissingReference("solution-distance needs a known reference solution")
         ref = np.asarray(theta_ref, dtype=float)
-        return float(np.linalg.norm(theta - ref)) / max(float(np.linalg.norm(ref)), 1e-300)
+        ref_norm = max(float(np.linalg.norm(ref)), 1e-300)
+        return lambda theta: float(np.linalg.norm(theta - ref)) / ref_norm
     if rule.kind == "test-error":
         if holdout is None:
             raise MissingReference("test-error needs a holdout problem")
-        return test_error(pb, theta, holdout)
-    return loss(pb, theta)
+        pb.check_holdout(holdout)
+        return lambda theta: test_error(pb, theta, holdout)
+    return lambda theta: loss(pb, theta)
+
+
+def check_run(pb: Problem, holdout: Problem | None, cfg: RunConfig):
+    """Check that a run config can train on this data; return its stop metric.
+
+    Raises for Kaczmarz off least squares or at a batch size above 1, and
+    for a stop rule the data cannot measure.  The result maps theta to the
+    stop rule's metric, or is None without a stop rule.
+    """
+    if cfg.method == "kaczmarz":
+        if pb.kind != "least-squares" or cfg.batch_size != 1:
+            raise ValueError("kaczmarz needs a least-squares problem and batch size 1")
+    return _stop_metric(cfg.stop, pb, holdout, pb.theta_ref) if cfg.stop else None
 
 
 def _init_theta(pb: Problem, cfg: RunConfig) -> np.ndarray:
@@ -166,29 +175,20 @@ def run(
     ``parted`` is a ``partition(pb, cfg.batch_size, cfg.seed)`` result to
     share across runs; without it the run partitions the data itself, and
     factors the batches only for splitting, the one method that reads QR.
-    The wall clock covers the optimization loop only; the one-time
-    partition is reported separately as ``qr_seconds`` (0 when shared).
+    The wall clock covers the optimization loop, not the partition.
     """
-    if cfg.method == "kaczmarz":
-        if pb.kind != "least-squares" or cfg.batch_size != 1:
-            raise ValueError("kaczmarz needs a least-squares problem and batch size 1")
+    metric_of = check_run(pb, holdout, cfg)
     splitting = cfg.method == "splitting"
-    qr_seconds = 0.0
-    if parted is None:
-        t_qr = time.perf_counter()
-        part, batches = partition(pb, cfg.batch_size, cfg.seed, qr=splitting)
-        qr_seconds = time.perf_counter() - t_qr
-    else:
-        part, shared = parted
-        if part.batch_size != cfg.batch_size or part.order_seed != cfg.seed:
-            raise ValueError(
-                f"partition has batch size {part.batch_size} and seed "
-                f"{part.order_seed}, the run wants {cfg.batch_size} and {cfg.seed}"
-            )
-        if splitting and shared[0].qr is None:
-            raise ValueError("splitting needs a partition with QR factors")
-        # Own plan slots: runs at different h would evict each other's.
-        batches = [replace(bf, lls_plan=None) for bf in shared]
+    part, shared = parted or partition(pb, cfg.batch_size, cfg.seed, qr=splitting)
+    if part.batch_size != cfg.batch_size or part.order_seed != cfg.seed:
+        raise ValueError(
+            f"partition has batch size {part.batch_size} and seed "
+            f"{part.order_seed}, the run wants {cfg.batch_size} and {cfg.seed}"
+        )
+    if splitting and shared[0].qr is None:
+        raise ValueError("splitting needs a partition with QR factors")
+    # Own plan slots: runs at different h would evict each other's.
+    batches = [replace(bf, lls_plan=None) for bf in shared]
     m = part.m
     h = cfg.alpha * m
     theta = _check_shape(pb, theta0) if theta0 is not None else _init_theta(pb, cfg)
@@ -200,9 +200,7 @@ def run(
         m=m,
         h=h,
         seed=cfg.seed if cfg.init_seed is None else cfg.init_seed,
-        qr_seconds=qr_seconds,
     )
-    eval_every = cfg.stop.eval_every if cfg.stop else 0
     step = _batch_step(pb, cfg, h)
 
     # Splitting's last ceil(E/2) - 1 epoch-end iterates while in epoch E.
@@ -214,15 +212,12 @@ def run(
 
     t0 = time.perf_counter()
 
-    def observe(epoch: int, iteration: int) -> bool:
-        """Record a measurement; True when the run should end."""
+    def observe(epoch: int) -> bool:
+        """Record the measurement after ``epoch`` epochs (0: the start);
+        True when the run should end."""
         point = reported()
         cur_loss = loss(pb, point)
-        metric = (
-            _metric_value(cfg.stop, pb, holdout, point, pb.theta_ref)
-            if cfg.stop
-            else math.nan
-        )
+        metric = metric_of(point) if metric_of else math.nan
         # Absolute floor keeps rounding noise near a zero-loss optimum from
         # being read as a blowup.
         bad = not math.isfinite(cur_loss) or (
@@ -231,7 +226,7 @@ def run(
         trace.records.append(
             TraceRecord(
                 epoch=epoch,
-                iteration=iteration,
+                iteration=epoch * m,
                 wall_seconds=time.perf_counter() - t0,
                 loss=cur_loss,
                 metric=metric,
@@ -248,27 +243,15 @@ def run(
 
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         initial_loss = loss(pb, theta)
-        done = observe(0, 0)
-        iteration = 0
-        for epoch in range(1, cfg.max_epochs + 1):
-            if done:
-                break
+        epoch = 0
+        while not observe(epoch) and epoch < cfg.max_epochs:
+            epoch += 1
             if splitting and epoch > 1:
                 window.append(theta)
                 if len(window) > (epoch - 1) // 2:
                     window.popleft()
             for idx in part.epoch_order(epoch - 1):
                 theta = step(batches[idx], theta)
-                iteration += 1
-                if eval_every > 0 and iteration % eval_every == 0:
-                    done = observe(epoch, iteration)
-                    if done:
-                        break
-            if not done and eval_every == 0:
-                done = observe(epoch, iteration)
-        # The budget ran out between two evaluations: measure where it ended.
-        if not done and eval_every > 0 and iteration % eval_every:
-            observe(epoch, iteration)
 
     trace.theta = reported()
     return trace

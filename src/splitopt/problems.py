@@ -75,6 +75,13 @@ class Problem:
     def k(self) -> int:
         return self.targets.shape[1] if self.kind == "softmax" else 1
 
+    def check_holdout(self, holdout: "Problem") -> None:
+        """Raise unless ``holdout`` can score a classifier fitted to this problem."""
+        if self.kind == "least-squares":
+            raise ValueError("test_error is defined for classification problems")
+        if holdout.kind != self.kind or holdout.p != self.p or holdout.k != self.k:
+            raise DimensionMismatch("holdout problem does not match (kind, p, K)")
+
 
 @dataclass
 class BatchFactorization:
@@ -216,10 +223,7 @@ def test_error(pb: Problem, theta: np.ndarray, holdout: Problem) -> float:
     probability 0.5); softmax predicts the argmax with smallest-index
     tie-break.  Defined for classification problems only.
     """
-    if pb.kind == "least-squares":
-        raise ValueError("test_error is defined for classification problems")
-    if holdout.kind != pb.kind or holdout.p != pb.p or holdout.k != pb.k:
-        raise DimensionMismatch("holdout problem does not match (kind, p, K)")
+    pb.check_holdout(holdout)
     theta = _check_theta(pb, theta)
     z = holdout.x @ theta
     if pb.kind == "logistic":

@@ -5,10 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splitopt import load_linear_system
 from splitopt.cli import main, parse_experiment_config
@@ -19,6 +21,22 @@ from splitopt.errors import EmptyTrace
 def read_csv(path):
     with open(path, newline="") as f:
         return list(csv.DictReader(f))
+
+
+def without_wall(path):
+    rows = read_csv(path)
+    for row in rows:
+        row.pop("wall_seconds")
+    return rows
+
+
+def assert_same_outputs(a, b):
+    """Two run outputs hold the same files, every CSV equal apart from
+    the wall_seconds column."""
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert without_wall(a / name) == without_wall(b / name), name
 
 
 def base_config(**overrides):
@@ -68,6 +86,32 @@ class TestDatagen:
         code = main(["--out", str(tmp_path / "no" / "such" / "dir" / "x.txt"),
                      "datagen", "--kind", "random-lls"])
         assert code != 0
+
+    def test_idx_manifest_without_paths_rejected(self, tmp_path, capsys):
+        out = tmp_path / "idx.json"
+        assert main(["--out", str(out), "datagen", "--kind", "idx-images"]) == 2
+        assert "idx-images needs images_path and labels_path" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_generated_file_runs_like_its_generator(self, tmp_path):
+        """A run on the file datagen writes matches the run on the
+        generator spec it came from, file for file."""
+        data = tmp_path / "lls.txt"
+        assert main(["--seed", "3", "--out", str(data), "datagen", "--kind", "random-lls",
+                     "--n", "60", "--p", "6", "--noise-sigma", "0.1"]) == 0
+        outs = []
+        for sub, dataset in (
+            ("gen", {"kind": "random-lls", "n": 60, "p": 6, "noise_sigma": 0.1, "seed": 3}),
+            ("file", {"kind": "linear-system-file", "path": str(data)}),
+        ):
+            cfg_path = tmp_path / f"{sub}.json"
+            cfg_path.write_text(json.dumps(base_config(
+                dataset=dataset, alphas=[0.05, 0.5], repeat=2,
+                stop={"kind": "relative-residual", "threshold": 0.2})))
+            outs.append(tmp_path / sub)
+            assert main(["--out", str(outs[-1]), "run", "--config", str(cfg_path)]) == 0
+        assert len(list(outs[0].iterdir())) == 9
+        assert_same_outputs(*outs)
 
 
 class TestRun:
@@ -165,10 +209,10 @@ class TestRun:
         [("config", "bogus"), ("config.dataset", "bogus"), ("config.stop", "bogus"),
          ("config.integrator", "bogus"), ("config.holdout", "bogus"),
          ("config", "shuffle_each_epoch"), ("config.integrator", "h_max"),
-         ("config", "seed_stride")],
+         ("config", "seed_stride"), ("config.stop", "eval_every")],
         ids=["config", "config.dataset", "config.stop", "config.integrator",
              "config.holdout", "config-shuffle_each_epoch", "config.integrator-h_max",
-             "config-seed_stride"],
+             "config-seed_stride", "config.stop-eval_every"],
     )
     def test_unknown_dataset_field_reports_path(self, tmp_path, capsys, section, key):
         cfg = base_config(
@@ -231,6 +275,52 @@ class TestRun:
         assert main(["--out", str(out), "run", "--config", str(cfg_path)]) == 2
         assert not out.exists()
 
+    BLOBS = {"kind": "gaussian-blobs", "n": 60, "p": 6, "k": 2, "seed": 4}
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"methods": ["sgd", "kaczmarz"]},
+            {"dataset": BLOBS, "stop": {"kind": "relative-residual", "threshold": 0.1}},
+            {"dataset": BLOBS, "stop": {"kind": "solution-distance", "threshold": 0.1}},
+            {"dataset": BLOBS, "stop": {"kind": "test-error", "threshold": 0.1}},
+            {"dataset": BLOBS, "stop": {"kind": "test-error", "threshold": 0.1},
+             "holdout": {**BLOBS, "k": 3}},
+            {"stop": {"kind": "test-error", "threshold": 0.1}, "holdout_size": 10},
+        ],
+        ids=["kaczmarz-after-sgd", "residual-on-blobs", "distance-without-reference",
+             "test-error-without-holdout", "holdout-of-another-k", "test-error-on-lls"],
+    )
+    def test_config_the_data_cannot_serve_runs_no_cell(
+        self, tmp_path, capsys, monkeypatch, overrides
+    ):
+        import splitopt.cli
+
+        calls = []
+        real_run = splitopt.cli.run
+        monkeypatch.setattr(splitopt.cli, "run", lambda *a: calls.append(a) or real_run(*a))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(**overrides)))
+        out = tmp_path / "runs"
+        assert main(["--out", str(out), "run", "--config", str(cfg_path)]) == 2
+        assert calls == []
+        assert capsys.readouterr().err.startswith("error: config")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "dataset, message",
+        [({"kind": "linear-system-file"}, "linear-system-file needs a path"),
+         ({"kind": "idx-images", "images_path": "x.idx"},
+          "idx-images needs images_path and labels_path")],
+        ids=["linear-system-file", "idx-images"],
+    )
+    def test_file_dataset_without_path_reports_field(self, tmp_path, capsys, dataset,
+                                                     message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(dataset=dataset)))
+        assert main(["--out", str(tmp_path / "runs"), "run", "--config", str(cfg_path)]) == 2
+        assert f"config.dataset: {message}" in capsys.readouterr().err
+
     def test_failing_cell_is_named_on_stderr(self, tmp_path, capsys):
         cfg = base_config(
             dataset={"kind": "gaussian-blobs", "n": 200, "p": 5, "k": 2,
@@ -257,10 +347,30 @@ class TestRun:
         assert main(["--out", str(serial), "run", "--config", str(cfg_path)]) == 0
         assert main(["--out", str(parallel), "--threads", "4", "run",
                      "--config", str(cfg_path)]) == 0
-        for name in [p.name for p in serial.glob("trace_*.csv")]:
-            a, b = read_csv(serial / name), read_csv(parallel / name)
-            for ra, rb in zip(a, b):
-                assert ra["loss"] == rb["loss"]
+        assert_same_outputs(serial, parallel)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        methods=st.lists(st.sampled_from(["sgd", "splitting"]), min_size=1, unique=True),
+        alphas=st.lists(st.sampled_from([0.01, 0.1, 1.0, 10.0]), min_size=1, max_size=3,
+                        unique=True),
+        batch_size=st.sampled_from([1, 4, 7, 30]),  # 7 leaves a short last batch
+        max_epochs=st.integers(1, 3),
+        repeat=st.integers(1, 2),
+        seed=st.integers(0, 50),
+    )
+    def test_outputs_do_not_depend_on_threads(self, **grid):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            cfg_path = tmp / "cfg.json"
+            cfg_path.write_text(json.dumps(base_config(
+                dataset={"kind": "random-lls", "n": 30, "p": 4, "noise_sigma": 0.01,
+                         "seed": 5},
+                stop={"kind": "relative-residual", "threshold": 0.05}, **grid)))
+            for threads in ("1", "2"):
+                assert main(["--out", str(tmp / threads), "--threads", threads, "run",
+                             "--config", str(cfg_path)]) == 0
+            assert_same_outputs(tmp / "1", tmp / "2")
 
 
 class TestBounds:

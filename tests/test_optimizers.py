@@ -17,7 +17,6 @@ from splitopt import (
     lls_local_exact,
     lls_local_unit,
     local_rhs,
-    loss,
     lr_grid,
     partition,
     random_full_rank,
@@ -32,16 +31,18 @@ def residual(pb, theta):
 
 class TestRunBasics:
     def test_trace_metadata_and_shape(self):
-        pb = gen_random_lls(40, 8, 0.1, 0)
-        cfg = RunConfig(method="splitting", alpha=0.5, batch_size=8, seed=1, max_epochs=4)
-        trace = run(pb, None, cfg)
-        assert trace.method == "splitting"
-        assert trace.m == 5
-        assert trace.h == pytest.approx(0.5 * 5)
-        assert len(trace.records) == 5  # initial record + one per epoch
-        assert trace.theta.shape == (8,)
-        iters = trace.iterations()
-        assert np.all(np.diff(iters) > 0)
+        # 42 samples in batches of 8 leave a short sixth batch.
+        for n, m in ((40, 5), (42, 6)):
+            pb = gen_random_lls(n, 8, 0.1, 0)
+            cfg = RunConfig(method="splitting", alpha=0.5, batch_size=8, seed=1, max_epochs=4)
+            trace = run(pb, None, cfg)
+            assert trace.method == "splitting"
+            assert trace.m == m
+            assert trace.h == pytest.approx(0.5 * m)
+            assert trace.theta.shape == (8,)
+            # One record at the start, one at the end of each epoch.
+            assert trace.iterations().tolist() == [e * m for e in range(5)]
+            assert [r.epoch for r in trace.records] == list(range(5))
 
     def test_deterministic_given_config(self):
         pb = gen_random_lls(30, 6, 0.2, 1)
@@ -155,16 +156,6 @@ class TestTailAverage:
             0.5 * np.mean((self.pb.x @ trace.theta - self.pb.targets) ** 2), rel=1e-12
         )
 
-    def test_evaluating_every_m_iterations_matches_epoch_ends(self):
-        """An evaluation that falls on an epoch's last step counts that
-        epoch's end as the newest iterate, exactly as the epoch-end
-        evaluation does."""
-        per_epoch = run(self.pb, None, self.cfg, self.theta0)
-        stop = dataclasses.replace(self.cfg.stop, eval_every=per_epoch.m)
-        by_count = run(self.pb, None, dataclasses.replace(self.cfg, stop=stop), self.theta0)
-        assert by_count.losses().tolist() == per_epoch.losses().tolist()
-        assert np.array_equal(by_count.theta, per_epoch.theta)
-
 
 class TestRunPartition:
     def test_only_splitting_factors_the_batches(self, monkeypatch):
@@ -258,7 +249,7 @@ class TestKaczmarzRuns:
             batch_size=1,
             seed=2,
             max_epochs=200,
-            stop=StoppingRule("solution-distance", 1e-13, eval_every=12),
+            stop=StoppingRule("solution-distance", 1e-13),
         )
         trace = run(pb, None, cfg, theta0=np.zeros(12))
         dist = trace.metrics()
@@ -381,37 +372,3 @@ class TestLrGrid:
         cfg = RunConfig(method="sgd", alpha=1.0, batch_size=5, seed=0)
         with pytest.raises(ValueError):
             lr_grid(pb, None, cfg, [])
-
-
-class TestEvalEvery:
-    def test_per_iteration_records(self):
-        pb = gen_random_lls(24, 4, 0.1, 9)
-        cfg = RunConfig(
-            method="sgd",
-            alpha=0.01,
-            batch_size=6,
-            seed=0,
-            max_epochs=2,
-            stop=StoppingRule("loss-threshold", 1e-30, eval_every=1),
-        )
-        trace = run(pb, None, cfg)
-        # initial record + one per inner iteration (m = 4, 2 epochs)
-        assert len(trace.records) == 1 + 8
-        assert trace.iterations().tolist() == list(range(9))
-
-    def test_last_record_is_the_end_of_the_run(self):
-        """An eval_every that does not divide the run's iterations still
-        records the point after the last step, the reported theta."""
-        pb = gen_random_lls(30, 3, 0.1, 0)
-        cfg = RunConfig(
-            method="sgd",
-            alpha=0.05,
-            batch_size=6,
-            seed=0,
-            max_epochs=2,
-            stop=StoppingRule("loss-threshold", 1e-30, eval_every=7),
-        )
-        trace = run(pb, None, cfg)
-        assert trace.iterations().tolist() == [0, 7, 10]
-        assert trace.records[-1].epoch == 2
-        assert trace.records[-1].loss == loss(pb, trace.theta)

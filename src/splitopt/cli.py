@@ -60,6 +60,7 @@ SUMMARY_HEADER = (
     "wall_seconds",
     "final_loss",
     "final_metric",
+    "rhs_evals",
 )
 
 
@@ -300,6 +301,7 @@ def cmd_run(args) -> int:
                 repr(last.wall_seconds),
                 repr(last.loss),
                 repr(last.metric),
+                trace.rhs_evals,
             ]
         )
     with open(out_dir / "summary.csv", "w", newline="") as f:

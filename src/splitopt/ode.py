@@ -10,6 +10,12 @@ The pair is first-same-as-last (FSAL): an accepted step's last stage is the
 next step's first, so a step costs six right-hand-side evaluations.  The
 stages are the rows of one (7, d) array, combined by weighted products.
 
+The solution carries the controller's last proposal, ``h_next``: the step
+it would try next after the last accepted step that the span end did not
+shorten, or 0 when every accepted step was shortened.  Passing it back as
+``h_init`` continues a related integration over a like span without the
+start-step probe (Hairer, Norsett & Wanner, Solving ODEs I, II.4).
+
 The right-hand side is autonomous: a callable mapping the state vector to
 its derivative, with no side effects.  States are 1-D float arrays; callers
 integrating matrix-valued states flatten and reshape around the call.
@@ -47,7 +53,9 @@ class IntegratorConfig:
     """Tolerances and budgets for rk45_integrate.
 
     ``h_init = 0`` selects the starting step automatically from the usual
-    error-norm heuristic.
+    error-norm heuristic.  A splitting run passes each batch's last
+    proposal instead from its second visit on, so a set ``h_init`` applies
+    only to a batch's first visit.
     """
 
     rtol: float = 1e-6
@@ -70,6 +78,7 @@ class OdeSolution:
     steps_taken: int
     rhs_evals: int
     rejected_steps: int
+    h_next: float = 0.0
 
 
 def _rms(x: np.ndarray) -> float:
@@ -125,11 +134,11 @@ def rk45_integrate(rhs, y0, t_span, cfg: IntegratorConfig | None = None) -> OdeS
     if not np.all(np.isfinite(k[0])):
         raise NonFiniteState("right-hand side is non-finite at the initial state")
     h = cfg.h_init if cfg.h_init > 0 else _initial_step(f, y, k[0], t_len, cfg)
-    h = min(h, t_len)
 
     t = t0
     steps = 0
     rejected = 0
+    h_next = 0.0
     while t < t1:
         remaining = t1 - t
         if remaining <= 1e-14 * t_len:
@@ -161,6 +170,9 @@ def rk45_integrate(rhs, y0, t_span, cfg: IntegratorConfig | None = None) -> OdeS
             factor = _MIN_FACTOR if err == math.inf else _MAX_FACTOR
         else:
             factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** (-_ORDER_EXP)))
+        if err <= 1.0 and h_step == h:
+            h_next = h_step * factor  # not shortened to land on t1
         h = h_step * factor
 
-    return OdeSolution(y_end=y, steps_taken=steps, rhs_evals=evals, rejected_steps=rejected)
+    return OdeSolution(y_end=y, steps_taken=steps, rhs_evals=evals, rejected_steps=rejected,
+                       h_next=h_next)

@@ -12,7 +12,7 @@ order, applying one of
 
 A run records its metrics at its start and after every epoch.
 Divergence (non-finite loss or loss above ``DIVERGENCE_FACTOR`` = 1e6
-times the initial one) is recorded in the trace and ends the run, it is
+times the start record's) is recorded in the trace and ends the run, it is
 not an error.
 Traces are deterministic given the config, except for wall-clock times.
 
@@ -100,6 +100,7 @@ class Trace:
     theta: np.ndarray | None = None
     stopped: bool = False
     diverged: bool = False
+    rhs_evals: int = 0  # right-hand-side evaluations of the RK local steps
 
     def losses(self) -> np.ndarray:
         return np.array([r.loss for r in self.records])
@@ -187,8 +188,9 @@ def run(
         )
     if splitting and shared[0].qr is None:
         raise ValueError("splitting needs a partition with QR factors")
-    # Own plan slots: runs at different h would evict each other's.
-    batches = [replace(bf, lls_plan=None) for bf in shared]
+    # Own plan and step-size slots: runs at different h would evict or
+    # mislead each other's.
+    batches = [replace(bf, lls_plan=None, rk_h_next=0.0) for bf in shared]
     m = part.m
     h = cfg.alpha * m
     theta = _check_shape(pb, theta0) if theta0 is not None else _init_theta(pb, cfg)
@@ -201,7 +203,7 @@ def run(
         h=h,
         seed=cfg.seed if cfg.init_seed is None else cfg.init_seed,
     )
-    step = _batch_step(pb, cfg, h)
+    step = _batch_step(pb, cfg, h, trace)
 
     # Splitting's last ceil(E/2) - 1 epoch-end iterates while in epoch E.
     window = deque()
@@ -218,10 +220,11 @@ def run(
         point = reported()
         cur_loss = loss(pb, point)
         metric = metric_of(point) if metric_of else math.nan
+        baseline = trace.records[0].loss if trace.records else cur_loss
         # Absolute floor keeps rounding noise near a zero-loss optimum from
         # being read as a blowup.
         bad = not math.isfinite(cur_loss) or (
-            cur_loss > DIVERGENCE_FACTOR * initial_loss + 1e-12
+            cur_loss > DIVERGENCE_FACTOR * baseline + 1e-12
         )
         trace.records.append(
             TraceRecord(
@@ -242,7 +245,6 @@ def run(
         return False
 
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        initial_loss = loss(pb, theta)
         epoch = 0
         while not observe(epoch) and epoch < cfg.max_epochs:
             epoch += 1
@@ -257,8 +259,9 @@ def run(
     return trace
 
 
-def _batch_step(pb: Problem, cfg: RunConfig, h: float):
-    """The run's batch-local update, ``step(bf, theta) -> theta``.
+def _batch_step(pb: Problem, cfg: RunConfig, h: float, trace: Trace):
+    """The run's batch-local update, ``step(bf, theta) -> theta``; an RK
+    local step adds its right-hand-side evaluations to ``trace.rhs_evals``.
 
     The solver is looked up in this module's globals when the run starts,
     so a function swapped in there (a tracer's wrapper, say) sees every step.
@@ -273,7 +276,13 @@ def _batch_step(pb: Problem, cfg: RunConfig, h: float):
         exact = lls_local_exact
         return lambda bf, theta: exact(bf, theta, h, pb.n)
     rk = local_step_rk
-    return lambda bf, theta: rk(pb, bf, theta, h, cfg.integrator).theta_next
+
+    def rk_step(bf, theta):
+        rep = rk(pb, bf, theta, h, cfg.integrator)
+        trace.rhs_evals += rep.rhs_evals
+        return rep.theta_next
+
+    return rk_step
 
 
 def _check_shape(pb, theta0):

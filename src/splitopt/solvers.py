@@ -15,13 +15,15 @@ row the formula collapses to a rank-one update whose h -> infinity limit
 is the Kaczmarz projection.  Logistic and softmax local flows have no
 closed form and are integrated in the reduced coordinates eta = q^T theta
 with the adaptive Runge-Kutta pair, then lifted back by
-theta(h) = q (eta(h) - eta(0)) + theta_0.
+theta(h) = q (eta(h) - eta(0)) + theta_0.  A run visits each batch once an
+epoch over the same span h, so the integrator's last step-size proposal is
+kept on the batch and starts its next step there, with no start-step probe.
 
 An explicit Euler step of the local flow at step h = alpha * m is exactly
 one SGD step at learning rate alpha; ``euler_step`` is that baseline.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -121,6 +123,11 @@ def local_step_rk(
     The state q^T theta (size min(b, p), times K for softmax) is integrated
     from 0 to h with ``rk45_integrate`` and lifted back; least-squares
     batches are served by the closed form instead and are rejected here.
+    The integration starts from ``bf.rk_h_next``, the proposal the last
+    step on this batch left, when there is one, and from ``cfg.h_init``
+    otherwise; its own proposal is written back.  Calls that share a batch
+    across threads race on that slot, so their step sequences depend on
+    the order; ``optimizers.run`` gives each run its own slots.
     No loss is evaluated: callers that want the batch loss call
     ``batch_loss`` on ``theta_next``.
     """
@@ -136,7 +143,12 @@ def local_step_rk(
     def rhs(v):
         return reduced_rhs(pb, bf, v.reshape(shape)).ravel()
 
+    cfg = cfg or IntegratorConfig()
+    if bf.rk_h_next > 0:
+        cfg = replace(cfg, h_init=bf.rk_h_next)
     sol = rk45_integrate(rhs, eta0.ravel(), (0.0, h), cfg)
+    if sol.h_next > 0:
+        bf.rk_h_next = sol.h_next
     theta = theta0 + q @ (sol.y_end.reshape(shape) - eta0)
     return LocalStepReport(theta_next=theta, rhs_evals=sol.rhs_evals)
 

@@ -141,6 +141,28 @@ class TestRun:
                     if key != "wall_seconds":
                         assert ra[key] == rb[key], (name, key)
 
+    def test_summary_counts_rhs_evals(self, tmp_path):
+        """The trailing rhs_evals column is the run's RK evaluations: 0 for
+        SGD and for closed-form least-squares splitting."""
+        from splitopt import RunConfig, gen_gaussian_blobs, run as run_opt
+
+        blobs = {"kind": "gaussian-blobs", "n": 40, "p": 4, "k": 3, "seed": 2}
+        for dataset, split_evals in ((blobs, None), (base_config()["dataset"], 0)):
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(base_config(dataset=dataset, alphas=[1.0])))
+            out = tmp_path / dataset["kind"]
+            assert main(["--out", str(out), "run", "--config", str(cfg_path)]) == 0
+            with open(out / "summary.csv", newline="") as f:
+                assert next(csv.reader(f))[-1] == "rhs_evals"
+            evals = {r["method"]: int(r["rhs_evals"]) for r in read_csv(out / "summary.csv")}
+            if split_evals is None:
+                pb = gen_gaussian_blobs(40, 4, 3, 4.0, 2)
+                split_evals = run_opt(pb, None, RunConfig(
+                    method="splitting", alpha=1.0, batch_size=6, seed=1, max_epochs=2,
+                    init_seed=1)).rhs_evals
+                assert split_evals > 0
+            assert evals == {"sgd": 0, "splitting": split_evals}
+
     def test_divergent_run_still_exits_zero(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_config(alphas=[1000.0], methods=["sgd"])))
@@ -351,6 +373,14 @@ class TestRun:
 
     @settings(max_examples=12, deadline=None)
     @given(
+        data=st.sampled_from([
+            {"dataset": {"kind": "random-lls", "n": 30, "p": 4, "noise_sigma": 0.01,
+                         "seed": 5},
+             "stop": {"kind": "relative-residual", "threshold": 0.05}},
+            # Splitting here runs the RK local step and its warm starts.
+            {"dataset": {"kind": "gaussian-blobs", "n": 40, "p": 4, "k": 2, "seed": 5},
+             "holdout_size": 10, "stop": {"kind": "test-error", "threshold": 0.01}},
+        ]),
         methods=st.lists(st.sampled_from(["sgd", "splitting"]), min_size=1, unique=True),
         alphas=st.lists(st.sampled_from([0.01, 0.1, 1.0, 10.0]), min_size=1, max_size=3,
                         unique=True),
@@ -359,14 +389,11 @@ class TestRun:
         repeat=st.integers(1, 2),
         seed=st.integers(0, 50),
     )
-    def test_outputs_do_not_depend_on_threads(self, **grid):
+    def test_outputs_do_not_depend_on_threads(self, data, **grid):
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             cfg_path = tmp / "cfg.json"
-            cfg_path.write_text(json.dumps(base_config(
-                dataset={"kind": "random-lls", "n": 30, "p": 4, "noise_sigma": 0.01,
-                         "seed": 5},
-                stop={"kind": "relative-residual", "threshold": 0.05}, **grid)))
+            cfg_path.write_text(json.dumps(base_config(**data, **grid)))
             for threads in ("1", "2"):
                 assert main(["--out", str(tmp / threads), "--threads", threads, "run",
                              "--config", str(cfg_path)]) == 0
@@ -528,6 +555,15 @@ class TestConfigParsing:
         bare = base_config()
         del bare["methods"]
         assert parse_experiment_config(bare).methods == ["sgd", "splitting"]
+
+    @pytest.mark.parametrize(
+        "path", sorted((Path(__file__).parents[1] / "demos").glob("config_*.json")),
+        ids=lambda p: p.stem,
+    )
+    def test_demo_configs_parse(self, path):
+        """The configs CI runs through the installed script stay valid."""
+        cfg = parse_experiment_config(json.loads(path.read_text()))
+        assert cfg.methods == ["sgd", "splitting"]
 
     def test_stop_threshold_validation(self):
         bad = base_config(stop={"kind": "relative-residual", "threshold": -1})

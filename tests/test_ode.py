@@ -50,6 +50,54 @@ class TestBasics:
             rk45_integrate(lambda y: -y, np.array([1.0]), (1.0, 0.0))
 
 
+class TestStepProposal:
+    @staticmethod
+    def decay_steps(t1):
+        """Solution of dy/dt = -y from 1 over (0, t1) and the size of every
+        attempted step.  With k0 = f(y) = -y exactly (FSAL), an attempt's
+        first stage evaluates f at y (1 - h/5), which gives h back."""
+        states = []
+
+        def rhs(y):
+            states.append(y.copy())
+            return -y
+
+        sol = rk45_integrate(rhs, np.array([1.0]), (0.0, t1))
+        y, sizes = 1.0, []
+        for j in range(sol.steps_taken + sol.rejected_steps):
+            stage = states[2 + 6 * j : 8 + 6 * j]  # after f(y0) and the probe
+            sizes.append(5 * (1 - stage[0][0] / y))
+            y = stage[5][0]  # the last stage's input is the new state
+        return sol, sizes
+
+    def test_h_next_is_the_proposal_after_the_last_unclipped_step(self):
+        """Over (0, 10) the 41st step is clipped to land on t = 10.  Over
+        (0, 20) the same first 40 steps are taken, and the 41st is the size
+        the controller proposed after the 40th."""
+        sol, sizes = self.decay_steps(10.0)
+        assert (sol.steps_taken, sol.rejected_steps) == (41, 0)
+        assert sum(sizes[:40]) < 10.0 and sizes[40] < sizes[39]  # clipped
+        _, long_sizes = self.decay_steps(20.0)
+        assert long_sizes[:40] == pytest.approx(sizes[:40], rel=1e-12)
+        assert sum(long_sizes[:41]) > 10.0
+        assert sol.h_next == pytest.approx(long_sizes[40], rel=1e-12)
+
+    def test_span_covered_by_one_clipped_step_proposes_nothing(self):
+        sol = rk45_integrate(lambda y: -y, np.array([1.0]), (0.0, 0.01),
+                             IntegratorConfig(h_init=1.0))
+        assert (sol.steps_taken, sol.rejected_steps, sol.h_next) == (1, 0, 0.0)
+        empty = rk45_integrate(lambda y: -y, np.array([1.0]), (0.0, 0.0))
+        assert empty.h_next == 0.0
+
+    def test_restart_from_the_proposal_skips_the_probe(self):
+        first = rk45_integrate(lambda y: -y, np.array([1.0]), (0.0, 10.0))
+        assert first.h_next > 0
+        again = rk45_integrate(lambda y: -y, np.array([1.0]), (0.0, 10.0),
+                               IntegratorConfig(h_init=first.h_next))
+        assert again.rhs_evals == 1 + 6 * (again.steps_taken + again.rejected_steps)
+        assert abs(again.y_end[0] - np.exp(-10.0)) <= 1e-6 * np.exp(-10.0) + 1e-9
+
+
 class TestErrorControl:
     def test_tightening_tolerance_never_hurts(self):
         y0 = np.array([1.0])

@@ -17,6 +17,7 @@ from splitopt import (
     lls_local_exact,
     lls_local_unit,
     local_rhs,
+    local_step_rk,
     lr_grid,
     partition,
     random_full_rank,
@@ -108,6 +109,44 @@ class TestRunBasics:
         assert trace.stopped
         assert trace.records[-1].metric <= 0.05
 
+    def test_loss_is_evaluated_once_per_record(self, monkeypatch):
+        """The divergence baseline is record 0's loss, not a second
+        evaluation at the same point."""
+        import splitopt.optimizers
+
+        calls = []
+        real = splitopt.optimizers.loss
+        monkeypatch.setattr(splitopt.optimizers, "loss",
+                            lambda pb, theta: calls.append(1) or real(pb, theta))
+        pb = gen_random_lls(40, 5, 0.1, 0)
+        trace = run(pb, None, RunConfig(method="splitting", alpha=0.5, batch_size=8,
+                                        seed=1, max_epochs=4))
+        assert len(calls) == len(trace.records) == 5
+        diverging = run(pb, None, RunConfig(method="sgd", alpha=50.0, batch_size=8,
+                                            seed=1, max_epochs=50))
+        assert diverging.diverged and not diverging.records[0].diverged
+
+    def test_rhs_evals_sum_the_rk_local_steps(self, monkeypatch):
+        import splitopt.optimizers
+
+        spent = []
+        real = splitopt.optimizers.local_step_rk
+
+        def counted(*args):
+            rep = real(*args)
+            spent.append(rep.rhs_evals)
+            return rep
+
+        monkeypatch.setattr(splitopt.optimizers, "local_step_rk", counted)
+        blobs = gen_gaussian_blobs(60, 4, 3, 3.0, 2)
+        lls = gen_random_lls(40, 5, 0.1, 0)
+        cfg = RunConfig(method="splitting", alpha=1.0, batch_size=10, seed=0, max_epochs=3)
+        trace = run(blobs, None, cfg)
+        assert len(spent) == 18 and trace.rhs_evals == sum(spent) > 0
+        assert run(blobs, None, dataclasses.replace(cfg, method="sgd")).rhs_evals == 0
+        assert run(lls, None, cfg).rhs_evals == 0
+        assert len(spent) == 18
+
 
 class TestTailAverage:
     def setup_method(self):
@@ -173,25 +212,46 @@ class TestRunPartition:
             run(pb, None, RunConfig(method="splitting", alpha=0.1, batch_size=5, seed=0))
 
     def test_threads_sharing_a_partition_match_serial_runs(self):
-        pb = gen_random_lls(60, 6, 0.1, 3)
-        parted = partition(pb, 6, 2)
-        cfgs = [
-            RunConfig(method=m, alpha=a, batch_size=6, seed=2, max_epochs=6)
-            for a in (0.01, 0.1, 1.0, 10.0) for m in ("splitting", "sgd")
-        ]
-        serial = [run(pb, None, c) for c in cfgs]
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(run, pb, None, c, None, parted) for c in cfgs]
-                threaded = [f.result(timeout=60) for f in futures]
-        finally:
-            sys.setswitchinterval(old)
-        for want, got in zip(serial, threaded):
+        """Runs at different h over one partition keep their own plan and
+        step-size slots, so threads interleaving their steps change nothing:
+        least squares (closed form) and logistic (RK with warm starts)."""
+        for pb in (gen_random_lls(60, 6, 0.1, 3), gen_gaussian_blobs(60, 6, 2, 3.0, 3)):
+            parted = partition(pb, 6, 2)
+            cfgs = [
+                RunConfig(method=m, alpha=a, batch_size=6, seed=2, max_epochs=6)
+                for a in (0.01, 0.1, 1.0, 10.0) for m in ("splitting", "sgd")
+            ]
+            serial = [run(pb, None, c) for c in cfgs]
+            old = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [pool.submit(run, pb, None, c, None, parted) for c in cfgs]
+                    threaded = [f.result(timeout=60) for f in futures]
+            finally:
+                sys.setswitchinterval(old)
+            for want, got in zip(serial, threaded):
+                assert want.losses().tolist() == got.losses().tolist()
+                assert np.array_equal(want.theta, got.theta)
+                assert want.rhs_evals == got.rhs_evals
+            assert all(bf.lls_plan is None and bf.rk_h_next == 0.0 for bf in parted[1])
+
+    def test_run_ignores_slots_left_on_a_shared_partition(self):
+        """Steps taken on a partition's batches outside a run leave plans
+        and step-size proposals there; a run over that partition starts
+        afresh all the same."""
+        for pb in (gen_random_lls(60, 6, 0.1, 3), gen_gaussian_blobs(60, 6, 2, 3.0, 3)):
+            cfg = RunConfig(method="splitting", alpha=1.0, batch_size=6, seed=2, max_epochs=3)
+            want = run(pb, None, cfg)
+            parted = partition(pb, 6, 2)
+            for bf in parted[1]:
+                if pb.kind == "least-squares":
+                    lls_local_exact(bf, np.zeros(6), 0.5, pb.n)
+                else:
+                    local_step_rk(pb, bf, np.zeros(6), 0.5)
+            got = run(pb, None, cfg, None, parted)
             assert want.losses().tolist() == got.losses().tolist()
-            assert np.array_equal(want.theta, got.theta)
-        assert all(bf.lls_plan is None for bf in parted[1])
+            assert want.rhs_evals == got.rhs_evals
 
     def test_mismatched_partition_rejected(self):
         pb = gen_random_lls(40, 5, 0.1, 2)

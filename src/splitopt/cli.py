@@ -85,7 +85,7 @@ class ExperimentConfig:
         if not self.alphas:
             raise ValueError("alphas must be nonempty")
         for a in self.alphas:
-            if a <= 0:
+            if not a > 0:
                 raise ValueError(f"alphas must be positive, got {a!r}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")

@@ -68,7 +68,7 @@ class IntegratorConfig:
             raise ValueError("rtol and atol must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
-        if self.h_init < 0:
+        if not self.h_init >= 0:
             raise ValueError("h_init must be >= 0")
 
 

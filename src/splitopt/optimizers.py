@@ -37,7 +37,7 @@ import numpy as np
 from .data import partition
 from .errors import MissingReference
 from .ode import IntegratorConfig
-from .problems import Problem, loss, test_error, theta_shape
+from .problems import Problem, _check_theta, loss, test_error, theta_shape
 from .solvers import euler_step, kaczmarz_step, lls_local_exact, local_step_rk
 
 METHODS = ("sgd", "splitting", "kaczmarz")
@@ -180,20 +180,17 @@ def run(
     """
     metric_of = check_run(pb, holdout, cfg)
     splitting = cfg.method == "splitting"
-    part, shared = parted or partition(pb, cfg.batch_size, cfg.seed, qr=splitting)
+    part, batches = parted or partition(pb, cfg.batch_size, cfg.seed, qr=splitting)
     if part.batch_size != cfg.batch_size or part.order_seed != cfg.seed:
         raise ValueError(
             f"partition has batch size {part.batch_size} and seed "
             f"{part.order_seed}, the run wants {cfg.batch_size} and {cfg.seed}"
         )
-    if splitting and shared[0].qr is None:
+    if splitting and batches[0].qr is None:
         raise ValueError("splitting needs a partition with QR factors")
-    # Own plan and step-size slots: runs at different h would evict or
-    # mislead each other's.
-    batches = [replace(bf, lls_plan=None, rk_h_next=0.0) for bf in shared]
     m = part.m
     h = cfg.alpha * m
-    theta = _check_shape(pb, theta0) if theta0 is not None else _init_theta(pb, cfg)
+    theta = _check_theta(pb, theta0).copy() if theta0 is not None else _init_theta(pb, cfg)
 
     trace = Trace(
         method=cfg.method,
@@ -203,7 +200,7 @@ def run(
         h=h,
         seed=cfg.seed if cfg.init_seed is None else cfg.init_seed,
     )
-    step = _batch_step(pb, cfg, h, trace)
+    step = _batch_step(pb, cfg, h, batches, trace)
 
     # Splitting's last ceil(E/2) - 1 epoch-end iterates while in epoch E.
     window = deque()
@@ -253,43 +250,46 @@ def run(
                 if len(window) > (epoch - 1) // 2:
                     window.popleft()
             for idx in part.epoch_order(epoch - 1):
-                theta = step(batches[idx], theta)
+                theta = step(idx, theta)
 
     trace.theta = reported()
     return trace
 
 
-def _batch_step(pb: Problem, cfg: RunConfig, h: float, trace: Trace):
-    """The run's batch-local update, ``step(bf, theta) -> theta``; an RK
-    local step adds its right-hand-side evaluations to ``trace.rhs_evals``.
+def _batch_step(pb: Problem, cfg: RunConfig, h: float, batches: list, trace: Trace):
+    """The run's batch-local update, ``step(i, theta) -> theta`` on batch i;
+    an RK local step adds its right-hand-side evaluations to
+    ``trace.rhs_evals``.
+
+    A run visits each batch once an epoch over the same span h, so the RK
+    step on a batch starts from the last positive step-size proposal this
+    run's steps on it left; ``cfg.integrator.h_init`` serves first visits
+    only.  The proposals are the run's own, so runs sharing a partition
+    across threads never see each other's.
 
     The solver is looked up in this module's globals when the run starts,
     so a function swapped in there (a tracer's wrapper, say) sees every step.
     """
     if cfg.method == "sgd":
         sgd = euler_step
-        return lambda bf, theta: sgd(pb, bf, theta, cfg.alpha)
+        return lambda i, theta: sgd(pb, batches[i], theta, cfg.alpha)
     if cfg.method == "kaczmarz":
         project = kaczmarz_step
-        return lambda bf, theta: project(bf.x_i[0], float(bf.y_i[0]), theta)
+        return lambda i, theta: project(batches[i].x_i[0], float(batches[i].y_i[0]), theta)
     if pb.kind == "least-squares":
         exact = lls_local_exact
-        return lambda bf, theta: exact(bf, theta, h, pb.n)
+        return lambda i, theta: exact(batches[i], theta, h, pb.n)
     rk = local_step_rk
+    starts = [cfg.integrator] * len(batches)
 
-    def rk_step(bf, theta):
-        rep = rk(pb, bf, theta, h, cfg.integrator)
+    def rk_step(i, theta):
+        rep = rk(pb, batches[i], theta, h, starts[i])
         trace.rhs_evals += rep.rhs_evals
+        if rep.h_next > 0:
+            starts[i] = replace(cfg.integrator, h_init=rep.h_next)
         return rep.theta_next
 
     return rk_step
-
-
-def _check_shape(pb, theta0):
-    theta0 = np.array(theta0, dtype=float)
-    if theta0.shape != theta_shape(pb):
-        raise ValueError(f"theta0 must have shape {theta_shape(pb)}")
-    return theta0
 
 
 def lr_grid(pb, holdout, base_cfg: RunConfig, alphas) -> list:

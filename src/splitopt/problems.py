@@ -92,20 +92,15 @@ class BatchFactorization:
     wide x_i^T: q is square and the "reduced" state simply has size p.
     ``qr`` is None when the batch was partitioned without factors.
 
-    ``lls_plan`` caches the least-squares step's work that depends only on
-    (h, n), as the tuple ``(h, n, core_minus_i, eta_star)``; see
-    ``solvers.lls_local_exact``.  It is replaced whole, never mutated.
-    ``rk_h_next`` is the RK local step's last step-size proposal on this
-    batch, its next step's start (0: none yet); see
-    ``solvers.local_step_rk``.  Both are per-run slots: ``optimizers.run``
-    gives each run fresh ones over a shared partition.
+    ``lls_plan`` keeps the least-squares step's spectral plan, which
+    depends on the batch alone; it is written once, on the batch's first
+    step (see ``solvers.lls_local_exact``), and serves every run.
     """
 
     x_i: np.ndarray
     y_i: np.ndarray
     qr: ThinQR | None
     lls_plan: tuple | None = field(default=None, repr=False, compare=False)
-    rk_h_next: float = field(default=0.0, repr=False, compare=False)
 
     @property
     def b(self) -> int:

@@ -284,6 +284,14 @@ class TestRun:
         assert main(["--out", str(tmp_path / "runs"), "run", "--config", str(cfg_path)]) == 2
         assert message in capsys.readouterr().err
 
+    def test_nan_alpha_is_a_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(alphas=[0.05, float("nan")])))
+        out = tmp_path / "runs"
+        assert main(["--out", str(out), "run", "--config", str(cfg_path)]) == 2
+        assert "config: alphas must be positive, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "overrides",
         [{"holdout_size": 60}, {"methods": ["kaczmarz"]},

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from splitopt import (
+    IntegratorConfig,
     Problem,
     RunConfig,
     StoppingRule,
@@ -23,7 +24,7 @@ from splitopt import (
     random_full_rank,
     run,
 )
-from splitopt.errors import MissingReference
+from splitopt.errors import DimensionMismatch, MissingReference
 
 
 def residual(pb, theta):
@@ -67,6 +68,18 @@ class TestRunBasics:
         cfg = RunConfig(method="splitting", alpha=1.0, batch_size=4, seed=0, max_epochs=1)
         trace = run(pb, None, cfg, theta0=pb.theta_ref)
         assert trace.records[0].loss == pytest.approx(0.0, abs=1e-20)
+
+    def test_theta0_is_checked_and_copied(self):
+        pb = gen_random_lls(20, 4, 0.0, 2)
+        cfg = RunConfig(method="sgd", alpha=0.1, batch_size=4, seed=0, max_epochs=2,
+                        stop=StoppingRule("loss-threshold", 1e9))
+        with pytest.raises(DimensionMismatch):
+            run(pb, None, cfg, theta0=np.zeros(5))
+        theta0 = np.ones(4)
+        trace = run(pb, None, cfg, theta0=theta0)
+        assert trace.stopped and trace.records[-1].epoch == 0
+        assert np.array_equal(trace.theta, theta0)
+        assert not np.shares_memory(trace.theta, theta0)
 
     def test_single_full_batch_huge_h_solves_least_squares(self):
         """One batch covering the data with a huge step lands on the
@@ -147,6 +160,40 @@ class TestRunBasics:
         assert run(lls, None, cfg).rhs_evals == 0
         assert len(spent) == 18
 
+    def test_rk_steps_start_from_the_runs_last_proposal(self, monkeypatch):
+        """Each RK local step starts from the last positive proposal this
+        run's steps on its batch reported; ``h_init`` serves first visits
+        only, and a step that proposes nothing leaves the start as it was."""
+        import splitopt.optimizers
+
+        real = splitopt.optimizers.local_step_rk
+        visits = []
+
+        def proposing_nothing_every_third(pb, bf, theta, h, cfg):
+            rep = real(pb, bf, theta, h, cfg)
+            if len(visits) % 3 == 2:
+                rep = dataclasses.replace(rep, h_next=0.0)
+            visits.append((id(bf), cfg.h_init, rep.h_next))
+            return rep
+
+        monkeypatch.setattr(splitopt.optimizers, "local_step_rk", proposing_nothing_every_third)
+        blobs = gen_gaussian_blobs(60, 4, 3, 3.0, 2)
+        cfg = RunConfig(method="splitting", alpha=1.0, batch_size=10, seed=0, max_epochs=4,
+                        integrator=IntegratorConfig(h_init=1e-3))
+        parted = partition(blobs, 10, 0)
+        for _ in range(2):  # a second run over the same batches starts afresh
+            visits.clear()
+            run(blobs, None, cfg, None, parted)
+            assert len(visits) == 24
+            last, prev, kept = {}, {}, 0
+            for batch, h_init, h_next in visits:
+                assert h_init == last.get(batch, 1e-3)
+                kept += prev.get(batch) == 0.0 and batch in last
+                prev[batch] = h_next
+                if h_next > 0:
+                    last[batch] = h_next
+            assert kept > 0 and len(last) == 6
+
 
 class TestTailAverage:
     def setup_method(self):
@@ -212,9 +259,10 @@ class TestRunPartition:
             run(pb, None, RunConfig(method="splitting", alpha=0.1, batch_size=5, seed=0))
 
     def test_threads_sharing_a_partition_match_serial_runs(self):
-        """Runs at different h over one partition keep their own plan and
-        step-size slots, so threads interleaving their steps change nothing:
-        least squares (closed form) and logistic (RK with warm starts)."""
+        """Runs at different h over one partition share each batch's
+        h-independent plan and keep their own step-size proposals, so
+        threads interleaving their steps change nothing: least squares
+        (closed form) and logistic (RK with warm starts)."""
         for pb in (gen_random_lls(60, 6, 0.1, 3), gen_gaussian_blobs(60, 6, 2, 3.0, 3)):
             parted = partition(pb, 6, 2)
             cfgs = [
@@ -234,12 +282,12 @@ class TestRunPartition:
                 assert want.losses().tolist() == got.losses().tolist()
                 assert np.array_equal(want.theta, got.theta)
                 assert want.rhs_evals == got.rhs_evals
-            assert all(bf.lls_plan is None and bf.rk_h_next == 0.0 for bf in parted[1])
+            plans = [bf.lls_plan for bf in parted[1]]
+            assert all((p is not None) == (pb.kind == "least-squares") for p in plans)
 
     def test_run_ignores_slots_left_on_a_shared_partition(self):
-        """Steps taken on a partition's batches outside a run leave plans
-        and step-size proposals there; a run over that partition starts
-        afresh all the same."""
+        """Steps taken on a partition's batches outside a run leave their
+        plans there; a run over that partition gives the same trace."""
         for pb in (gen_random_lls(60, 6, 0.1, 3), gen_gaussian_blobs(60, 6, 2, 3.0, 3)):
             cfg = RunConfig(method="splitting", alpha=1.0, batch_size=6, seed=2, max_epochs=3)
             want = run(pb, None, cfg)

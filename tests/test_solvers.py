@@ -4,6 +4,7 @@ The closed-form least-squares flow is checked against a tight-tolerance
 integration of the original full-space ODE, which shares no code with it.
 """
 
+import copy
 import sys
 import threading
 from dataclasses import replace
@@ -11,7 +12,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import splitopt.solvers
 from splitopt import (
     BatchFactorization,
     IntegratorConfig,
@@ -147,7 +147,7 @@ def fresh(bf):
 
 
 class TestLlsPlanCache:
-    """The (h, n) plan kept on the batch never changes a step's result."""
+    """The spectral plan kept on the batch never changes a step's result."""
 
     def test_chained_steps_bit_identical_to_uncached(self):
         pb = gen_random_lls(200, 50, 0.2, 7)
@@ -159,15 +159,17 @@ class TestLlsPlanCache:
             uncached = lls_local_exact(fresh(bf), uncached, 0.7, pb.n)
             assert np.array_equal(cached, uncached)
 
-    def test_changed_h_or_n_rebuilds_the_plan(self):
+    def test_one_plan_serves_every_h_and_n(self):
         pb = gen_random_lls(60, 12, 0.3, 4)
         _, batches = partition(pb, 6, 4)
         bf = batches[1]
         theta = np.random.default_rng(8).standard_normal(12)
-        for h, n in ((0.5, pb.n), (4.0, pb.n), (0.5, pb.n), (0.5, 2 * pb.n)):
+        lls_local_exact(bf, theta, 0.5, pb.n)
+        plan = bf.lls_plan
+        for h, n in ((0.5, pb.n), (4.0, pb.n), (0.5, pb.n), (0.5, 2 * pb.n), (1e6, 7)):
             got = lls_local_exact(bf, theta, h, n)
             assert np.array_equal(got, lls_local_exact(fresh(bf), theta, h, n))
-            assert bf.lls_plan[:2] == (h, n)
+            assert bf.lls_plan is plan
             theta = got
 
     def test_negative_h_rejected_with_a_plan_cached(self):
@@ -178,41 +180,49 @@ class TestLlsPlanCache:
             lls_local_exact(batches[0], np.zeros(8), -1.0, pb.n)
 
     def test_wide_batch_matches_per_step_formula(self):
-        """b > p (normal-equations branch) against the formula that built
-        the exponential and eta* afresh on every step."""
-        pb = gen_random_lls(40, 5, 0.3, 12)
-        _, batches = partition(pb, 10, 12)
-        bf = batches[2]
-        assert bf.b > pb.p
-        q, r = bf.qr.q, bf.qr.r
-        eta_star = np.linalg.solve(r @ r.T, r @ bf.y_i)
-        theta = np.random.default_rng(9).standard_normal(5)
-        for h in (0.3, 0.3, 5.0, 0.3, 80.0):
-            eta0 = q.T @ theta
-            core = expm_sym(r @ r.T, -h / pb.n)
-            want = theta + q @ (core @ (eta0 - eta_star) + eta_star - eta0)
-            got = lls_local_exact(bf, theta, h, pb.n)
-            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-            theta = got
+        """Wide (b > p), tall, single-row and tomo-like batches against the
+        formula that builds the exponential and eta* afresh on every step."""
+        cases = {
+            "wide": (gen_random_lls(40, 5, 0.3, 12), 10, 2),
+            "tall": (gen_random_lls(200, 50, 0.2, 7), 20, 0),
+            "single-row": (gen_random_lls(30, 8, 0.1, 0), 1, 3),
+            "tomo-like": (gen_tomo_like(10, 200, 0), 10, 1),
+        }
+        for name, (pb, b, which) in cases.items():
+            bf = partition(pb, b, 12)[1][which]
+            assert (bf.b > pb.p) == (name == "wide") and (bf.b == 1) == (name == "single-row")
+            q, r = bf.qr.q, bf.qr.r
+            eta_star = np.linalg.solve(r @ r.T, r @ bf.y_i)
+            theta = np.random.default_rng(9).standard_normal(pb.p)
+            for h in (0.3, 0.3, 5.0, 0.3, 80.0):
+                eta0 = q.T @ theta
+                core = expm_sym(r @ r.T, -h / pb.n)
+                want = theta + q @ (core @ (eta0 - eta_star) + eta_star - eta0)
+                got = lls_local_exact(bf, theta, h, pb.n)
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+                theta = got
 
-    def test_splitting_run_builds_one_exponential_per_batch(self, monkeypatch):
+    def test_run_grid_over_a_shared_partition_makes_m_svds(self, monkeypatch):
         calls = []
+        svd = np.linalg.svd
 
-        def counting_expm_sym(s, t):
-            calls.append(t)
-            return expm_sym(s, t)
+        def counting_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
 
-        monkeypatch.setattr(splitopt.solvers, "expm_sym", counting_expm_sym)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         pb = gen_random_lls(120, 10, 0.1, 5)
-        trace = run(pb, None, RunConfig(method="splitting", alpha=0.5, batch_size=8,
-                                        seed=5, max_epochs=4))
+        parted = partition(pb, 8, 5)
+        for alpha in (0.01, 0.5, 20.0):
+            trace = run(pb, None, RunConfig(method="splitting", alpha=alpha, batch_size=8,
+                                            seed=5, max_epochs=4), None, parted)
+            assert trace.records[-1].iteration == 4 * trace.m
         assert trace.m == 15
-        assert trace.records[-1].iteration == 4 * trace.m
         assert len(calls) == trace.m
 
     def test_shared_batch_across_threads(self):
-        """Threads stepping one batch at different h never see each
-        other's plan."""
+        """Threads stepping one batch at different h share its one plan
+        and take the steps a fresh batch takes."""
         pb = gen_random_lls(60, 12, 0.3, 6)
         _, batches = partition(pb, 6, 6)
         bf = batches[0]
@@ -380,46 +390,46 @@ class TestLocalStepRK:
     @pytest.mark.parametrize("k, b", [(2, 50), (10, 64)], ids=["logistic", "softmax"])
     def test_warm_start_spends_less_and_agrees(self, k, b):
         """Revisiting a batch after another batch's step, as an epoch does,
-        starts from the first visit's proposal: fewer evaluations than a
-        cold start from the same point, the same flow within tolerance."""
+        from the first visit's proposal: fewer evaluations than a cold start
+        from the same point, the same flow within tolerance."""
         pb = gen_gaussian_blobs(400, 20, k, 4.0, 8)
         part, batches = partition(pb, b, 1)
         cfg = IntegratorConfig()
         h = 1.0 * part.m
         bf = batches[0]
         theta = 0.01 * np.random.default_rng(0).standard_normal((20, k) if k > 2 else 20)
-        theta = local_step_rk(pb, bf, theta, h, cfg).theta_next
-        proposal = bf.rk_h_next
-        assert proposal > 0
-        theta = local_step_rk(pb, batches[1], theta, h, cfg).theta_next
-        warm = local_step_rk(pb, bf, theta, h, cfg)
-        cold = local_step_rk(pb, replace(bf, rk_h_next=0.0), theta, h, cfg)
+        first = local_step_rk(pb, bf, theta, h, cfg)
+        assert first.h_next > 0
+        theta = local_step_rk(pb, batches[1], first.theta_next, h, cfg).theta_next
+        warm = local_step_rk(pb, bf, theta, h, replace(cfg, h_init=first.h_next))
+        cold = local_step_rk(pb, bf, theta, h, cfg)
         assert warm.rhs_evals < cold.rhs_evals
         scale = 1 + np.linalg.norm(cold.theta_next)
         assert np.linalg.norm(warm.theta_next - cold.theta_next) <= 10 * cfg.rtol * scale
-        assert bf.rk_h_next > 0 and bf.rk_h_next != proposal
+        assert warm.h_next > 0 and warm.h_next != first.h_next
 
-    def test_h_init_serves_the_first_visit_only(self):
+    def test_leaves_the_batch_unchanged(self):
         pb = gen_gaussian_blobs(40, 6, 2, 2.0, 3)
         _, batches = partition(pb, 5, 3)
         bf = batches[0]
-        cfg = IntegratorConfig(h_init=1e-3)
+        before = copy.deepcopy(bf)
         theta = np.zeros(6)
-        first = local_step_rk(pb, bf, theta, 2.0, cfg)
-        proposal = bf.rk_h_next
-        again = local_step_rk(pb, bf, theta, 2.0, cfg)
-        fresh = local_step_rk(pb, replace(bf, rk_h_next=proposal), theta, 2.0)
-        assert again.rhs_evals < first.rhs_evals
-        assert np.array_equal(again.theta_next, fresh.theta_next)
+        for cfg in (IntegratorConfig(), IntegratorConfig(h_init=1e-3)):
+            rep = local_step_rk(pb, bf, theta, 2.0, cfg)
+            assert rep.h_next > 0
+            theta = rep.theta_next
+        assert vars(bf).keys() == vars(before).keys() and bf.lls_plan is None
+        for got, want in ((bf.x_i, before.x_i), (bf.y_i, before.y_i),
+                          (bf.qr.q, before.qr.q), (bf.qr.r, before.qr.r)):
+            assert np.array_equal(got, want)
 
-    def test_one_clipped_step_keeps_the_proposal(self):
-        """A step whose span one shortened integrator step covers proposes
-        nothing, and the batch keeps the proposal it had."""
+    def test_one_clipped_step_proposes_nothing(self):
+        """A step whose span one shortened integrator step covers reports
+        no proposal."""
         pb = gen_gaussian_blobs(40, 6, 2, 2.0, 3)
         _, batches = partition(pb, 5, 3)
-        bf = replace(batches[0], rk_h_next=50.0)
-        rep = local_step_rk(pb, bf, np.zeros(6), 1e-3)
-        assert rep.rhs_evals == 7 and bf.rk_h_next == 50.0
+        rep = local_step_rk(pb, batches[0], np.zeros(6), 1e-3, IntegratorConfig(h_init=50.0))
+        assert rep.rhs_evals == 7 and rep.h_next == 0.0
 
 
 class TestEulerStep:

@@ -47,8 +47,6 @@ from .optimizers import (
     StoppingRule,
     Trace,
     check_run,
-    evaluate_stop,
-    lr_grid,
     run,
 )
 from .problems import (
@@ -97,7 +95,6 @@ __all__ = [
     "error_limit",
     "error_sweep",
     "euler_step",
-    "evaluate_stop",
     "expm_lowrank",
     "expm_sym",
     "full_gradient",
@@ -113,7 +110,6 @@ __all__ = [
     "local_step_rk",
     "log_norm",
     "loss",
-    "lr_grid",
     "make_problem",
     "partition",
     "random_full_rank",

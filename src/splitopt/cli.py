@@ -91,6 +91,8 @@ class ExperimentConfig:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be at least 1, got {self.max_epochs}")
+        if not self.init_scale >= 0:  # NaN fails too
+            raise ValueError(f"init_scale must be nonnegative, got {self.init_scale!r}")
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r} in methods")

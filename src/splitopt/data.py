@@ -63,8 +63,10 @@ class DatasetSpec:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         if self.n < 1 or self.p < 1:
             raise ValueError("n and p must be at least 1")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
+        for name in ("noise_sigma", "separation"):
+            val = getattr(self, name)
+            if not val >= 0:  # NaN fails too
+                raise ValueError(f"{name} must be nonnegative, got {val!r}")
         if self.kind == "linear-system-file" and self.path is None:
             raise ValueError("linear-system-file needs a path")
         if self.kind == "idx-images" and None in (self.images_path, self.labels_path):

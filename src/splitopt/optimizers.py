@@ -112,17 +112,6 @@ class Trace:
         return np.array([r.iteration for r in self.records])
 
 
-def evaluate_stop(
-    rule: StoppingRule,
-    pb: Problem,
-    holdout: Problem | None,
-    theta: np.ndarray,
-    theta_ref: np.ndarray | None = None,
-) -> bool:
-    """Whether the stopping rule fires at theta."""
-    return _stop_metric(rule, pb, holdout, theta_ref)(theta) <= rule.threshold
-
-
 def _stop_metric(rule, pb, holdout, theta_ref):
     """The rule's metric as a function of theta; raises first if the data
     lack what the rule reads."""
@@ -290,11 +279,3 @@ def _batch_step(pb: Problem, cfg: RunConfig, h: float, batches: list, trace: Tra
         return rep.theta_next
 
     return rk_step
-
-
-def lr_grid(pb, holdout, base_cfg: RunConfig, alphas) -> list:
-    """Independent runs over a learning-rate grid, same seeds throughout."""
-    alphas = list(alphas)
-    if not alphas:
-        raise ValueError("alpha grid must be nonempty")
-    return [run(pb, holdout, replace(base_cfg, alpha=float(a))) for a in alphas]

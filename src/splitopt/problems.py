@@ -16,7 +16,20 @@ Each minibatch carries its precomputed QR factors of X_i^T, through which
 the per-batch gradient-flow ODE restricts to the coordinates eta = Q^T
 theta: the flow never leaves theta_0 + range(Q), so only a state of size
 min(b, p) (times K) needs to be evolved.  ``local_rhs`` is the original
-full-space right-hand side, ``reduced_rhs`` the restricted one.
+full-space right-hand side.  ``reduced_flow`` builds the restricted one,
+-(1/n) r (pred(r^T eta) - y_i), for one batch with its batch-only factors
+folded in:
+
+    least squares   a (B eta) + c         a = -r/n, B = r^T, c = r y_i / n
+    logistic        a tanh(B eta) + c     a = -(0.5/n) r, B = 0.5 r^T,
+                                          c = r (y_i - 0.5) / n
+    softmax         (a e^T).ravel() + c   a = -r/n, c = (r y_i / n).ravel()
+
+The logistic form is sigmoid(s) = 0.5 + 0.5 tanh(s/2).  Softmax keeps its
+k x K state row-major and lays the scores out K x b, z = eta^T r; e is z
+shifted by its column maxima, exponentiated and divided by its column
+sums, so both reductions run along axis 0.  ``reduced_rhs`` evaluates the
+flow at one state, with a shape check.
 """
 
 from dataclasses import dataclass, field
@@ -201,19 +214,42 @@ def local_rhs(pb: Problem, bf: BatchFactorization, theta: np.ndarray) -> np.ndar
     return -(bf.x_i.T @ _residual(pb.kind, bf.x_i, bf.y_i, theta)) / pb.n
 
 
-def reduced_rhs(pb: Problem, bf: BatchFactorization, eta: np.ndarray) -> np.ndarray:
-    """The per-batch flow restricted to eta = q^T theta.
+def reduced_flow(pb: Problem, bf: BatchFactorization):
+    """The batch's reduced flow in folded form (see the module docstring),
+    as one callable on the flattened state.  Build it once per local step;
+    nothing is checked per call."""
+    r, n = bf.qr.r, pb.n
+    if pb.kind == "softmax":
+        a, c = -r / n, (r @ bf.y_i / n).ravel()
+        shape = (r.shape[0], pb.k)
 
-    -(1/n) r (pred(r^T eta) - y_i); equals q^T local_rhs(theta) at any theta
-    with q^T theta = eta.  The state has min(b, p) rows (times K columns for
-    softmax) instead of p.
+        def rhs(v):
+            z = v.reshape(shape).T @ r
+            e = np.exp(z - np.maximum.reduce(z))
+            e /= np.add.reduce(e)
+            return (a @ e.T).ravel() + c
+
+        return rhs
+    if pb.kind == "logistic":
+        a, bt, c = -(0.5 / n) * r, 0.5 * r.T, r @ (bf.y_i - 0.5) / n
+        return lambda v: a @ np.tanh(bt @ v) + c
+    a, bt, c = -r / n, r.T, r @ bf.y_i / n
+    return lambda v: a @ (bt @ v) + c
+
+
+def reduced_rhs(pb: Problem, bf: BatchFactorization, eta: np.ndarray) -> np.ndarray:
+    """The per-batch flow restricted to eta = q^T theta, at one state.
+
+    -(1/n) r (pred(r^T eta) - y_i), evaluated through ``reduced_flow``;
+    equals q^T local_rhs(theta) at any theta with q^T theta = eta.  The
+    state has min(b, p) rows (times K columns for softmax) instead of p.
     """
     eta = np.asarray(eta, dtype=float)
     r = bf.qr.r
     want = (r.shape[0], pb.k) if pb.kind == "softmax" else (r.shape[0],)
     if eta.shape != want:
         raise DimensionMismatch(f"reduced state must have shape {want}, got {eta.shape}")
-    return -(r @ (_predict(pb.kind, r.T @ eta) - bf.y_i)) / pb.n
+    return reduced_flow(pb, bf)(eta.ravel()).reshape(want)
 
 
 def test_error(pb: Problem, theta: np.ndarray, holdout: Problem) -> float:

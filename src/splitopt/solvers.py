@@ -15,9 +15,13 @@ row the formula collapses to a rank-one update whose h -> infinity limit
 is the Kaczmarz projection.  Logistic and softmax local flows have no
 closed form and are integrated in the reduced coordinates eta = q^T theta
 with the adaptive Runge-Kutta pair, then lifted back by
-theta(h) = q (eta(h) - eta(0)) + theta_0; the step reports the
-integrator's last step-size proposal so a caller can start the batch's
-next step there.
+theta(h) = q (eta(h) - eta(0)) + theta_0.  The right-hand side is built
+once per local step in folded form (``problems.reduced_flow``): logistic
+a tanh(B eta) + c with a = -(0.5/n) r, B = 0.5 r^T, c = r (y_i - 0.5)/n;
+softmax scores laid out K x b, z = eta^T r, shifted and normalised along
+axis 0 into e, then (a e^T).ravel() + c with a = -r/n.  The integrator
+calls it directly.  The step reports the integrator's last step-size
+proposal so a caller can start the batch's next step there.
 
 An explicit Euler step of the local flow at step h = alpha * m is exactly
 one SGD step at learning rate alpha; ``euler_step`` is that baseline.
@@ -29,7 +33,7 @@ import numpy as np
 
 from .errors import SingularR, ZeroRow
 from .ode import IntegratorConfig, rk45_integrate
-from .problems import BatchFactorization, Problem, batch_gradient, reduced_rhs
+from .problems import BatchFactorization, Problem, batch_gradient, reduced_flow
 
 
 @dataclass
@@ -107,7 +111,9 @@ def local_step_rk(
     """One local step for logistic/softmax: integrate the reduced flow.
 
     The state q^T theta (size min(b, p), times K for softmax) is integrated
-    from 0 to h with ``rk45_integrate`` and lifted back; least-squares
+    from 0 to h with ``rk45_integrate`` and lifted back.  The right-hand
+    side is the batch's folded ``reduced_flow``, built once for the step
+    and called by the integrator directly; least-squares
     batches are served by the closed form instead and are rejected here.
     The integration starts from ``cfg.h_init``; the report's ``h_next`` is
     the integrator's proposal, which a caller passes back as ``h_init`` to
@@ -122,13 +128,8 @@ def local_step_rk(
     theta0 = np.asarray(theta0, dtype=float)
     q = bf.qr.q
     eta0 = q.T @ theta0
-    shape = eta0.shape
-
-    def rhs(v):
-        return reduced_rhs(pb, bf, v.reshape(shape)).ravel()
-
-    sol = rk45_integrate(rhs, eta0.ravel(), (0.0, h), cfg or IntegratorConfig())
-    theta = theta0 + q @ (sol.y_end.reshape(shape) - eta0)
+    sol = rk45_integrate(reduced_flow(pb, bf), eta0.ravel(), (0.0, h), cfg)
+    theta = theta0 + q @ (sol.y_end.reshape(eta0.shape) - eta0)
     return LocalStepReport(theta_next=theta, rhs_evals=sol.rhs_evals, h_next=sol.h_next)
 
 

@@ -256,6 +256,18 @@ class TestRun:
             ({"init_scale": "0.01"}, None, "config.init_scale: expected float, got str"),
             ({}, "batch_size", "config.batch_size: required field missing"),
             ({"alphas": [0.05, -0.1]}, None, "config: alphas must be positive, got -0.1"),
+            ({"alphas": []}, None, "config: alphas must be nonempty"),
+            # A NaN passes a `< 0` check; a NaN init_scale used to exit 0
+            # with every cell diverged at epoch 0.
+            ({"dataset": {"kind": "random-lls", "n": 60, "p": 6,
+                          "noise_sigma": float("nan")}}, None,
+             "config.dataset: noise_sigma must be nonnegative, got nan"),
+            ({"dataset": {"kind": "gaussian-blobs", "n": 60, "p": 6,
+                          "separation": float("nan")}}, None,
+             "config.dataset: separation must be nonnegative, got nan"),
+            ({"init_scale": float("nan")}, None,
+             "config: init_scale must be nonnegative, got nan"),
+            ({"init_scale": -0.01}, None, "config: init_scale must be nonnegative, got -0.01"),
             ({"batch_size": 0}, None, "config: batch_size must be at least 1, got 0"),
             ({"batch_size": 500}, None,
              "config.batch_size: 500 exceeds the 60 training samples"),
@@ -272,6 +284,8 @@ class TestRun:
              "config.holdout_size: give holdout or holdout_size, not both"),
         ],
         ids=["bool-batch-size", "str-init-scale", "missing-batch-size", "negative-alpha",
+             "empty-alphas", "nan-noise-sigma", "nan-separation", "nan-init-scale",
+             "negative-init-scale",
              "zero-batch-size", "batch-size-over-n", "zero-max-epochs",
              "alphas-same-trace-name", "methods-repeated", "alphas-repeated",
              "negative-holdout-size", "holdout-size-over-n", "holdout-and-holdout-size"],

@@ -12,14 +12,13 @@ from splitopt import (
     Problem,
     RunConfig,
     StoppingRule,
-    evaluate_stop,
+    check_run,
     gen_gaussian_blobs,
     gen_random_lls,
     lls_local_exact,
     lls_local_unit,
     local_rhs,
     local_step_rk,
-    lr_grid,
     partition,
     random_full_rank,
     run,
@@ -412,71 +411,43 @@ class TestStability:
 
 
 class TestEvaluateStop:
+    """The stop rule as a run evaluates it: the metric ``check_run``
+    returns, read against the rule's threshold."""
+
+    @staticmethod
+    def fires(rule, pb, holdout, theta):
+        return check_run(pb, holdout, RunConfig(stop=rule))(theta) <= rule.threshold
+
     def test_immediate_stop_with_huge_threshold(self):
         pb = gen_random_lls(20, 4, 0.1, 1)
         rule = StoppingRule("relative-residual", 1e9)
-        assert evaluate_stop(rule, pb, None, np.zeros(4))
+        assert self.fires(rule, pb, None, np.zeros(4))
 
     def test_solution_at_reference_stops(self):
         pb = gen_random_lls(20, 4, 0.0, 1)
         rule = StoppingRule("solution-distance", 1e-12)
-        assert evaluate_stop(rule, pb, None, pb.theta_ref, pb.theta_ref)
+        assert self.fires(rule, pb, None, pb.theta_ref)
 
     def test_solution_distance_needs_reference(self):
-        pb = gen_random_lls(20, 4, 0.0, 1)
+        src = gen_random_lls(20, 4, 0.0, 1)
+        pb = Problem("least-squares", src.x, src.targets)
         rule = StoppingRule("solution-distance", 1e-3)
         with pytest.raises(MissingReference):
-            evaluate_stop(rule, pb, None, np.zeros(4), None)
+            self.fires(rule, pb, None, np.zeros(4))
 
     def test_test_error_needs_holdout(self):
         pb = gen_gaussian_blobs(30, 3, 2, 2.0, 0)
         rule = StoppingRule("test-error", 0.25)
         with pytest.raises(MissingReference):
-            evaluate_stop(rule, pb, None, np.zeros(3))
+            self.fires(rule, pb, None, np.zeros(3))
 
     def test_zero_parameters_do_not_stop_on_balanced_ten_class(self):
         pb = gen_gaussian_blobs(500, 4, 10, 3.0, 3)
         rule = StoppingRule("test-error", 0.25)
-        assert not evaluate_stop(rule, pb, pb, np.zeros((4, 10)))
+        assert not self.fires(rule, pb, pb, np.zeros((4, 10)))
 
     def test_loss_threshold(self):
         pb = gen_random_lls(20, 4, 0.0, 5)
         rule = StoppingRule("loss-threshold", 1e-9)
-        assert evaluate_stop(rule, pb, None, pb.theta_ref)
-        assert not evaluate_stop(rule, pb, None, np.zeros(4))
-
-
-class TestLrGrid:
-    def test_singleton_grid_equals_run(self):
-        pb = gen_random_lls(30, 5, 0.1, 6)
-        cfg = RunConfig(method="splitting", alpha=0.7, batch_size=5, seed=1, max_epochs=3)
-        grid = lr_grid(pb, None, cfg, [0.7])
-        single = run(pb, None, cfg)
-        assert np.array_equal(grid[0].theta, single.theta)
-
-    def test_traces_independent_of_list_order(self):
-        pb = gen_random_lls(30, 5, 0.1, 6)
-        cfg = RunConfig(method="sgd", alpha=1.0, batch_size=5, seed=1, max_epochs=3)
-        fwd = lr_grid(pb, None, cfg, [0.01, 0.1])
-        rev = lr_grid(pb, None, cfg, [0.1, 0.01])
-        assert np.array_equal(fwd[0].theta, rev[1].theta)
-        assert np.array_equal(fwd[1].theta, rev[0].theta)
-
-    def test_smallest_alpha_converges(self):
-        pb = gen_random_lls(80, 8, 0.0, 7)
-        cfg = RunConfig(
-            method="sgd",
-            alpha=1.0,
-            batch_size=8,
-            seed=0,
-            max_epochs=200,
-            stop=StoppingRule("relative-residual", 1e-3),
-        )
-        traces = lr_grid(pb, None, cfg, [1e-3, 1e-2, 1e-1, 1.0, 10.0])
-        assert any(t.stopped for t in traces[:3])
-
-    def test_empty_grid_rejected(self):
-        pb = gen_random_lls(10, 3, 0.0, 0)
-        cfg = RunConfig(method="sgd", alpha=1.0, batch_size=5, seed=0)
-        with pytest.raises(ValueError):
-            lr_grid(pb, None, cfg, [])
+        assert self.fires(rule, pb, None, pb.theta_ref)
+        assert not self.fires(rule, pb, None, np.zeros(4))

@@ -30,8 +30,10 @@ from splitopt import (
     partition,
     rk45_integrate,
     run,
+    solvers,
 )
 from splitopt.linalg import expm_sym
+from splitopt.problems import reduced_flow
 from splitopt.errors import SingularR, ZeroRow
 
 
@@ -430,6 +432,78 @@ class TestLocalStepRK:
         _, batches = partition(pb, 5, 3)
         rep = local_step_rk(pb, batches[0], np.zeros(6), 1e-3, IntegratorConfig(h_init=50.0))
         assert rep.rhs_evals == 7 and rep.h_next == 0.0
+
+
+class TestFoldedFlow:
+    """The RK local step integrates the batch's folded ``reduced_flow``;
+    these tests hold it to the plain formula -(1/n) r (pred(r^T eta) - y_i)."""
+
+    @staticmethod
+    def plain_rhs(pb, bf):
+        """The reduced flow as written, with scores laid out b x K."""
+        r, y, n = bf.qr.r, bf.y_i, pb.n
+        if pb.kind == "logistic":
+            return lambda v: -(r @ (1.0 / (1.0 + np.exp(-(r.T @ v))) - y)) / n
+        shape = (r.shape[0], pb.k)
+
+        def rhs(v):
+            s = r.T @ v.reshape(shape)
+            e = np.exp(s - s.max(axis=1, keepdims=True))
+            return (-(r @ (e / e.sum(axis=1, keepdims=True) - y)) / n).ravel()
+
+        return rhs
+
+    @pytest.mark.parametrize(
+        "k, p, b",
+        [(2, 20, 50), (10, 20, 64), (2, 6, 40), (3, 6, 40), (2, 20, 8), (3, 20, 8)],
+        ids=["classify-logistic", "classify-softmax", "wide-logistic", "wide-softmax",
+             "tall-logistic", "tall-softmax"],
+    )
+    def test_local_step_matches_the_plain_formula(self, monkeypatch, k, p, b):
+        """The same rk45_integrate run on the plain right-hand side: theta
+        to 1e-12 relative, and the same evaluations and step counts.  The
+        classify shapes (p = 20, logistic b = 50, softmax b = 64 and K = 10)
+        are wide batches, b > p; the tall ones have b < p."""
+        pb = gen_gaussian_blobs(8 * b, p, k, 4.0, 8)
+        part, batches = partition(pb, b, 1)
+        bf = batches[0]
+        h = 10.0 * part.m
+        rng = np.random.default_rng(k + p + b)
+        theta0 = 0.01 * rng.standard_normal((p, k) if k > 2 else p)
+        sols = []
+
+        def recording(*args, **kwargs):
+            sols.append(rk45_integrate(*args, **kwargs))
+            return sols[-1]
+
+        monkeypatch.setattr(solvers, "rk45_integrate", recording)
+        rep = local_step_rk(pb, bf, theta0, h)
+        q = bf.qr.q
+        eta0 = q.T @ theta0
+        want = rk45_integrate(self.plain_rhs(pb, bf), eta0.ravel(), (0.0, h))
+        theta = theta0 + q @ (want.y_end.reshape(eta0.shape) - eta0)
+        assert np.linalg.norm(rep.theta_next - theta) <= 1e-12 * np.linalg.norm(theta)
+        (got,) = sols
+        assert got.steps_taken > 3
+        assert ((got.rhs_evals, got.steps_taken, got.rejected_steps)
+                == (want.rhs_evals, want.steps_taken, want.rejected_steps))
+
+    def test_softmax_scores_near_1e3_stay_finite(self):
+        """Scores of +-1e3 overflow exp unless each column is shifted by its
+        maximum first; the folded flow shifts and matches the full-space one."""
+        pb = gen_gaussian_blobs(640, 20, 10, 4.0, 42)
+        part, batches = partition(pb, 64, 1)
+        bf = batches[0]
+        theta = np.random.default_rng(7).standard_normal((20, 10))
+        theta *= 1e3 / np.max(np.abs(bf.x_i @ theta))
+        assert np.max(np.abs(bf.x_i @ theta)) == pytest.approx(1e3)
+        q = bf.qr.q
+        with np.errstate(over="raise", invalid="raise"):
+            got = reduced_flow(pb, bf)((q.T @ theta).ravel())
+            rep = local_step_rk(pb, bf, theta, 1.0 * part.m)
+        want = (q.T @ local_rhs(pb, bf, theta)).ravel()
+        assert np.isfinite(got).all() and np.isfinite(rep.theta_next).all()
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestEulerStep:

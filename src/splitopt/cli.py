@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bounds_mod
-from .data import DatasetSpec, make_problem, partition, save_linear_system, split_holdout
+from .data import DatasetSpec, make_problem, save_linear_system, split_holdout
 from .errors import EmptyTrace, SplitOptError
 from .ode import IntegratorConfig
 from .optimizers import METHODS, RunConfig, StoppingRule, Trace, check_run, run
@@ -240,9 +240,6 @@ def cmd_run(args) -> int:
             f"config.batch_size: {cfg.batch_size} exceeds the {pb.n} training samples"
         )
 
-    # Every cell shares the data, batch size and seed, so one partition
-    # serves the grid; it is factored only if a splitting cell reads QR.
-    parted = partition(pb, cfg.batch_size, cfg.seed, qr="splitting" in cfg.methods)
     jobs = []
     for method in cfg.methods:
         for alpha in cfg.alphas:
@@ -269,7 +266,7 @@ def cmd_run(args) -> int:
 
     def run_cell(c):
         try:
-            return run(pb, holdout, c, None, parted)
+            return run(pb, holdout, c)
         except (SplitOptError, ValueError) as exc:
             raise SplitOptError(
                 f"method={c.method} alpha={c.alpha:g} init_seed={c.init_seed}: {exc}"

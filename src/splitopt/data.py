@@ -1,9 +1,9 @@
 """Dataset generation, file ingestion, and batch partitioning.
 
 Generators are pure functions of their seed.  Partitioning fixes the
-batches once (contiguous slices after a single seeded shuffle) so the QR
-factors can be computed exactly once; only the per-epoch visit order is
-re-randomized, through ``Partition.epoch_order``.
+batches once (contiguous slices after a single seeded shuffle) and keeps
+them on the problem for every run over it; only the per-epoch visit order
+is re-randomized, through ``Partition.epoch_order``.
 
 File formats
 ------------
@@ -25,7 +25,6 @@ from .errors import (
     ParseError,
     TruncatedFile,
 )
-from .linalg import economy_qr
 from .problems import BatchFactorization, Problem
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -318,22 +317,24 @@ class Partition:
         return np.random.default_rng([self.order_seed, 1 + epoch]).permutation(self.m)
 
 
-def partition(pb: Problem, b: int, seed: int, qr: bool = True):
-    """Fixed contiguous batches after one seeded shuffle, QR precomputed.
+def partition(pb: Problem, b: int, seed: int):
+    """Fixed contiguous batches after one seeded shuffle, kept on the problem.
 
-    Returns ``(Partition, [BatchFactorization, ...])``.  A trailing short
-    batch keeps its own size.  RankDeficient propagates from the QR when a
-    batch's rows are dependent.  ``qr=False`` skips the factorization and
-    leaves each ``BatchFactorization.qr`` None, for steps that never read
-    it (SGD, Kaczmarz).
+    Returns ``(Partition, [BatchFactorization, ...])``; a trailing short
+    batch keeps its own size.  The problem keeps the partition of its last
+    key (b, seed, pb.x, pb.targets), so calls with that key, from any
+    thread, share batches that keep their QR factors and spectral plans.
     """
     if not (1 <= b <= pb.n):
         raise ValueError(f"batch size must be in [1, {pb.n}], got {b}")
-    perm = np.random.default_rng([seed, 0]).permutation(pb.n)
-    xs, ys = pb.x[perm], pb.targets[perm]
-    m = -(-pb.n // b)
-    batches = []
-    for lo in range(0, pb.n, b):
-        x_i, y_i = xs[lo : lo + b], ys[lo : lo + b]
-        batches.append(BatchFactorization(x_i=x_i, y_i=y_i, qr=economy_qr(x_i.T) if qr else None))
-    return Partition(batch_size=b, m=m, order_seed=seed), batches
+    x, y = pb.x, pb.targets
+    key = (b, seed, id(x), id(y))  # the entry holds x and y, so the ids stay theirs
+    kept = pb._partition.get(key)
+    if kept is None:
+        perm = np.random.default_rng([seed, 0]).permutation(pb.n)
+        xs, ys = x[perm], y[perm]
+        batches = [BatchFactorization(xs[lo : lo + b], ys[lo : lo + b]) for lo in range(0, pb.n, b)]
+        kept = pb._partition.setdefault(key, (Partition(b, len(batches), seed), batches, x, y))
+        for stale in pb._partition.keys() - {key}:
+            pb._partition.pop(stale, None)
+    return kept[0], kept[1]

@@ -1,8 +1,8 @@
 """Full training loops: SGD, splitting optimization, Kaczmarz sweeps.
 
-One run fixes the batches once (QR included), sets the local time step to
-``h = alpha * m``, then sweeps the batches every epoch in a freshly seeded
-order, applying one of
+A run sweeps the batches ``data.partition`` keeps on the problem, shared by
+every run at one (batch size, seed), with local time step ``h = alpha * m``,
+every epoch in a freshly seeded order, applying one of
 
     sgd         theta <- theta - alpha * batch_gradient
     splitting   theta <- flow of the local ODE over time h
@@ -10,7 +10,9 @@ order, applying one of
     kaczmarz    theta <- projection onto the single-row hyperplane
                 (least squares, unit batches only)
 
-A run records its metrics at its start and after every epoch.
+A run records its metrics at its start and after every epoch.  Its clock
+leaves out ``check_run``, which factors a splitting config's batches, but
+not the least-squares plans the first splitting run over them builds.
 Divergence (non-finite loss or loss above ``DIVERGENCE_FACTOR`` = 1e6
 times the start record's) is recorded in the trace and ends the run, it is
 not an error.
@@ -76,6 +78,8 @@ class RunConfig:
             raise ValueError("alpha must be positive")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be at least 1")
+        if not self.init_scale >= 0:  # NaN fails too
+            raise ValueError(f"init_scale must be nonnegative, got {self.init_scale!r}")
 
 
 @dataclass
@@ -137,13 +141,17 @@ def _stop_metric(rule, pb, holdout, theta_ref):
 def check_run(pb: Problem, holdout: Problem | None, cfg: RunConfig):
     """Check that a run config can train on this data; return its stop metric.
 
-    Raises for Kaczmarz off least squares or at a batch size above 1, and
-    for a stop rule the data cannot measure.  The result maps theta to the
-    stop rule's metric, or is None without a stop rule.
+    Raises for Kaczmarz off least squares or at a batch size above 1, for
+    splitting on a rank-deficient batch (it factors the problem's batches),
+    and for a stop rule the data cannot measure.  The result maps theta to
+    the stop rule's metric, or is None without a stop rule.
     """
     if cfg.method == "kaczmarz":
         if pb.kind != "least-squares" or cfg.batch_size != 1:
             raise ValueError("kaczmarz needs a least-squares problem and batch size 1")
+    if cfg.method == "splitting" and cfg.batch_size <= pb.n:  # a larger one fails in run
+        for bf in partition(pb, cfg.batch_size, cfg.seed)[1]:
+            bf.qr  # factors the batch, or raises RankDeficient
     return _stop_metric(cfg.stop, pb, holdout, pb.theta_ref) if cfg.stop else None
 
 
@@ -158,25 +166,16 @@ def run(
     holdout: Problem | None,
     cfg: RunConfig,
     theta0: np.ndarray | None = None,
-    parted: tuple | None = None,
 ) -> Trace:
     """Train on a problem until the stop rule, the epoch budget, or divergence.
 
-    ``parted`` is a ``partition(pb, cfg.batch_size, cfg.seed)`` result to
-    share across runs; without it the run partitions the data itself, and
-    factors the batches only for splitting, the one method that reads QR.
-    The wall clock covers the optimization loop, not the partition.
+    The batches are ``partition(pb, cfg.batch_size, cfg.seed)``, shared by
+    every run over ``pb`` at that batch size and seed.  The wall clock
+    covers the optimization loop, not ``check_run``.
     """
     metric_of = check_run(pb, holdout, cfg)
     splitting = cfg.method == "splitting"
-    part, batches = parted or partition(pb, cfg.batch_size, cfg.seed, qr=splitting)
-    if part.batch_size != cfg.batch_size or part.order_seed != cfg.seed:
-        raise ValueError(
-            f"partition has batch size {part.batch_size} and seed "
-            f"{part.order_seed}, the run wants {cfg.batch_size} and {cfg.seed}"
-        )
-    if splitting and batches[0].qr is None:
-        raise ValueError("splitting needs a partition with QR factors")
+    part, batches = partition(pb, cfg.batch_size, cfg.seed)
     m = part.m
     h = cfg.alpha * m
     theta = _check_theta(pb, theta0).copy() if theta0 is not None else _init_theta(pb, cfg)

@@ -12,7 +12,7 @@ The 1/2 on the quadratic keeps every gradient free of stray factors, so
 the batch gradient is exactly (1/b) x_i^T (x_i theta - y_i) and the local
 flow matches the closed-form solver.
 
-Each minibatch carries its precomputed QR factors of X_i^T, through which
+Each minibatch carries the QR factors of X_i^T, through which
 the per-batch gradient-flow ODE restricts to the coordinates eta = Q^T
 theta: the flow never leaves theta_0 + range(Q), so only a state of size
 min(b, p) (times K) needs to be evolved.  ``local_rhs`` is the original
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import ThinQR
+from .linalg import ThinQR, economy_qr
 
 KINDS = ("least-squares", "logistic", "softmax")
 
@@ -48,12 +48,15 @@ class Problem:
     x: np.ndarray
     targets: np.ndarray
     theta_ref: np.ndarray | None = None  # planted solution / phantom, if known
+    _partition: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown problem kind {self.kind!r}")
-        self.x = np.asarray(self.x, dtype=float)
-        self.targets = np.asarray(self.targets, dtype=float)
+        # Owned and read-only, so the partition kept here never goes stale.
+        self.x = np.array(self.x, dtype=float)
+        self.targets = np.array(self.targets, dtype=float)
+        self.x.flags.writeable = self.targets.flags.writeable = False
         if self.x.ndim != 2 or self.x.shape[0] < 1 or self.x.shape[1] < 1:
             raise DimensionMismatch(f"design matrix must be n x p, got {self.x.shape}")
         if not np.all(np.isfinite(self.x)) or not np.all(np.isfinite(self.targets)):
@@ -96,24 +99,28 @@ class Problem:
             raise DimensionMismatch("holdout problem does not match (kind, p, K)")
 
 
-@dataclass
 class BatchFactorization:
     """One minibatch (x_i, y_i) with the QR factors of x_i^T.
 
     ``qr.q`` spans the subspace the local flow moves in.  For batches wider
     than the feature count (b > p) the factors are the economy QR of the
     wide x_i^T: q is square and the "reduced" state simply has size p.
-    ``qr`` is None when the batch was partitioned without factors.
-
-    ``lls_plan`` keeps the least-squares step's spectral plan, which
-    depends on the batch alone; it is written once, on the batch's first
-    step (see ``solvers.lls_local_exact``), and serves every run.
+    Unless passed as ``qr``, the factors are computed on the first read of
+    ``qr`` (RankDeficient is raised there) and kept: SGD and Kaczmarz never
+    factor.  ``lls_plan`` keeps the least-squares step's spectral plan,
+    which depends on the batch alone; it is written on the batch's first
+    step (see ``solvers.lls_local_exact``) and serves every run.  Threads
+    sharing a batch at worst compute either one twice, with equal results.
     """
 
-    x_i: np.ndarray
-    y_i: np.ndarray
-    qr: ThinQR | None
-    lls_plan: tuple | None = field(default=None, repr=False, compare=False)
+    def __init__(self, x_i: np.ndarray, y_i: np.ndarray, qr: ThinQR | None = None):
+        self.x_i, self.y_i, self._qr, self.lls_plan = x_i, y_i, qr, None
+
+    @property
+    def qr(self) -> ThinQR:
+        if self._qr is None:
+            self._qr = economy_qr(self.x_i.T)
+        return self._qr
 
     @property
     def b(self) -> int:

@@ -117,9 +117,9 @@ def local_step_rk(
     batches are served by the closed form instead and are rejected here.
     The integration starts from ``cfg.h_init``; the report's ``h_next`` is
     the integrator's proposal, which a caller passes back as ``h_init`` to
-    start the batch's next step warm.  Nothing is written to ``bf``.
-    No loss is evaluated: callers that want the batch loss call
-    ``batch_loss`` on ``theta_next``.
+    start the batch's next step warm.  Only the batch's QR, if not yet
+    computed, is written to ``bf``.  No loss is evaluated: callers that
+    want the batch loss call ``batch_loss`` on ``theta_next``.
     """
     if pb.kind == "least-squares":
         raise ValueError("least-squares local steps use lls_local_exact")

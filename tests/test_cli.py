@@ -298,6 +298,22 @@ class TestRun:
         assert main(["--out", str(tmp_path / "runs"), "run", "--config", str(cfg_path)]) == 2
         assert message in capsys.readouterr().err
 
+    def test_rank_deficient_batch_is_a_config_error(self, tmp_path, capsys):
+        """Splitting factors every batch before any cell runs; SGD never
+        factors, so the same data serve an SGD-only grid."""
+        data = tmp_path / "dup.txt"
+        data.write_text("4 2\n1 1 1\n1 1 1\n2 2 2\n2 2 2\n")  # repeated rows
+        cfg = base_config(dataset={"kind": "linear-system-file", "path": str(data)},
+                          batch_size=2)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "runs"
+        assert main(["--out", str(out), "run", "--config", str(cfg_path)]) == 2
+        assert "error: config: " in capsys.readouterr().err
+        assert not out.exists()
+        cfg_path.write_text(json.dumps({**cfg, "methods": ["sgd"]}))
+        assert main(["--out", str(out), "run", "--config", str(cfg_path)]) == 0
+
     def test_nan_alpha_is_a_config_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_config(alphas=[0.05, float("nan")])))

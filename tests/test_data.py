@@ -228,9 +228,8 @@ class TestPartition:
         assert [bf.b for bf in batches] == [3, 3, 3, 1]
 
     def test_same_seed_identical_factorization(self):
-        pb = gen_random_lls(20, 6, 0.1, 2)
-        _, a = partition(pb, 5, 7)
-        _, b = partition(pb, 5, 7)
+        _, a = partition(gen_random_lls(20, 6, 0.1, 2), 5, 7)
+        _, b = partition(gen_random_lls(20, 6, 0.1, 2), 5, 7)
         for ba, bb in zip(a, b):
             assert np.array_equal(ba.x_i, bb.x_i)
             assert np.array_equal(ba.qr.q, bb.qr.q)
@@ -278,5 +277,37 @@ class TestPartition:
     def test_rank_deficient_batch_propagates(self):
         x = np.ones((6, 3))  # every batch has repeated rows
         pb = Problem("least-squares", x, np.zeros(6))
+        _, batches = partition(pb, 2, 0)  # factored on the first read of qr
         with pytest.raises(RankDeficient):
-            partition(pb, 2, 0)
+            batches[0].qr
+
+    def test_kept_on_the_problem_for_the_last_batch_size_and_seed(self):
+        pb = gen_random_lls(20, 6, 0.1, 2)
+        part, batches = partition(pb, 5, 7)
+        assert partition(pb, 5, 7)[0] is part and partition(pb, 5, 7)[1] is batches
+        other = partition(pb, 4, 7)[1]
+        assert other is not batches
+        assert partition(pb, 4, 8)[1] is not other
+        assert partition(pb, 5, 7)[1] is not batches  # one partition is kept
+
+    def test_design_and_targets_are_owned_and_read_only(self):
+        x, y = np.eye(3), np.ones(3)
+        pb = Problem("least-squares", x, y)
+        x[0, 0] = 5.0
+        assert pb.x[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            pb.x[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            pb.targets[0] = 5.0
+
+    def test_reassigned_data_get_a_fresh_partition(self):
+        pb = gen_random_lls(20, 6, 0.1, 2)
+        _, batches = partition(pb, 5, 7)
+        pb.x = 2.0 * pb.x
+        _, scaled = partition(pb, 5, 7)
+        assert scaled is not batches
+        np.testing.assert_array_equal(scaled[0].x_i, 2.0 * batches[0].x_i)
+        pb.targets = pb.targets + 1.0
+        _, shifted = partition(pb, 5, 7)
+        assert shifted is not scaled
+        np.testing.assert_array_equal(shifted[0].y_i, scaled[0].y_i + 1.0)

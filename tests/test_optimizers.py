@@ -68,6 +68,11 @@ class TestRunBasics:
         trace = run(pb, None, cfg, theta0=pb.theta_ref)
         assert trace.records[0].loss == pytest.approx(0.0, abs=1e-20)
 
+    @pytest.mark.parametrize("scale", [float("nan"), -1.0])
+    def test_bad_init_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="init_scale"):
+            RunConfig(method="sgd", alpha=0.1, batch_size=8, max_epochs=3, init_scale=scale)
+
     def test_theta0_is_checked_and_copied(self):
         pb = gen_random_lls(20, 4, 0.0, 2)
         cfg = RunConfig(method="sgd", alpha=0.1, batch_size=4, seed=0, max_epochs=2,
@@ -179,10 +184,9 @@ class TestRunBasics:
         blobs = gen_gaussian_blobs(60, 4, 3, 3.0, 2)
         cfg = RunConfig(method="splitting", alpha=1.0, batch_size=10, seed=0, max_epochs=4,
                         integrator=IntegratorConfig(h_init=1e-3))
-        parted = partition(blobs, 10, 0)
         for _ in range(2):  # a second run over the same batches starts afresh
             visits.clear()
-            run(blobs, None, cfg, None, parted)
+            run(blobs, None, cfg)
             assert len(visits) == 24
             last, prev, kept = {}, {}, 0
             for batch, h_init, h_next in visits:
@@ -244,36 +248,51 @@ class TestTailAverage:
 
 class TestRunPartition:
     def test_only_splitting_factors_the_batches(self, monkeypatch):
-        import splitopt.data
+        import splitopt.problems
 
         def no_qr(_):
             raise AssertionError("QR factored for a method that never reads it")
 
-        monkeypatch.setattr(splitopt.data, "economy_qr", no_qr)
+        monkeypatch.setattr(splitopt.problems, "economy_qr", no_qr)
         pb = gen_random_lls(20, 4, 0.1, 1)
-        run(pb, None, RunConfig(method="sgd", alpha=0.1, batch_size=5, seed=0, max_epochs=2))
-        run(pb, None, RunConfig(method="kaczmarz", alpha=1.0, batch_size=1, seed=0,
-                                max_epochs=2))
+        for alpha in (0.01, 0.1, 1.0):
+            run(pb, None, RunConfig(method="sgd", alpha=alpha, batch_size=5, seed=0,
+                                    max_epochs=2))
+            run(pb, None, RunConfig(method="kaczmarz", alpha=alpha, batch_size=1, seed=0,
+                                    max_epochs=2))
         with pytest.raises(AssertionError):
             run(pb, None, RunConfig(method="splitting", alpha=0.1, batch_size=5, seed=0))
 
-    def test_threads_sharing_a_partition_match_serial_runs(self):
-        """Runs at different h over one partition share each batch's
-        h-independent plan and keep their own step-size proposals, so
-        threads interleaving their steps change nothing: least squares
-        (closed form) and logistic (RK with warm starts)."""
-        for pb in (gen_random_lls(60, 6, 0.1, 3), gen_gaussian_blobs(60, 6, 2, 3.0, 3)):
-            parted = partition(pb, 6, 2)
+    def test_threads_sharing_a_partition_match_serial_runs(self, monkeypatch):
+        """Runs at different h over one problem step its one partition,
+        share each batch's h-independent plan and keep their own step-size
+        proposals, so threads interleaving their steps change nothing:
+        least squares (closed form) and logistic (RK with warm starts)."""
+        import splitopt.optimizers
+
+        real, stepped = splitopt.optimizers.partition, []
+
+        def recording(pb, b, seed):
+            got = real(pb, b, seed)
+            stepped.append(got[1])
+            return got
+
+        monkeypatch.setattr(splitopt.optimizers, "partition", recording)
+        for make in (lambda: gen_random_lls(60, 6, 0.1, 3),
+                     lambda: gen_gaussian_blobs(60, 6, 2, 3.0, 3)):
             cfgs = [
                 RunConfig(method=m, alpha=a, batch_size=6, seed=2, max_epochs=6)
                 for a in (0.01, 0.1, 1.0, 10.0) for m in ("splitting", "sgd")
             ]
-            serial = [run(pb, None, c) for c in cfgs]
+            serial_pb = make()
+            serial = [run(serial_pb, None, c) for c in cfgs]
+            pb = make()
+            stepped.clear()
             old = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:
                 with ThreadPoolExecutor(max_workers=8) as pool:
-                    futures = [pool.submit(run, pb, None, c, None, parted) for c in cfgs]
+                    futures = [pool.submit(run, pb, None, c) for c in cfgs]
                     threaded = [f.result(timeout=60) for f in futures]
             finally:
                 sys.setswitchinterval(old)
@@ -281,34 +300,27 @@ class TestRunPartition:
                 assert want.losses().tolist() == got.losses().tolist()
                 assert np.array_equal(want.theta, got.theta)
                 assert want.rhs_evals == got.rhs_evals
-            plans = [bf.lls_plan for bf in parted[1]]
+            batches = partition(pb, 6, 2)[1]
+            assert len(stepped) >= len(cfgs) and all(b is batches for b in stepped)
+            plans = [bf.lls_plan for bf in batches]
             assert all((p is not None) == (pb.kind == "least-squares") for p in plans)
 
     def test_run_ignores_slots_left_on_a_shared_partition(self):
-        """Steps taken on a partition's batches outside a run leave their
-        plans there; a run over that partition gives the same trace."""
-        for pb in (gen_random_lls(60, 6, 0.1, 3), gen_gaussian_blobs(60, 6, 2, 3.0, 3)):
+        """Steps taken on a problem's batches outside a run leave their
+        plans there; a run over that problem gives the same trace."""
+        for make in (lambda: gen_random_lls(60, 6, 0.1, 3),
+                     lambda: gen_gaussian_blobs(60, 6, 2, 3.0, 3)):
             cfg = RunConfig(method="splitting", alpha=1.0, batch_size=6, seed=2, max_epochs=3)
-            want = run(pb, None, cfg)
-            parted = partition(pb, 6, 2)
-            for bf in parted[1]:
+            want = run(make(), None, cfg)
+            pb = make()
+            for bf in partition(pb, 6, 2)[1]:
                 if pb.kind == "least-squares":
                     lls_local_exact(bf, np.zeros(6), 0.5, pb.n)
                 else:
                     local_step_rk(pb, bf, np.zeros(6), 0.5)
-            got = run(pb, None, cfg, None, parted)
+            got = run(pb, None, cfg)
             assert want.losses().tolist() == got.losses().tolist()
             assert want.rhs_evals == got.rhs_evals
-
-    def test_mismatched_partition_rejected(self):
-        pb = gen_random_lls(40, 5, 0.1, 2)
-        cfg = RunConfig(method="splitting", alpha=0.3, batch_size=8, seed=4)
-        with pytest.raises(ValueError, match="batch size"):
-            run(pb, None, cfg, None, partition(pb, 10, 4))
-        with pytest.raises(ValueError, match="seed"):
-            run(pb, None, cfg, None, partition(pb, 8, 5))
-        with pytest.raises(ValueError, match="QR"):
-            run(pb, None, cfg, None, partition(pb, 8, 4, qr=False))
 
 
 class TestSgdSplittingIdentity:

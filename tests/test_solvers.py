@@ -205,22 +205,32 @@ class TestLlsPlanCache:
                 theta = got
 
     def test_run_grid_over_a_shared_partition_makes_m_svds(self, monkeypatch):
-        calls = []
-        svd = np.linalg.svd
+        """Twelve serial cells over one problem, six alphas each of
+        splitting and SGD, step one partition: m QRs and m SVDs in all."""
+        import splitopt.problems
+
+        qrs, svds = [], []
+        qr, svd = splitopt.problems.economy_qr, np.linalg.svd
+
+        def counting_qr(m):
+            qrs.append(m.shape)
+            return qr(m)
 
         def counting_svd(*args, **kwargs):
-            calls.append(args[0].shape)
+            svds.append(args[0].shape)
             return svd(*args, **kwargs)
 
+        monkeypatch.setattr(splitopt.problems, "economy_qr", counting_qr)
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         pb = gen_random_lls(120, 10, 0.1, 5)
-        parted = partition(pb, 8, 5)
-        for alpha in (0.01, 0.5, 20.0):
-            trace = run(pb, None, RunConfig(method="splitting", alpha=alpha, batch_size=8,
-                                            seed=5, max_epochs=4), None, parted)
-            assert trace.records[-1].iteration == 4 * trace.m
+        for alpha in (0.001, 0.01, 0.5, 1.0, 20.0, 100.0):
+            for method in ("splitting", "sgd"):
+                trace = run(pb, None, RunConfig(method=method, alpha=alpha, batch_size=8,
+                                                seed=5, max_epochs=4))
+                finished = trace.records[-1].iteration == 4 * trace.m
+                assert finished or (method == "sgd" and trace.diverged)
         assert trace.m == 15
-        assert len(calls) == trace.m
+        assert len(qrs) == len(svds) == trace.m
 
     def test_shared_batch_across_threads(self):
         """Threads stepping one batch at different h share its one plan

@@ -15,10 +15,17 @@ to the norm of the product of the orthogonal complements
 
 ``splitting_error`` evaluates the left side, ``error_limit`` the right
 side, and ``error_sweep`` tabulates both over a time grid, all from one
-eigendecomposition of A and of each B_i = V_i diag(w_i) V_i^T (so Q_i must
-be orthonormal and B_i symmetric, as ``build_split`` makes them).  Part 1
-acts first: part i moves the product P by the rank-r_i update
-P + Q_i V_i diag(expm1(t w_i)) V_i^T Q_i^T P, which at t = inf is Pi_i P.
+eigendecomposition of A = U diag(w) U^T and of each B_i = V_i diag(w_i)
+V_i^T (so Q_i must be orthonormal and B_i symmetric, as ``build_split``
+makes them).  The error is carried in A's eigenbasis: U is orthogonal, so
+
+    err(t) = || P(t) U - U diag(e^{t w}) ||_2,   P(t) = e^{A_k t} ... e^{A_1 t},
+
+where the product starts from U and the exact flow is a column scaling,
+never an N x N exponential.  Part 1 acts first: part i moves the product
+P by the rank-r_i update P + Q_i V_i diag(expm1(t w_i)) V_i^T Q_i^T P,
+which at t = inf is Pi_i P.  At t = 0 every update is zero and the
+scaling is by ones, so err(0) is exactly 0.
 
 The approach to the limit is governed by the slowest decay rate among the
 parts and the full flow, exp(t * mu) with mu the largest of the
@@ -95,25 +102,29 @@ def build_split(x: np.ndarray, blocks: int, seed: int | None = None) -> SplitOpe
 
 
 def _errors(ops: SplitOperators, t_grid):
-    """err(t) for each t in t_grid.  t = inf gives the limit ||Pi_k ... Pi_1||:
-    each part flow is then its projector and the exact flow is 0."""
+    """err(t) = ||P(t) U - U diag(e^{t w})|| for each t in t_grid.  t = inf
+    gives the limit ||Pi_k ... Pi_1 U|| = ||Pi_k ... Pi_1||: each part flow
+    is then its projector and the exact flow is 0."""
     eigs = [np.linalg.eigh(part.b) for part in ops.parts]
     parts = [(part.q @ v, w) for part, (w, v) in zip(ops.parts, eigs)]
     w_full, u_full = np.linalg.eigh(ops.a_full)
     for t in t_grid:
-        prod = np.eye(len(w_full))
+        prod = u_full.copy()
         for u, w in parts:
             c = np.full(len(w), -1.0) if t == np.inf else np.expm1(t * w)
             prod += u @ (c[:, None] * (u.T @ prod))
         if t != np.inf:
-            prod -= (u_full * np.exp(t * w_full)) @ u_full.T
+            prod -= u_full * np.exp(t * w_full)
         yield spectral_norm(prod)
 
 
 def splitting_error(ops: SplitOperators, t: float) -> float:
-    """Spectral norm of (product of part flows at time t) - (exact flow)."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    """Spectral norm of (product of part flows at time t) - (exact flow).
+
+    t = inf gives the limit; a negative or NaN t raises ValueError.
+    """
+    if not t >= 0:
+        raise ValueError(f"t must be nonnegative, got {t!r}")
     return next(_errors(ops, [t]))
 
 
@@ -127,8 +138,8 @@ def error_sweep(ops: SplitOperators, t_grid) -> np.ndarray:
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise ValueError("t_grid must be a nonempty 1-D sequence")
-    if np.any(np.diff(t_grid) < 0) or t_grid[0] < 0:
-        raise ValueError("t_grid must be ascending and nonnegative")
+    if np.any(np.isnan(t_grid)) or np.any(np.diff(t_grid) < 0) or t_grid[0] < 0:
+        raise ValueError("t_grid must be ascending, nonnegative and not NaN")
     *errs, lim = _errors(ops, [*t_grid, np.inf])
     return np.column_stack([t_grid, errs, np.full(t_grid.size, lim)])
 

@@ -6,9 +6,10 @@ matrices through their eigendecomposition, the rank-structured identity
     e^{t Q B Q^T} = (I - Q Q^T) + Q e^{tB} Q^T     (Q^T Q = I),
 
 which lets an N x N exponential be assembled from an r x r one, and the
-spectral norm (numpy's, from the SVD) and logarithmic norm used by the
-splitting-error analysis.  ``economy_qr`` is the one QR routine;
-``thin_qr`` is the same factorization restricted to tall inputs.
+spectral norm (from the top eigenvalue of the scaled Gram matrix) and
+logarithmic norm used by the splitting-error analysis.  ``economy_qr`` is
+the one QR routine; ``thin_qr`` is the same factorization restricted to
+tall inputs.
 
 Everything here is a pure function of its inputs and safe to call
 concurrently.  Matrices are plain float ndarrays.  Each check runs at the
@@ -121,8 +122,27 @@ def expm_lowrank(q: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
 
 
 def spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value (the matrix 2-norm)."""
-    return float(np.linalg.norm(np.asarray(m, dtype=float), 2))
+    """Largest singular value (the matrix 2-norm).
+
+    ``s * sqrt(lambda_max(G))`` with ``s = max|m|`` and G the smaller Gram
+    matrix of ``m / s`` (``m^T m`` or ``m m^T``), its top eigenvalue from
+    ``eigvalsh``: one product and one symmetric eigenvalue solve, not an
+    SVD.  The top singular value keeps full relative accuracy through the
+    Gram, and the scaling keeps the Gram in range for entries from 1e-300
+    to 1e300.  A zero or empty matrix gives 0.0; a non-finite entry
+    raises ValueError.
+    """
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2:
+        raise DimensionMismatch(f"expected a matrix, got ndim={m.ndim}")
+    s = float(np.max(np.abs(m), initial=0.0))
+    if not np.isfinite(s):
+        raise ValueError("spectral norm requires finite entries")
+    if s == 0.0:
+        return 0.0
+    m = m / s
+    g = m.T @ m if m.shape[0] >= m.shape[1] else m @ m.T
+    return s * float(np.sqrt(max(np.linalg.eigvalsh(g)[-1], 0.0)))
 
 
 def log_norm(m: np.ndarray) -> float:

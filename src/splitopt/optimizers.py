@@ -11,8 +11,8 @@ every epoch in a freshly seeded order, applying one of
                 (least squares, unit batches only)
 
 A run records its metrics at its start and after every epoch.  Its clock
-leaves out ``check_run``, which factors a splitting config's batches, but
-not the least-squares plans the first splitting run over them builds.
+leaves out ``check_run``, which factors a splitting config's batches and
+builds their least-squares plans.
 Divergence (non-finite loss or loss above ``DIVERGENCE_FACTOR`` = 1e6
 times the start record's) is recorded in the trace and ends the run, it is
 not an error.
@@ -40,7 +40,7 @@ from .data import partition
 from .errors import MissingReference
 from .ode import IntegratorConfig
 from .problems import Problem, _check_theta, loss, test_error, theta_shape
-from .solvers import euler_step, kaczmarz_step, lls_local_exact, local_step_rk
+from .solvers import _lls_plan, euler_step, kaczmarz_step, lls_local_exact, local_step_rk
 
 METHODS = ("sgd", "splitting", "kaczmarz")
 STOP_KINDS = ("relative-residual", "solution-distance", "test-error", "loss-threshold")
@@ -142,8 +142,9 @@ def check_run(pb: Problem, holdout: Problem | None, cfg: RunConfig):
     """Check that a run config can train on this data; return its stop metric.
 
     Raises for Kaczmarz off least squares or at a batch size above 1, for
-    splitting on a rank-deficient batch (it factors the problem's batches),
-    and for a stop rule the data cannot measure.  The result maps theta to
+    splitting on a rank-deficient batch (it factors the problem's batches
+    and, for least squares, builds their spectral plans), and for a stop
+    rule the data cannot measure.  The result maps theta to
     the stop rule's metric, or is None without a stop rule.
     """
     if cfg.method == "kaczmarz":
@@ -152,6 +153,8 @@ def check_run(pb: Problem, holdout: Problem | None, cfg: RunConfig):
     if cfg.method == "splitting" and cfg.batch_size <= pb.n:  # a larger one fails in run
         for bf in partition(pb, cfg.batch_size, cfg.seed)[1]:
             bf.qr  # factors the batch, or raises RankDeficient
+            if pb.kind == "least-squares":
+                _lls_plan(bf)
     return _stop_metric(cfg.stop, pb, holdout, pb.theta_ref) if cfg.stop else None
 
 

@@ -108,8 +108,9 @@ class BatchFactorization:
     Unless passed as ``qr``, the factors are computed on the first read of
     ``qr`` (RankDeficient is raised there) and kept: SGD and Kaczmarz never
     factor.  ``lls_plan`` keeps the least-squares step's spectral plan,
-    which depends on the batch alone; it is written on the batch's first
-    step (see ``solvers.lls_local_exact``) and serves every run.  Threads
+    which depends on the batch alone; ``optimizers.check_run`` writes it
+    for a splitting config's batches, else the batch's first step does
+    (see ``solvers.lls_local_exact``), and it serves every run.  Threads
     sharing a batch at worst compute either one twice, with equal results.
     """
 

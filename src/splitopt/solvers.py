@@ -10,7 +10,7 @@ the flow of each spectral component of q^T theta toward the batch's
 stationary point eta* = v z* (r r^T eta* = r y_i); the component of
 theta_0 orthogonal to range(q) is preserved exactly and no p x p matrix is
 ever formed.  (u, s^2, z*) depend on the batch alone, not on h or n, so
-they are built on the batch's first step and kept on it.  With a single
+they are built once per batch and kept on it.  With a single
 row the formula collapses to a rank-one update whose h -> infinity limit
 is the Kaczmarz projection.  Logistic and softmax local flows have no
 closed form and are integrated in the reduced coordinates eta = q^T theta
@@ -47,31 +47,33 @@ class LocalStepReport:
 
 
 def _lls_plan(bf: BatchFactorization) -> tuple:
-    """(u, w, z*) for one batch: u = q v and w = s^2 from the thin SVD
+    """The batch's plan (u, w, z*), built on first use and kept in
+    ``bf.lls_plan``: u = q v and w = s^2 from the thin SVD
     r = v diag(s) g^T, and z* = v^T eta* = (g^T y_i) / s."""
+    if bf.lls_plan is not None:
+        return bf.lls_plan
     r = bf.qr.r
     k, cols = r.shape
     dmin = float(np.min(np.abs(np.diag(r)))) if min(k, cols) else 0.0
     if dmin < 1e-12 * max(float(np.max(np.abs(r))), np.finfo(float).tiny):
         raise SingularR("triangular factor has a (numerically) zero diagonal")
     v, s, gt = np.linalg.svd(r, full_matrices=False)
-    return (bf.qr.q @ v, s * s, (gt @ bf.y_i) / s)
+    bf.lls_plan = (bf.qr.q @ v, s * s, (gt @ bf.y_i) / s)
+    return bf.lls_plan
 
 
 def lls_local_exact(bf: BatchFactorization, theta0: np.ndarray, h: float, n: int) -> np.ndarray:
     """Exact flow of the least-squares local ODE at time h (1/n scaling).
 
-    The plan is built on the batch's first step and kept in
-    ``bf.lls_plan``; it serves every (h, n).  Threads sharing a batch at
-    worst build it twice, with equal results.
+    The plan is kept in ``bf.lls_plan`` and serves every (h, n).
+    ``optimizers.check_run`` builds it for a splitting config's batches;
+    otherwise the batch's first step does.  Threads stepping a batch
+    without a plan at worst build it twice, with equal results.
     """
     if h < 0:
         raise ValueError("h must be nonnegative")
     theta0 = np.asarray(theta0, dtype=float)
-    plan = bf.lls_plan
-    if plan is None:
-        plan = bf.lls_plan = _lls_plan(bf)
-    u, w, z_star = plan
+    u, w, z_star = _lls_plan(bf)
     return theta0 + u @ (np.expm1(-(h / n) * w) * (u.T @ theta0 - z_star))
 
 

@@ -152,6 +152,24 @@ class TestSweepConvergence:
         with pytest.raises(ValueError):
             error_sweep(ops, [1.0, 0.5])
 
+    def test_error_at_zero_is_exactly_zero(self):
+        ops = build_split(random_full_rank(10, 16), 2)
+        assert error_sweep(ops, [0.0, 1.0])[0, 1] == 0.0
+        assert splitting_error(ops, 0.0) == 0.0
+
+    def test_nan_time_rejected(self):
+        ops = build_split(random_full_rank(8, 15), 2)
+        with pytest.raises(ValueError, match="(?i)nan"):
+            splitting_error(ops, float("nan"))
+        with pytest.raises(ValueError, match="(?i)nan"):
+            error_sweep(ops, [0.0, float("nan"), 1.0])
+
+    def test_infinite_time_is_the_limit(self):
+        ops = build_split(random_full_rank(8, 15), 2)
+        lim = error_limit(ops)
+        assert splitting_error(ops, np.inf) == lim
+        assert error_sweep(ops, [0.0, np.inf])[1, 1] == lim
+
     def test_csv_round_trip(self, tmp_path):
         ops = build_split(random_full_rank(10, 16), 2)
         rows = error_sweep(ops, [0.0, 1.0, 2.0])

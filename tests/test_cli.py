@@ -409,6 +409,26 @@ class TestRun:
                      "--config", str(cfg_path)]) == 0
         assert_same_outputs(serial, parallel)
 
+    def test_threaded_grid_builds_each_plan_once(self, tmp_path, monkeypatch):
+        """The least-squares plans are built on the main thread before the
+        pool starts, so two threads racing to a fresh batch never build its
+        plan twice."""
+        import threading
+
+        svd, calls = np.linalg.svd, []
+
+        def counting_svd(*args, **kwargs):
+            calls.append(threading.current_thread() is threading.main_thread())
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(
+            methods=["splitting"], alphas=[0.02, 0.05, 0.1, 1.0], repeat=2)))
+        assert main(["--out", str(tmp_path / "p"), "--threads", "2", "run",
+                     "--config", str(cfg_path)]) == 0
+        assert calls == [True] * (60 // 6)
+
     @settings(max_examples=12, deadline=None)
     @given(
         data=st.sampled_from([
@@ -457,8 +477,8 @@ class TestBounds:
         assert all(float(r["error"]) <= 1e-10 for r in rows)
 
     @pytest.mark.parametrize(
-        "bad", [["--blocks", "0"], ["--points", "0"], ["--t-max", "-5"]],
-        ids=["zero-blocks", "zero-points", "negative-t-max"],
+        "bad", [["--blocks", "0"], ["--points", "0"], ["--t-max", "-5"], ["--t-max", "nan"]],
+        ids=["zero-blocks", "zero-points", "negative-t-max", "nan-t-max"],
     )
     def test_rejected_input_leaves_no_out_dir(self, tmp_path, bad):
         out = tmp_path / "b0"

@@ -2,7 +2,7 @@
 
 Oracles are kept independent of the code paths they check: the symmetric
 exponential is verified against a truncated Taylor series, the low-rank
-identity against the dense exponential, and the power-iteration spectral
+identity against the dense exponential, and the Gram-eigenvalue spectral
 norm against LAPACK's SVD.
 """
 
@@ -217,6 +217,28 @@ class TestSpectralNorm:
         m = (np.eye(40) - q2 @ q2.T) @ (np.eye(40) - q1 @ q1.T)
         want = np.linalg.svd(m, compute_uv=False)[0]
         assert spectral_norm(m) == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+    @pytest.mark.parametrize("shape", ["tall", "wide", "square", "rank-1", "zero", "empty"])
+    def test_matches_numpy_norm_at_every_scale(self, shape, scale):
+        rng = np.random.default_rng(23)
+        m = {
+            "tall": lambda: rng.standard_normal((30, 7)),
+            "wide": lambda: rng.standard_normal((5, 40)),
+            "square": lambda: rng.standard_normal((25, 25)),
+            "rank-1": lambda: np.outer(rng.standard_normal(12), rng.standard_normal(9)),
+            "zero": lambda: np.zeros((6, 4)),
+            "empty": lambda: np.zeros((0, 4)),
+        }[shape]() * scale
+        want = np.linalg.norm(m, 2)
+        assert spectral_norm(m) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises(self, bad):
+        m = np.eye(3)
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            spectral_norm(m)
 
 
 class TestLogNorm:

@@ -477,13 +477,17 @@ class TestBounds:
         assert all(float(r["error"]) <= 1e-10 for r in rows)
 
     @pytest.mark.parametrize(
-        "bad", [["--blocks", "0"], ["--points", "0"], ["--t-max", "-5"], ["--t-max", "nan"]],
-        ids=["zero-blocks", "zero-points", "negative-t-max", "nan-t-max"],
+        "bad",
+        [["--blocks", "0"], ["--points", "0"], ["--t-max", "-5"], ["--t-max", "nan"],
+         ["--t-max", "inf"]],
+        ids=["zero-blocks", "zero-points", "negative-t-max", "nan-t-max", "inf-t-max"],
     )
-    def test_rejected_input_leaves_no_out_dir(self, tmp_path, bad):
+    def test_rejected_input_leaves_no_out_dir(self, tmp_path, capsys, bad):
         out = tmp_path / "b0"
         assert main(["--out", str(out), "bounds", "--n", "10", *bad]) == 2
         assert not out.exists()
+        if bad[0] == "--t-max":
+            assert "--t-max" in capsys.readouterr().err
 
 
 NUMPY_ONLY_SCRIPT = """
@@ -609,7 +613,8 @@ class TestConfigParsing:
         cfg = parse_experiment_config(base_config())
         assert cfg.repeat == 1
         assert cfg.stop is None
-        assert cfg.integrator.rtol == 1e-6
+        assert cfg.integrator.rtol == 1e-4
+        assert cfg.integrator.atol == 1e-7
         bare = base_config()
         del bare["methods"]
         assert parse_experiment_config(bare).methods == ["sgd", "splitting"]

@@ -38,8 +38,9 @@ class TestBasics:
     def test_counters_are_consistent(self, rhs, y0, t1, h_init, accepted, rejected):
         """Pinned step sequence; with the last stage reused (FSAL) a run
         spends the initial f(y0), one start-step probe when h_init = 0, and
-        six evaluations per attempted step."""
-        cfg = IntegratorConfig(h_init=h_init)
+        six evaluations per attempted step.  The sequences are pinned at
+        rtol 1e-6 / atol 1e-9, set here rather than taken from the default."""
+        cfg = IntegratorConfig(rtol=1e-6, atol=1e-9, h_init=h_init)
         sol = rk45_integrate(rhs, np.array(y0), (0.0, t1), cfg)
         assert (sol.steps_taken, sol.rejected_steps) == (accepted, rejected)
         start_evals = 1 if h_init > 0 else 2
@@ -67,7 +68,8 @@ class TestStepProposal:
             states.append(y.copy())
             return -y
 
-        sol = rk45_integrate(rhs, np.array([1.0]), (0.0, t1))
+        sol = rk45_integrate(rhs, np.array([1.0]), (0.0, t1),
+                             IntegratorConfig(rtol=1e-6, atol=1e-9))
         y, sizes = 1.0, []
         for j in range(sol.steps_taken + sol.rejected_steps):
             stage = states[2 + 6 * j : 8 + 6 * j]  # after f(y0) and the probe
@@ -95,10 +97,11 @@ class TestStepProposal:
         assert empty.h_next == 0.0
 
     def test_restart_from_the_proposal_skips_the_probe(self):
-        first = rk45_integrate(lambda y: -y, np.array([1.0]), (0.0, 10.0))
+        first = rk45_integrate(lambda y: -y, np.array([1.0]), (0.0, 10.0),
+                               IntegratorConfig(rtol=1e-6, atol=1e-9))
         assert first.h_next > 0
         again = rk45_integrate(lambda y: -y, np.array([1.0]), (0.0, 10.0),
-                               IntegratorConfig(h_init=first.h_next))
+                               IntegratorConfig(rtol=1e-6, atol=1e-9, h_init=first.h_next))
         assert again.rhs_evals == 1 + 6 * (again.steps_taken + again.rejected_steps)
         assert abs(again.y_end[0] - np.exp(-10.0)) <= 1e-6 * np.exp(-10.0) + 1e-9
 

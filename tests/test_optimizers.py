@@ -421,6 +421,22 @@ class TestStability:
         )
         assert sgd.diverged
 
+    def test_default_tolerance_reaches_scaled_softmax_target(self):
+        """Ten-class blobs with column j scaled by geomspace(1, 100, 20)[j]
+        (the scaled instance of demos/softmax_local_accuracy.py): splitting
+        at the default local tolerance reaches test error 0.05 within 30
+        epochs at every alpha.  At rtol 1e-1 it never does."""
+        data = gen_gaussian_blobs(4000, 20, 10, 4.0, 42)
+        x = data.x * np.geomspace(1, 100, 20)
+        train = Problem(data.kind, x[:2000], data.targets[:2000])
+        hold = Problem(data.kind, x[2000:], data.targets[2000:])
+        stop = StoppingRule("test-error", 0.05)
+        for alpha in (0.1, 1.0, 10.0):
+            cfg = RunConfig(method="splitting", alpha=alpha, batch_size=64, seed=42,
+                            max_epochs=30, stop=stop)
+            trace = run(train, hold, cfg)
+            assert trace.stopped, (alpha, trace.records[-1].metric)
+
 
 class TestEvaluateStop:
     """The stop rule as a run evaluates it: the metric ``check_run``

@@ -4,10 +4,10 @@ Gradient descent is the Euler discretization of the gradient-flow ODE, and
 an epoch of minibatch SGD is the first-order operator-splitting scheme for
 that flow with sequential step h = alpha * m.  This package replaces each
 Euler substep by the flow of the per-batch ODE itself: in closed form for
-least squares (with the single-row limit recovering the Kaczmarz
-projection), and by adaptive Runge-Kutta integration of a QR-reduced state
-for logistic and softmax regression.  The ``bounds`` module quantifies the
-asymptotic error of the splitting itself for the linear case.
+least squares (Kaczmarz is splitting at h = inf: any batch size, least
+squares only), and by adaptive Runge-Kutta integration of a QR-reduced
+state for logistic and softmax regression.  The ``bounds`` module
+quantifies the asymptotic error of the splitting itself for the linear case.
 """
 
 from .bounds import (

@@ -314,6 +314,9 @@ def cmd_run(args) -> int:
 def cmd_bounds(args) -> int:
     if not (np.isfinite(args.t_max) and args.t_max >= 0):
         raise ValueError(f"--t-max must be finite and nonnegative, got {args.t_max!r}")
+    for flag, value in (("--n", args.n), ("--points", args.points)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
     seed = args.seed if args.seed is not None else 0
     x = bounds_mod.random_full_rank(args.n, seed)
     ops = bounds_mod.build_split(x, args.blocks)

@@ -7,12 +7,12 @@ every epoch in a freshly seeded order, applying one of
     sgd         theta <- theta - alpha * batch_gradient
     splitting   theta <- flow of the local ODE over time h
                 (closed form for least squares, adaptive RK otherwise)
-    kaczmarz    theta <- projection onto the single-row hyperplane
-                (least squares, unit batches only)
+    kaczmarz    theta <- the least-squares splitting step at h = inf: the
+                projection onto the batch's solution set (block for b > 1)
 
 A run records its metrics at its start and after every epoch.  Its clock
-leaves out ``check_run``, which factors a splitting config's batches and
-builds their least-squares plans.
+leaves out ``check_run``, which factors the batches of every method but
+SGD and builds their least-squares plans.
 Divergence (non-finite loss or loss above ``DIVERGENCE_FACTOR`` = 1e6
 times the start record's) is recorded in the trace and ends the run, it is
 not an error.
@@ -40,7 +40,7 @@ from .data import partition
 from .errors import MissingReference
 from .ode import IntegratorConfig
 from .problems import Problem, _check_theta, loss, test_error, theta_shape
-from .solvers import _lls_plan, euler_step, kaczmarz_step, lls_local_exact, local_step_rk
+from .solvers import _lls_plan, euler_step, lls_local_exact, local_step_rk
 
 METHODS = ("sgd", "splitting", "kaczmarz")
 STOP_KINDS = ("relative-residual", "solution-distance", "test-error", "loss-threshold")
@@ -98,7 +98,7 @@ class Trace:
     alpha: float
     batch_size: int
     m: int
-    h: float
+    h: float  # local time of a step; inf for Kaczmarz
     seed: int
     records: list = field(default_factory=list)
     theta: np.ndarray | None = None
@@ -141,16 +141,15 @@ def _stop_metric(rule, pb, holdout, theta_ref):
 def check_run(pb: Problem, holdout: Problem | None, cfg: RunConfig):
     """Check that a run config can train on this data; return its stop metric.
 
-    Raises for Kaczmarz off least squares or at a batch size above 1, for
-    splitting on a rank-deficient batch (it factors the problem's batches
-    and, for least squares, builds their spectral plans), and for a stop
-    rule the data cannot measure.  The result maps theta to
-    the stop rule's metric, or is None without a stop rule.
+    Raises for Kaczmarz off least squares, for any method but SGD on a
+    rank-deficient batch (it factors the problem's batches and, for least
+    squares, builds their spectral plans), and for a stop rule the data
+    cannot measure.  The result maps theta to the stop rule's metric, or
+    is None without a stop rule.
     """
-    if cfg.method == "kaczmarz":
-        if pb.kind != "least-squares" or cfg.batch_size != 1:
-            raise ValueError("kaczmarz needs a least-squares problem and batch size 1")
-    if cfg.method == "splitting" and cfg.batch_size <= pb.n:  # a larger one fails in run
+    if cfg.method == "kaczmarz" and pb.kind != "least-squares":
+        raise ValueError("kaczmarz needs a least-squares problem")
+    if cfg.method != "sgd" and cfg.batch_size <= pb.n:  # a larger one fails in run
         for bf in partition(pb, cfg.batch_size, cfg.seed)[1]:
             bf.qr  # factors the batch, or raises RankDeficient
             if pb.kind == "least-squares":
@@ -177,10 +176,9 @@ def run(
     covers the optimization loop, not ``check_run``.
     """
     metric_of = check_run(pb, holdout, cfg)
-    splitting = cfg.method == "splitting"
     part, batches = partition(pb, cfg.batch_size, cfg.seed)
     m = part.m
-    h = cfg.alpha * m
+    h = math.inf if cfg.method == "kaczmarz" else cfg.alpha * m
     theta = _check_theta(pb, theta0).copy() if theta0 is not None else _init_theta(pb, cfg)
 
     trace = Trace(
@@ -236,7 +234,7 @@ def run(
         epoch = 0
         while not observe(epoch) and epoch < cfg.max_epochs:
             epoch += 1
-            if splitting and epoch > 1:
+            if cfg.method == "splitting" and epoch > 1:
                 window.append(theta)
                 if len(window) > (epoch - 1) // 2:
                     window.popleft()
@@ -264,9 +262,6 @@ def _batch_step(pb: Problem, cfg: RunConfig, h: float, batches: list, trace: Tra
     if cfg.method == "sgd":
         sgd = euler_step
         return lambda i, theta: sgd(pb, batches[i], theta, cfg.alpha)
-    if cfg.method == "kaczmarz":
-        project = kaczmarz_step
-        return lambda i, theta: project(batches[i].x_i[0], float(batches[i].y_i[0]), theta)
     if pb.kind == "least-squares":
         exact = lls_local_exact
         return lambda i, theta: exact(batches[i], theta, h, pb.n)

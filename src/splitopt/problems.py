@@ -106,10 +106,10 @@ class BatchFactorization:
     than the feature count (b > p) the factors are the economy QR of the
     wide x_i^T: q is square and the "reduced" state simply has size p.
     Unless passed as ``qr``, the factors are computed on the first read of
-    ``qr`` (RankDeficient is raised there) and kept: SGD and Kaczmarz never
-    factor.  ``lls_plan`` keeps the least-squares step's spectral plan,
-    which depends on the batch alone; ``optimizers.check_run`` writes it
-    for a splitting config's batches, else the batch's first step does
+    ``qr`` (RankDeficient is raised there) and kept: SGD never factors.
+    ``lls_plan`` keeps the least-squares step's spectral plan, which
+    depends on the batch alone; ``optimizers.check_run`` writes it for a
+    splitting or Kaczmarz config's batches, else the batch's first step does
     (see ``solvers.lls_local_exact``), and it serves every run.  Threads
     sharing a batch at worst compute either one twice, with equal results.
     """

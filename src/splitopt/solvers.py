@@ -10,9 +10,9 @@ the flow of each spectral component of q^T theta toward the batch's
 stationary point eta* = v z* (r r^T eta* = r y_i); the component of
 theta_0 orthogonal to range(q) is preserved exactly and no p x p matrix is
 ever formed.  (u, s^2, z*) depend on the batch alone, not on h or n, so
-they are built once per batch and kept on it.  With a single
-row the formula collapses to a rank-one update whose h -> infinity limit
-is the Kaczmarz projection.  Logistic and softmax local flows have no
+they are built once per batch and kept on it.  At h = inf the step is
+the projection onto the batch's solution set, the (block) Kaczmarz step
+that ``method="kaczmarz"`` runs.  Logistic and softmax local flows have no
 closed form and are integrated in the reduced coordinates eta = q^T theta
 with the adaptive Runge-Kutta pair, then lifted back by
 theta(h) = q (eta(h) - eta(0)) + theta_0.  The right-hand side is built
@@ -65,10 +65,12 @@ def _lls_plan(bf: BatchFactorization) -> tuple:
 def lls_local_exact(bf: BatchFactorization, theta0: np.ndarray, h: float, n: int) -> np.ndarray:
     """Exact flow of the least-squares local ODE at time h (1/n scaling).
 
+    At h = inf it is theta_0 - u (u^T theta_0 - z*), the projection onto
+    the batch's solution set (for b > p, onto its least-squares solution).
     The plan is kept in ``bf.lls_plan`` and serves every (h, n).
-    ``optimizers.check_run`` builds it for a splitting config's batches;
-    otherwise the batch's first step does.  Threads stepping a batch
-    without a plan at worst build it twice, with equal results.
+    ``optimizers.check_run`` builds it for a splitting or Kaczmarz config's
+    batches; otherwise the batch's first step does.  Threads stepping a
+    batch without a plan at worst build it twice, with equal results.
     """
     if h < 0:
         raise ValueError("h must be nonnegative")

@@ -322,11 +322,13 @@ class TestRun:
         assert "config: alphas must be positive, got nan" in capsys.readouterr().err
         assert not out.exists()
 
+    BLOBS = {"kind": "gaussian-blobs", "n": 60, "p": 6, "k": 2, "seed": 4}
+
     @pytest.mark.parametrize(
         "overrides",
-        [{"holdout_size": 60}, {"methods": ["kaczmarz"]},
+        [{"holdout_size": 60}, {"dataset": BLOBS, "methods": ["kaczmarz"]},
          {"stop": {"kind": "test-error", "threshold": 0.1}}],
-        ids=["holdout-size-over-n", "kaczmarz-batch-size", "test-error-without-holdout"],
+        ids=["holdout-size-over-n", "kaczmarz-on-blobs", "test-error-without-holdout"],
     )
     def test_rejected_config_leaves_no_out_dir(self, tmp_path, overrides):
         cfg_path = tmp_path / "cfg.json"
@@ -335,12 +337,10 @@ class TestRun:
         assert main(["--out", str(out), "run", "--config", str(cfg_path)]) == 2
         assert not out.exists()
 
-    BLOBS = {"kind": "gaussian-blobs", "n": 60, "p": 6, "k": 2, "seed": 4}
-
     @pytest.mark.parametrize(
         "overrides",
         [
-            {"methods": ["sgd", "kaczmarz"]},
+            {"dataset": BLOBS, "methods": ["sgd", "kaczmarz"]},
             {"dataset": BLOBS, "stop": {"kind": "relative-residual", "threshold": 0.1}},
             {"dataset": BLOBS, "stop": {"kind": "solution-distance", "threshold": 0.1}},
             {"dataset": BLOBS, "stop": {"kind": "test-error", "threshold": 0.1}},
@@ -479,15 +479,18 @@ class TestBounds:
     @pytest.mark.parametrize(
         "bad",
         [["--blocks", "0"], ["--points", "0"], ["--t-max", "-5"], ["--t-max", "nan"],
-         ["--t-max", "inf"]],
-        ids=["zero-blocks", "zero-points", "negative-t-max", "nan-t-max", "inf-t-max"],
+         ["--t-max", "inf"], ["--n", "0"], ["--n", "-3"], ["--points", "-2"]],
+        ids=["zero-blocks", "zero-points", "negative-t-max", "nan-t-max", "inf-t-max",
+             "zero-n", "negative-n", "negative-points"],
     )
     def test_rejected_input_leaves_no_out_dir(self, tmp_path, capsys, bad):
         out = tmp_path / "b0"
         assert main(["--out", str(out), "bounds", "--n", "10", *bad]) == 2
         assert not out.exists()
-        if bad[0] == "--t-max":
-            assert "--t-max" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert bad[0].lstrip("-") in err
+        if bad[0] != "--blocks":  # cmd_bounds's own checks name the flag and value
+            assert bad[0] in err and bad[1] in err
 
 
 NUMPY_ONLY_SCRIPT = """
@@ -624,9 +627,11 @@ class TestConfigParsing:
         ids=lambda p: p.stem,
     )
     def test_demo_configs_parse(self, path):
-        """The configs CI runs through the installed script stay valid."""
+        """The configs CI runs through the installed script stay valid; the
+        least-squares one also runs Kaczmarz."""
         cfg = parse_experiment_config(json.loads(path.read_text()))
-        assert cfg.methods == ["sgd", "splitting"]
+        extra = ["kaczmarz"] if path.stem == "config_random_lls" else []
+        assert cfg.methods == ["sgd", "splitting", *extra]
 
     def test_stop_threshold_validation(self):
         bad = base_config(stop={"kind": "relative-residual", "threshold": -1})

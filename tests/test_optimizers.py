@@ -1,6 +1,7 @@
 """Training loops: equivalences, stopping, determinism, stability."""
 
 import dataclasses
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -15,6 +16,7 @@ from splitopt import (
     check_run,
     gen_gaussian_blobs,
     gen_random_lls,
+    kaczmarz_step,
     lls_local_exact,
     lls_local_unit,
     local_rhs,
@@ -247,7 +249,9 @@ class TestTailAverage:
 
 
 class TestRunPartition:
-    def test_only_splitting_factors_the_batches(self, monkeypatch):
+    def test_every_method_but_sgd_factors_the_batches(self, monkeypatch):
+        """SGD never factors; splitting and Kaczmarz factor every batch in
+        check_run, before the run's clock starts."""
         import splitopt.problems
 
         def no_qr(_):
@@ -258,10 +262,9 @@ class TestRunPartition:
         for alpha in (0.01, 0.1, 1.0):
             run(pb, None, RunConfig(method="sgd", alpha=alpha, batch_size=5, seed=0,
                                     max_epochs=2))
-            run(pb, None, RunConfig(method="kaczmarz", alpha=alpha, batch_size=1, seed=0,
-                                    max_epochs=2))
-        with pytest.raises(AssertionError):
-            run(pb, None, RunConfig(method="splitting", alpha=0.1, batch_size=5, seed=0))
+        for method, b in (("splitting", 5), ("kaczmarz", 1)):
+            with pytest.raises(AssertionError):
+                check_run(pb, None, RunConfig(method=method, alpha=0.1, batch_size=b, seed=0))
 
     def test_threads_sharing_a_partition_match_serial_runs(self, monkeypatch):
         """Runs at different h over one problem step its one partition,
@@ -350,31 +353,66 @@ class TestSgdSplittingIdentity:
 
 
 class TestKaczmarzRuns:
-    def test_requires_unit_batches_and_least_squares(self):
-        pb = gen_random_lls(10, 3, 0.0, 0)
-        with pytest.raises(ValueError):
-            run(pb, None, RunConfig(method="kaczmarz", alpha=1.0, batch_size=2, seed=0))
+    @staticmethod
+    def hand_sweep(pb, b, epochs, project):
+        """``epochs`` sweeps of ``project(x_i, y_i, theta)`` over the run's
+        batches and epoch orders, from the run's initial theta."""
+        part, batches = partition(pb, b, 0)
+        theta = 0.01 * np.random.default_rng([0, 3]).standard_normal(pb.p)
+        for epoch in range(epochs):
+            for idx in part.epoch_order(epoch):
+                theta = project(batches[idx].x_i, batches[idx].y_i, theta)
+        return theta
+
+    def test_requires_least_squares(self):
+        pb = gen_gaussian_blobs(20, 3, 2, 3.0, 0)
+        with pytest.raises(ValueError, match="least-squares"):
+            run(pb, None, RunConfig(method="kaczmarz", alpha=1.0, batch_size=1, seed=0))
+
+    def test_unit_batches_sweep_kaczmarz_projections(self):
+        """At b = 1 the h = inf splitting step is the row projection."""
+        pb = gen_random_lls(200, 20, 0.01, 2)
+        trace = run(pb, None, RunConfig(method="kaczmarz", batch_size=1, seed=0, max_epochs=3))
+        want = self.hand_sweep(pb, 1, 3, lambda x, y, th: kaczmarz_step(x[0], float(y[0]), th))
+        assert trace.h == math.inf
+        np.testing.assert_allclose(trace.theta, want, rtol=0,
+                                   atol=1e-12 * np.linalg.norm(want))
+
+    def test_block_batches_sweep_pseudoinverse_projections(self):
+        """At b > 1 it is block Kaczmarz, theta - pinv(x_i)(x_i theta - y_i),
+        below (b = 4) and above (b = 30) the feature count."""
+        pb = gen_random_lls(120, 20, 0.01, 5)
+        for b in (4, 30):
+            trace = run(pb, None, RunConfig(method="kaczmarz", batch_size=b, seed=0,
+                                            max_epochs=3))
+            want = self.hand_sweep(
+                pb, b, 3, lambda x, y, th: th - np.linalg.pinv(x) @ (x @ th - y)
+            )
+            np.testing.assert_allclose(trace.theta, want, rtol=0,
+                                       atol=1e-12 * np.linalg.norm(want))
 
     def test_consistent_square_system_converges(self):
-        """Each projection is non-expansive toward the solution, so the
+        """Each projection, onto a row's hyperplane (b = 1) or a block's
+        solution set (b = 3), is non-expansive toward the solution, so the
         per-sweep distance to theta* never grows (the residual norm itself
         can wiggle between sweeps) and the run converges."""
         x = random_full_rank(12, 3, sigma_min=5.0, sigma_max=10.0)
         theta_star = np.random.default_rng(3).standard_normal(12)
         pb = Problem("least-squares", x, x @ theta_star, theta_ref=theta_star)
-        cfg = RunConfig(
-            method="kaczmarz",
-            alpha=1.0,
-            batch_size=1,
-            seed=2,
-            max_epochs=200,
-            stop=StoppingRule("solution-distance", 1e-13),
-        )
-        trace = run(pb, None, cfg, theta0=np.zeros(12))
-        dist = trace.metrics()
-        assert np.all(np.diff(dist) <= 1e-12)
-        res = np.sqrt(trace.losses())
-        assert res[-1] < 1e-6 * res[0]
+        for b in (1, 3):
+            cfg = RunConfig(
+                method="kaczmarz",
+                alpha=1.0,
+                batch_size=b,
+                seed=2,
+                max_epochs=200,
+                stop=StoppingRule("solution-distance", 1e-13),
+            )
+            trace = run(pb, None, cfg, theta0=np.zeros(12))
+            dist = trace.metrics()
+            assert np.all(np.diff(dist) <= 1e-12)
+            res = np.sqrt(trace.losses())
+            assert res[-1] < 1e-6 * res[0]
 
 
 class TestStability:

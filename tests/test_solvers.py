@@ -336,6 +336,16 @@ class TestKaczmarz:
         with pytest.raises(ZeroRow):
             kaczmarz_step(np.zeros(2), 1.0, np.ones(2))
 
+    def test_exact_step_at_infinite_h_solves_the_batch(self):
+        """For b <= p the h = inf least-squares step lands on the batch's
+        solution set, x_i theta' = y_i."""
+        rng = np.random.default_rng(29)
+        for b in (1, 3, 8):
+            x_i, y_i = rng.standard_normal((b, 8)), rng.standard_normal(b)
+            theta1 = lls_local_exact(BatchFactorization(x_i, y_i), rng.standard_normal(8),
+                                     np.inf, 50)
+            assert np.linalg.norm(x_i @ theta1 - y_i) <= 1e-10 * np.linalg.norm(y_i)
+
 
 class TestLocalStepRK:
     def test_h_zero_returns_theta0(self):

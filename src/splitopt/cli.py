@@ -24,7 +24,7 @@ import sys
 import types
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -272,12 +272,18 @@ def cmd_run(args) -> int:
                 f"method={c.method} alpha={c.alpha:g} init_seed={c.init_seed}: {exc}"
             ) from exc
 
+    # Kaczmarz (h = inf) never reads alpha: one run per repeat, written under every alpha.
+    def cell_of(c):
+        return replace(c, alpha=cfg.alphas[0]) if c.method == "kaczmarz" else c
+
+    cells = list(dict.fromkeys(map(cell_of, jobs)))
     threads = max(1, args.threads)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            traces = list(pool.map(run_cell, jobs))
+            ran = dict(zip(cells, pool.map(run_cell, cells)))
     else:
-        traces = [run_cell(c) for c in jobs]
+        ran = {c: run_cell(c) for c in cells}
+    traces = [replace(ran[cell_of(c)], alpha=c.alpha) for c in jobs]
 
     # Made only now, so a run that fails in a cell (an integrator out of
     # steps, say) leaves no empty directory behind.

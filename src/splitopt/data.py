@@ -15,7 +15,7 @@ Linear-system text format:
 """
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -306,15 +306,23 @@ def split_holdout(pb: Problem, n_holdout: int, seed: int) -> tuple:
 
 @dataclass
 class Partition:
-    """Fixed batch layout plus the seed driving per-epoch visit orders."""
+    """Fixed batch layout plus the seed driving per-epoch visit orders.
+    Each order (8 m bytes) is built once and shared read-only by every run
+    and thread; threads racing to a new epoch draw equal orders."""
 
     batch_size: int
     m: int
     order_seed: int
+    _orders: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def epoch_order(self, epoch: int) -> np.ndarray:
-        """Batch visit order for one epoch: a fresh seeded permutation."""
-        return np.random.default_rng([self.order_seed, 1 + epoch]).permutation(self.m)
+        """Batch visit order for one epoch: a seeded permutation, read-only."""
+        order = self._orders.get(epoch)
+        if order is None:
+            order = np.random.default_rng([self.order_seed, 1 + epoch]).permutation(self.m)
+            order.flags.writeable = False
+            order = self._orders.setdefault(epoch, order)
+        return order
 
 
 def partition(pb: Problem, b: int, seed: int):
@@ -323,7 +331,8 @@ def partition(pb: Problem, b: int, seed: int):
     Returns ``(Partition, [BatchFactorization, ...])``; a trailing short
     batch keeps its own size.  The problem keeps the partition of its last
     key (b, seed, pb.x, pb.targets), so calls with that key, from any
-    thread, share batches that keep their QR factors and spectral plans.
+    thread, share batches that keep their QR factors, spectral plans and
+    last gains, and a ``Partition`` that keeps its epoch orders.
     """
     if not (1 <= b <= pb.n):
         raise ValueError(f"batch size must be in [1, {pb.n}], got {b}")

@@ -260,11 +260,11 @@ def _batch_step(pb: Problem, cfg: RunConfig, h: float, batches: list, trace: Tra
     so a function swapped in there (a tracer's wrapper, say) sees every step.
     """
     if cfg.method == "sgd":
-        sgd = euler_step
-        return lambda i, theta: sgd(pb, batches[i], theta, cfg.alpha)
+        sgd, alpha = euler_step, cfg.alpha
+        return lambda i, theta: sgd(pb, batches[i], theta, alpha)
     if pb.kind == "least-squares":
-        exact = lls_local_exact
-        return lambda i, theta: exact(batches[i], theta, h, pb.n)
+        exact, n = lls_local_exact, pb.n
+        return lambda i, theta: exact(batches[i], theta, h, n)
     rk = local_step_rk
     starts = [cfg.integrator] * len(batches)
 

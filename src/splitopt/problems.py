@@ -112,10 +112,12 @@ class BatchFactorization:
     splitting or Kaczmarz config's batches, else the batch's first step does
     (see ``solvers.lls_local_exact``), and it serves every run.  Threads
     sharing a batch at worst compute either one twice, with equal results.
+    ``lls_gain`` keeps the last step's (h/n, gain) pair, replaced whole,
+    never in part, so no thread reads a gain made for another h/n.
     """
 
     def __init__(self, x_i: np.ndarray, y_i: np.ndarray, qr: ThinQR | None = None):
-        self.x_i, self.y_i, self._qr, self.lls_plan = x_i, y_i, qr, None
+        self.x_i, self.y_i, self._qr, self.lls_plan, self.lls_gain = x_i, y_i, qr, None, None
 
     @property
     def qr(self) -> ThinQR:

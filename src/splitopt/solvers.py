@@ -10,7 +10,8 @@ the flow of each spectral component of q^T theta toward the batch's
 stationary point eta* = v z* (r r^T eta* = r y_i); the component of
 theta_0 orthogonal to range(q) is preserved exactly and no p x p matrix is
 ever formed.  (u, s^2, z*) depend on the batch alone, not on h or n, so
-they are built once per batch and kept on it.  At h = inf the step is
+they are built once per batch and kept on it, beside the batch's last
+(h/n, gain) pair, since a run steps at one h/n.  At h = inf the step is
 the projection onto the batch's solution set, the (block) Kaczmarz step
 that ``method="kaczmarz"`` runs.  Logistic and softmax local flows have no
 closed form and are integrated in the reduced coordinates eta = q^T theta
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import SingularR, ZeroRow
 from .ode import IntegratorConfig, rk45_integrate
-from .problems import BatchFactorization, Problem, batch_gradient, reduced_flow
+from .problems import BatchFactorization, Problem, _check_theta, _residual, reduced_flow
 
 
 @dataclass
@@ -71,12 +72,19 @@ def lls_local_exact(bf: BatchFactorization, theta0: np.ndarray, h: float, n: int
     ``optimizers.check_run`` builds it for a splitting or Kaczmarz config's
     batches; otherwise the batch's first step does.  Threads stepping a
     batch without a plan at worst build it twice, with equal results.
+    The gain expm1(-(h/n) s^2), -1 at h = inf, is kept with its h/n in
+    ``bf.lls_gain``, one pair a step reads once and replaces whole: threads
+    at different h at worst recompute it, never read one for another h/n.
     """
     if h < 0:
         raise ValueError("h must be nonnegative")
     theta0 = np.asarray(theta0, dtype=float)
     u, w, z_star = _lls_plan(bf)
-    return theta0 + u @ (np.expm1(-(h / n) * w) * (u.T @ theta0 - z_star))
+    t = h / n
+    kept = bf.lls_gain
+    if kept is None or kept[0] != t:
+        kept = bf.lls_gain = (t, np.expm1(-t * w))
+    return theta0 + u @ (kept[1] * (u.T @ theta0 - z_star))
 
 
 def lls_local_unit(x: np.ndarray, y: float, theta0: np.ndarray, h: float, n: int) -> np.ndarray:
@@ -138,8 +146,8 @@ def local_step_rk(
 
 
 def euler_step(pb: Problem, bf: BatchFactorization, theta0: np.ndarray, alpha: float) -> np.ndarray:
-    """Vanilla SGD step: theta_0 - alpha * batch_gradient."""
+    """Vanilla SGD step: theta_0 - alpha * batch_gradient, theta checked once."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    theta0 = np.asarray(theta0, dtype=float)
-    return theta0 - alpha * batch_gradient(pb, bf, theta0)
+    theta0 = _check_theta(pb, theta0)
+    return theta0 - alpha * (bf.x_i.T @ _residual(pb.kind, bf.x_i, bf.y_i, theta0) / bf.b)

@@ -409,6 +409,31 @@ class TestRun:
                      "--config", str(cfg_path)]) == 0
         assert_same_outputs(serial, parallel)
 
+    def test_kaczmarz_runs_once_per_repeat(self, tmp_path, monkeypatch):
+        """Kaczmarz (h = inf) never reads alpha: one run per repeat, whose
+        trace is written under every alpha."""
+        import splitopt.cli
+
+        methods = []
+        real_run = splitopt.cli.run
+        monkeypatch.setattr(splitopt.cli, "run",
+                            lambda *a: methods.append(a[2].method) or real_run(*a))
+        alphas = [0.02, 0.05, 0.5]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(
+            methods=["sgd", "kaczmarz"], alphas=alphas, repeat=2)))
+        out = tmp_path / "runs"
+        assert main(["--out", str(out), "run", "--config", str(cfg_path)]) == 0
+        assert sorted(methods) == ["kaczmarz"] * 2 + ["sgd"] * 6
+        summary = read_csv(out / "summary.csv")
+        assert [(r["method"], float(r["alpha"]), int(r["seed"])) for r in summary] == [
+            (m, a, s) for m in ("sgd", "kaczmarz") for a in alphas for s in (1, 2)]
+        for seed in (1, 2):
+            traces = [read_csv(out / f"trace_kaczmarz_a{a:g}_s{seed}.csv") for a in alphas]
+            for a, rows in zip(alphas, traces):
+                assert {float(r.pop("alpha")) for r in rows} == {a}
+            assert traces[0] == traces[1] == traces[2]
+
     def test_threaded_grid_builds_each_plan_once(self, tmp_path, monkeypatch):
         """The least-squares plans are built on the main thread before the
         pool starts, so two threads racing to a fresh batch never build its

@@ -266,6 +266,11 @@ class TestPartition:
         assert any(
             not np.array_equal(part.epoch_order(e), o1) for e in range(1, 6)
         )
+        for e in range(6):
+            want = np.random.default_rng([6, 1 + e]).permutation(part.m)
+            assert np.array_equal(part.epoch_order(e), want)
+        with pytest.raises(ValueError):
+            o1[0] = o1[1]
 
     def test_invalid_batch_size(self):
         pb = gen_random_lls(10, 3, 0.0, 0)

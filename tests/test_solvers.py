@@ -5,6 +5,7 @@ integration of the original full-space ODE, which shares no code with it.
 """
 
 import copy
+import math
 import sys
 import threading
 from dataclasses import replace
@@ -17,6 +18,7 @@ from splitopt import (
     IntegratorConfig,
     Problem,
     RunConfig,
+    batch_gradient,
     batch_loss,
     euler_step,
     gen_gaussian_blobs,
@@ -168,7 +170,8 @@ class TestLlsPlanCache:
         theta = np.random.default_rng(8).standard_normal(12)
         lls_local_exact(bf, theta, 0.5, pb.n)
         plan = bf.lls_plan
-        for h, n in ((0.5, pb.n), (4.0, pb.n), (0.5, pb.n), (0.5, 2 * pb.n), (1e6, 7)):
+        for h, n in ((0.5, pb.n), (4.0, pb.n), (math.inf, pb.n), (0.5, pb.n), (0.5, 2 * pb.n),
+                     (1e6, 7)):
             got = lls_local_exact(bf, theta, h, n)
             assert np.array_equal(got, lls_local_exact(fresh(bf), theta, h, n))
             assert bf.lls_plan is plan
@@ -546,6 +549,17 @@ class TestEulerStep:
             sgd = euler_step(pb, bf, theta0, alpha)
             euler_local = theta0 + (alpha * m) * local_rhs(pb, bf, theta0)
             assert np.max(np.abs(sgd - euler_local)) <= 1e-14 * (1 + np.max(np.abs(sgd)))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_is_theta_minus_alpha_batch_gradient_bitwise(self, k):
+        """euler_step does batch_gradient's arithmetic inline, so the two
+        agree bit for bit on every problem kind."""
+        pb = gen_random_lls(24, 6, 0.2, 11) if k == 1 else gen_gaussian_blobs(24, 6, k, 3.0, 11)
+        rng = np.random.default_rng(4)
+        for bf in partition(pb, 7, 11)[1]:
+            theta0 = rng.standard_normal((6, 3) if k == 3 else 6)
+            want = theta0 - 0.3 * batch_gradient(pb, bf, theta0)
+            assert np.array_equal(euler_step(pb, bf, theta0, 0.3), want)
 
     def test_hand_value_two_batch_1d(self):
         """X = (1; 1), y = (1, -1), theta0 = 0: step on the first batch at

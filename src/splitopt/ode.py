@@ -7,8 +7,11 @@ when the RMS of the scaled error is at most 1, and the next step chosen as
 ``h * clip(0.9 * err^(-1/5), 0.2, 5.0)``.
 
 The pair is first-same-as-last (FSAL): an accepted step's last stage is the
-next step's first, so a step costs six right-hand-side evaluations.  The
-stages are the rows of one (7, d) array, combined by weighted products.
+next step's first, so a step costs six right-hand-side evaluations.  y and
+the stages k_1 .. k_7 are the rows of one (8, d) array.  Each attempt scales
+the tableau's rows by h once, so every stage input, y_new and the error
+vector is one weighted product of rows: a stage input rounds as
+y + sum_j (h a_ij) k_j rather than y + h sum_j a_ij k_j.
 
 The solution carries the controller's last proposal, ``h_next``: the step
 it would try next after the last accepted step that the span end did not
@@ -30,21 +33,21 @@ import numpy as np
 
 from .errors import NonFiniteState, StepBudgetExceeded
 
-# Dormand-Prince 5(4) tableau; an autonomous RHS needs no nodes c_i.  Row 6
-# of _A holds the 5th-order weights (b_7 = 0), so its stage input is y_new.
-_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
-    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+# Dormand-Prince 5(4) tableau; an autonomous RHS needs no nodes c_i.  Row i
+# < 7 weighs (y, k_1, ..., k_6) as [1 | a_i]; row 6 holds the 5th-order
+# weights (b_7 = 0), so its stage input is y_new.  Row 7 weighs k_1 .. k_7
+# by the 5th- minus the embedded 4th-order weights.
+_TABLEAU = np.array([
+    [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1.0, 1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1.0, 3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
+    [1.0, 44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
+    [1.0, 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
+    [1.0, 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
+    [1.0, 35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
 ])
-# Difference between the 5th-order weights and the embedded 4th-order ones.
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
-# Rows 1-6 of _A, each cut to the weights of the stages before it.
-_A_ROWS = tuple(_A[i, :i] for i in range(1, 7))
+_H_SCALED = _TABLEAU != 1.0  # no a_ij or error weight is 1
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -93,7 +96,7 @@ class OdeSolution:
 
 
 def _rms(x: np.ndarray) -> float:
-    return math.sqrt(np.add.reduce(np.square(x)) / x.size) if x.size else 0.0
+    return math.sqrt((x @ x) / x.size) if x.size else 0.0
 
 
 def _initial_step(rhs, y0, f0, t_len, cfg):
@@ -134,16 +137,18 @@ def rk45_integrate(rhs, y0, t_span, cfg: IntegratorConfig | None = None) -> OdeS
 
     t_len = t1 - t0
     atol, rtol = cfg.atol, cfg.rtol
-    k = np.empty((7, y.size))
-    k[0] = rhs(y)
-    if not np.isfinite(k[0]).all():
+    ks = np.empty((8, y.size))
+    ks[0] = y
+    ks[1] = rhs(y)
+    if not np.isfinite(ks[1]).all():
         raise NonFiniteState("right-hand side is non-finite at the initial state")
     if cfg.h_init > 0:
         h, start_evals = cfg.h_init, 1
     else:
-        h, start_evals = _initial_step(rhs, y, k[0], t_len, cfg), 2
-    # (weights, earlier stages, output row) for stages 2..7
-    stages = [(a, k[:i], k[i]) for i, a in enumerate(_A_ROWS, 1)]
+        h, start_evals = _initial_step(rhs, y, ks[1], t_len, cfg), 2
+    coef = _TABLEAU.copy()  # per call: concurrent integrations share nothing
+    # (weights, y and earlier stages, output row) for stages 2..7
+    stages = [(coef[i, :i + 1], ks[:i + 1], ks[i + 1]) for i in range(1, 7)]
 
     t = t0
     steps = 0
@@ -161,21 +166,23 @@ def rk45_integrate(rhs, y0, t_span, cfg: IntegratorConfig | None = None) -> OdeS
         if h <= 1e-14 * max(abs(t), t_len):
             raise StepBudgetExceeded(f"step size underflow at t={t:g}")
         h_step = min(h, remaining)
-        for a, prev, out in stages:
-            y_new = y + h_step * (a @ prev)
+        np.multiply(_TABLEAU, h_step, out=coef, where=_H_SCALED)
+        for w, prev, out in stages:
+            y_new = w @ prev
             out[...] = rhs(y_new)
-        err_vec = h_step * (_E @ k)
-        if np.isfinite(y_new).all() and np.isfinite(err_vec).all():
+        err_vec = coef[7] @ ks[1:]
+        if np.isfinite(y_new).all():
             abs_new = np.abs(y_new)
-            err = _rms(err_vec / (atol + rtol * np.maximum(abs_y, abs_new)))
+            err_vec /= atol + rtol * np.maximum(abs_y, abs_new)
+            err = _rms(err_vec)
+            err = math.inf if math.isnan(err) else err  # NaN: a stage was non-finite
         else:
             err = math.inf
         if err <= 1.0:
             t += h_step
-            y = y_new
             abs_y = abs_new
             steps += 1
-            k[0] = k[6]  # first same as last
+            ks[0], ks[1] = y_new, ks[7]  # first same as last
         else:
             rejected += 1
         if err == 0.0 or err == math.inf:
@@ -187,5 +194,5 @@ def rk45_integrate(rhs, y0, t_span, cfg: IntegratorConfig | None = None) -> OdeS
         h = h_step * factor
 
     evals = start_evals + 6 * (steps + rejected)
-    return OdeSolution(y_end=y, steps_taken=steps, rhs_evals=evals, rejected_steps=rejected,
-                       h_next=h_next)
+    return OdeSolution(y_end=ks[0].copy(), steps_taken=steps, rhs_evals=evals,
+                       rejected_steps=rejected, h_next=h_next)

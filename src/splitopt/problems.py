@@ -23,13 +23,13 @@ folded in:
     least squares   a (B eta) + c         a = -r/n, B = r^T, c = r y_i / n
     logistic        a tanh(B eta) + c     a = -(0.5/n) r, B = 0.5 r^T,
                                           c = r (y_i - 0.5) / n
-    softmax         (a e^T).ravel() + c   a = -r/n, c = (r y_i / n).ravel()
+    softmax         (a e^T + c).ravel()   a = -r/n, c = r y_i / n
 
 The logistic form is sigmoid(s) = 0.5 + 0.5 tanh(s/2).  Softmax keeps its
 k x K state row-major and lays the scores out K x b, z = eta^T r; e is z
-shifted by its column maxima, exponentiated and divided by its column
-sums, so both reductions run along axis 0.  ``reduced_rhs`` evaluates the
-flow at one state, with a shape check.
+shifted by its column maxima, exponentiated and divided by its column sums
+1_K^T z, all in z's own buffer, and c is added into the product's output.
+``reduced_rhs`` evaluates the flow at one state, with a shape check.
 """
 
 from dataclasses import dataclass, field
@@ -230,14 +230,16 @@ def reduced_flow(pb: Problem, bf: BatchFactorization):
     nothing is checked per call."""
     r, n = bf.qr.r, pb.n
     if pb.kind == "softmax":
-        a, c = -r / n, (r @ bf.y_i / n).ravel()
-        shape = (r.shape[0], pb.k)
+        a, c = -r / n, r @ bf.y_i / n
+        shape, ones = (r.shape[0], pb.k), np.ones(pb.k)
 
         def rhs(v):
             z = v.reshape(shape).T @ r
-            e = np.exp(z - np.maximum.reduce(z))
-            e /= np.add.reduce(e)
-            return (a @ e.T).ravel() + c
+            z -= np.maximum.reduce(z)
+            np.exp(z, out=z)
+            z /= ones @ z
+            out = a @ z.T
+            return np.add(out, c, out=out).ravel()
 
         return rhs
     if pb.kind == "logistic":

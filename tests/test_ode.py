@@ -1,10 +1,23 @@
 """Integrator tests against analytic solutions and the closed-form flow."""
 
+from fractions import Fraction as F
+
 import numpy as np
 import pytest
 
 from splitopt import IntegratorConfig, gen_random_lls, lls_local_exact, partition, rk45_integrate
 from splitopt.errors import NonFiniteState, StepBudgetExceeded
+
+# Dormand & Prince (1980) 5(4): a_ij of stages 1..6 and the 5th-order b_j (b_7 = 0).
+DP_A = [
+    [],
+    [F(1, 5)],
+    [F(3, 40), F(9, 40)],
+    [F(44, 45), F(-56, 15), F(32, 9)],
+    [F(19372, 6561), F(-25360, 2187), F(64448, 6561), F(-212, 729)],
+    [F(9017, 3168), F(-355, 33), F(46732, 5247), F(49, 176), F(-5103, 18656)],
+]
+DP_B = [F(35, 384), F(0), F(500, 1113), F(125, 192), F(-2187, 6784), F(11, 84)]
 
 
 class TestBasics:
@@ -45,6 +58,23 @@ class TestBasics:
         assert (sol.steps_taken, sol.rejected_steps) == (accepted, rejected)
         start_evals = 1 if h_init > 0 else 2
         assert sol.rhs_evals == start_evals + 6 * (sol.steps_taken + sol.rejected_steps)
+
+    def test_one_step_is_the_textbook_update(self):
+        """A span of h_init taken in one accepted attempt gives
+        y0 + h sum_j b_j k_j, with each k_i from the tableau itself; a row or
+        column offset in the integrator's coefficients moves it by O(h)."""
+
+        def rhs(y):
+            return np.array([np.sin(y[1]) - y[0] ** 2, y[0] * y[2], np.cos(y[0]) - y[1]])
+
+        y0, h = np.array([0.3, -0.7, 1.1]), 0.05
+        sol = rk45_integrate(rhs, y0, (0.0, h), IntegratorConfig(rtol=1e-2, atol=1e-2, h_init=h))
+        assert (sol.steps_taken, sol.rejected_steps, sol.rhs_evals) == (1, 0, 7)
+        k = []
+        for row in DP_A:
+            k.append(rhs(y0 + h * sum((float(a) * kj for a, kj in zip(row, k)), np.zeros(3))))
+        want = y0 + h * sum(float(b) * kj for b, kj in zip(DP_B, k))
+        np.testing.assert_allclose(sol.y_end, want, rtol=1e-14, atol=0)
 
     def test_reversed_span_rejected(self):
         with pytest.raises(ValueError):
@@ -133,6 +163,14 @@ class TestFailureModes:
         cfg = IntegratorConfig(rtol=1e-10, atol=1e-13, max_steps=3)
         with pytest.raises(StepBudgetExceeded):
             rk45_integrate(lambda y: np.cos(50 * y) * 50, np.array([0.1]), (0.0, 10.0), cfg)
+
+    def test_state_overflow_is_rejected(self):
+        """A constant RHS makes the error estimate 0, so only the finiteness
+        check on y_new keeps the state from overflowing to inf: the steps
+        past t = 17.98 are rejected until h underflows."""
+        with np.errstate(over="ignore"), pytest.raises(StepBudgetExceeded, match="underflow"):
+            rk45_integrate(lambda y: np.full_like(y, 1e307), np.array([0.0]), (0.0, 100.0),
+                           IntegratorConfig(h_init=1.0))
 
     def test_non_finite_rhs(self):
         with pytest.raises(NonFiniteState):

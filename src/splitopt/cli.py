@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bounds_mod
-from .data import DatasetSpec, make_problem, save_linear_system, split_holdout
+from .data import DATASET_KINDS, DatasetSpec, make_problem, save_linear_system, split_holdout
 from .errors import EmptyTrace, SplitOptError
 from .ode import IntegratorConfig
 from .optimizers import METHODS, RunConfig, StoppingRule, Trace, check_run, run
@@ -47,6 +47,11 @@ TRACE_HEADER = (
     "loss",
     "metric",
     "diverged",
+)
+
+# The DatasetSpec fields a datagen manifest writes: a run config's dataset.
+MANIFEST_KEYS = (
+    "kind", "n", "p", "k", "separation", "seed", "images_path", "labels_path", "class_filter",
 )
 
 SUMMARY_HEADER = (
@@ -185,34 +190,15 @@ def cmd_datagen(args) -> int:
     out = args.out
     if out is None:
         raise ValueError("datagen needs --out")
-    spec = DatasetSpec(
-        kind=args.kind,
-        n=args.n,
-        p=args.p,
-        k=args.k,
-        noise_sigma=args.noise_sigma,
-        seed=args.seed if args.seed is not None else 0,
-        separation=args.separation,
-        image_side=args.image_side,
-        rays=args.rays,
-        images_path=args.images_path,
-        labels_path=args.labels_path,
-        class_filter=tuple(args.class_filter) if args.class_filter else None,
-    )
+    # An unset flag is None and takes DatasetSpec's default, checked as a run
+    # config's dataset is; seed comes from the global --seed, path from none.
+    spec = _build(DatasetSpec, {f.name: getattr(args, f.name, None)
+                                for f in fields(DatasetSpec)}, "datagen")
     if spec.kind in ("random-lls", "tomo-like"):
         save_linear_system(make_problem(spec), out)
     else:
-        manifest = {
-            "kind": spec.kind,
-            "n": spec.n,
-            "p": spec.p,
-            "k": spec.k,
-            "separation": spec.separation,
-            "seed": spec.seed,
-            "images_path": spec.images_path,
-            "labels_path": spec.labels_path,
-            "class_filter": list(spec.class_filter) if spec.class_filter else None,
-        }
+        manifest = {key: getattr(spec, key) for key in MANIFEST_KEYS}
+        manifest["class_filter"] = list(spec.class_filter) if spec.class_filter else None
         Path(out).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")
     return 0
@@ -402,18 +388,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("datagen", help="generate or describe a dataset")
-    p.add_argument("--kind", required=True, choices=(
-        "random-lls", "tomo-like", "idx-images", "gaussian-blobs"))
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--p", type=int, default=50)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--noise-sigma", type=float, default=0.0)
-    p.add_argument("--separation", type=float, default=4.0)
-    p.add_argument("--image-side", type=int, default=10)
-    p.add_argument("--rays", type=int, default=200)
-    p.add_argument("--images-path", type=str, default=None)
-    p.add_argument("--labels-path", type=str, default=None)
-    p.add_argument("--class-filter", type=int, nargs="*", default=None)
+    p.add_argument("--kind", required=True,
+                   choices=[k for k in DATASET_KINDS if k != "linear-system-file"])
+    for flag, cast in (("--n", int), ("--p", int), ("--k", int), ("--noise-sigma", float),
+                       ("--separation", float), ("--image-side", int), ("--rays", int),
+                       ("--images-path", str), ("--labels-path", str)):
+        p.add_argument(flag, type=cast)
+    p.add_argument("--class-filter", type=int, nargs="*")
     p.set_defaults(func=cmd_datagen)
 
     p = sub.add_parser("run", help="execute a JSON-configured experiment grid")

@@ -118,15 +118,18 @@ def _initial_step(rhs, y0, f0, t_len, cfg):
 def rk45_integrate(rhs, y0, t_span, cfg: IntegratorConfig | None = None) -> OdeSolution:
     """Integrate ``dy/dt = rhs(y)`` from t0 to t1 with adaptive steps.
 
-    Raises NonFiniteState when the initial state or the right-hand side there
-    is non-finite, and StepBudgetExceeded when ``cfg.max_steps`` accepted
-    steps do not reach t1 or the step size underflows.  A right-hand side
-    that turns non-finite later (divergence, severe stiffness) makes the
-    error estimate non-finite; its steps are rejected until h underflows.
+    Raises ValueError when t0 or t1 is not finite or t1 < t0, NonFiniteState
+    when the initial state or the right-hand side there is non-finite, and
+    StepBudgetExceeded when ``cfg.max_steps`` accepted steps do not reach
+    t1 or the step size underflows.  A right-hand side that turns
+    non-finite later (divergence, severe stiffness) makes the error
+    estimate non-finite; its steps are rejected until h underflows.
     """
     if cfg is None:
         cfg = IntegratorConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t_span must be finite, got {t_span}")
     if t1 < t0:
         raise ValueError(f"t_span must be increasing, got {t_span}")
     y = np.array(y0, dtype=float).ravel()
@@ -185,9 +188,9 @@ def rk45_integrate(rhs, y0, t_span, cfg: IntegratorConfig | None = None) -> OdeS
             ks[0], ks[1] = y_new, ks[7]  # first same as last
         else:
             rejected += 1
-        if err == 0.0 or err == math.inf:
-            factor = _MIN_FACTOR if err == math.inf else _MAX_FACTOR
-        else:
+        if err == 0.0:
+            factor = _MAX_FACTOR
+        else:  # inf ** -0.2 is 0, so an infinite error takes _MIN_FACTOR
             factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** (-_ORDER_EXP)))
         if err <= 1.0 and h_step == h:
             h_next = h_step * factor  # not shortened to land on t1

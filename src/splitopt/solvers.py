@@ -76,8 +76,8 @@ def lls_local_exact(bf: BatchFactorization, theta0: np.ndarray, h: float, n: int
     ``bf.lls_gain``, one pair a step reads once and replaces whole: threads
     at different h at worst recompute it, never read one for another h/n.
     """
-    if h < 0:
-        raise ValueError("h must be nonnegative")
+    if not h >= 0:  # NaN fails too; inf is the Kaczmarz projection
+        raise ValueError(f"h must be nonnegative, got {h!r}")
     theta0 = np.asarray(theta0, dtype=float)
     u, w, z_star = _lls_plan(bf)
     t = h / n
@@ -92,8 +92,8 @@ def lls_local_unit(x: np.ndarray, y: float, theta0: np.ndarray, h: float, n: int
 
     theta(h) = theta_0 + ((y - x^T theta_0) / ||x||^2) (1 - e^{-||x||^2 h / n}) x
     """
-    if h < 0:
-        raise ValueError("h must be nonnegative")
+    if not h >= 0:  # NaN fails too; inf is the Kaczmarz projection
+        raise ValueError(f"h must be nonnegative, got {h!r}")
     x = np.asarray(x, dtype=float)
     theta0 = np.asarray(theta0, dtype=float)
     nx2 = float(x @ x)
@@ -135,8 +135,8 @@ def local_step_rk(
     """
     if pb.kind == "least-squares":
         raise ValueError("least-squares local steps use lls_local_exact")
-    if h < 0:
-        raise ValueError("h must be nonnegative")
+    if not 0 <= h < np.inf:  # NaN fails too
+        raise ValueError(f"h must be finite and nonnegative, got {h!r}")
     theta0 = np.asarray(theta0, dtype=float)
     q = bf.qr.q
     eta0 = q.T @ theta0
@@ -147,7 +147,7 @@ def local_step_rk(
 
 def euler_step(pb: Problem, bf: BatchFactorization, theta0: np.ndarray, alpha: float) -> np.ndarray:
     """Vanilla SGD step: theta_0 - alpha * batch_gradient, theta checked once."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not alpha > 0:  # NaN fails too
+        raise ValueError(f"alpha must be positive, got {alpha!r}")
     theta0 = _check_theta(pb, theta0)
     return theta0 - alpha * (bf.x_i.T @ _residual(pb.kind, bf.x_i, bf.y_i, theta0) / bf.b)

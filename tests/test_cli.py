@@ -6,13 +6,14 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splitopt import load_linear_system
+from splitopt import DatasetSpec, gen_gaussian_blobs, load_linear_system, make_problem
 from splitopt.cli import main, parse_experiment_config
 from splitopt.plotting import Series, render_line_chart
 from splitopt.errors import EmptyTrace
@@ -92,6 +93,39 @@ class TestDatagen:
         assert main(["--out", str(out), "datagen", "--kind", "idx-images"]) == 2
         assert "idx-images needs images_path and labels_path" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unset_flags_take_the_spec_defaults(self, tmp_path):
+        out = tmp_path / "blobs.json"
+        assert main(["--out", str(out), "datagen", "--kind", "gaussian-blobs"]) == 0
+        manifest = json.loads(out.read_text())
+        defaults = {f.name: f.default for f in fields(DatasetSpec)}
+        for key in ("n", "p", "k", "separation"):
+            assert manifest[key] == defaults[key], key
+
+    def test_manifest_is_a_run_config_dataset(self, tmp_path):
+        out = tmp_path / "blobs.json"
+        assert main(["--seed", "4", "--out", str(out), "datagen", "--kind", "gaussian-blobs",
+                     "--n", "90", "--p", "3", "--k", "3", "--separation", "2.5"]) == 0
+        manifest = json.loads(out.read_text())
+        cfg = parse_experiment_config(base_config(dataset=manifest))
+        pb = make_problem(cfg.dataset)
+        ref = gen_gaussian_blobs(manifest["n"], manifest["p"], manifest["k"],
+                                 manifest["separation"], manifest["seed"])
+        np.testing.assert_array_equal(pb.x, ref.x)
+        np.testing.assert_array_equal(pb.targets, ref.targets)
+
+    def test_rejection_is_prefixed_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "lls.txt"
+        assert main(["--out", str(out), "datagen", "--kind", "random-lls", "--n", "0"]) == 2
+        assert "datagen: n and p must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values, written", [([], None), (["3", "5"], [3, 5])])
+    def test_class_filter_is_a_list_or_null(self, tmp_path, values, written):
+        out = tmp_path / "idx.json"
+        assert main(["--out", str(out), "datagen", "--kind", "idx-images", "--images-path",
+                     "a", "--labels-path", "b", "--class-filter", *values]) == 0
+        assert json.loads(out.read_text())["class_filter"] == written
 
     def test_generated_file_runs_like_its_generator(self, tmp_path):
         """A run on the file datagen writes matches the run on the
@@ -399,6 +433,21 @@ class TestRun:
         assert "alpha=2" in err
         assert "init_seed=7" in err
         assert "needed more than 5 steps" in err
+
+    def test_infinite_alpha_fails_its_rk_cell(self, tmp_path, capsys):
+        """Python's json reads Infinity; h = inf has no RK flow to integrate."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(
+            dataset={"kind": "gaussian-blobs", "n": 200, "p": 5, "seed": 1},
+            holdout_size=40, methods=["splitting"], alphas=[float("inf")],
+            batch_size=20)))
+        assert "Infinity" in cfg_path.read_text()
+        out = tmp_path / "runs"
+        assert main(["--out", str(out), "run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "method=splitting alpha=inf" in err
+        assert "h must be finite and nonnegative, got inf" in err
+        assert not out.exists()
 
     def test_threads_match_serial_output(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

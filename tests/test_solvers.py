@@ -587,3 +587,32 @@ class TestFirstOrderConsistency:
             errs.append(np.linalg.norm(exact - euler))
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert slope >= 1.9
+
+
+def _lls_batch():
+    pb = gen_random_lls(30, 4, 0.1, 0)
+    return pb, partition(pb, 5, 0)[1][0]
+
+
+def _blob_batch():
+    pb = gen_gaussian_blobs(40, 3, 2, 4.0, 0)
+    return pb, partition(pb, 8, 0)[1][0]
+
+
+@pytest.mark.parametrize("call, bad", [
+    (lambda t: rk45_integrate(lambda y: -y, [1.0], (0.0, t)), math.inf),
+    (lambda t: rk45_integrate(lambda y: -y, [1.0], (0.0, t)), math.nan),
+    (lambda t: rk45_integrate(lambda y: -y, [1.0], (-t, 0.0)), math.inf),
+    (lambda h: local_step_rk(*_blob_batch(), np.zeros(3), h), math.inf),
+    (lambda h: local_step_rk(*_blob_batch(), np.zeros(3), h), math.nan),
+    (lambda h: lls_local_exact(_lls_batch()[1], np.zeros(4), h, 30), math.nan),
+    (lambda h: lls_local_unit(np.ones(4), 1.0, np.zeros(4), h, 30), math.nan),
+    (lambda a: euler_step(*_lls_batch(), np.zeros(4), a), math.nan),
+], ids=["rk45-inf", "rk45-nan", "rk45-start", "rk-step-inf", "rk-step-nan", "exact-nan",
+        "unit-nan", "euler-nan"])
+def test_non_finite_local_time_is_rejected(call, bad):
+    """A local time or learning rate that is NaN (or, for an integration,
+    infinite) raises and names the value instead of returning a wrong or
+    all-NaN theta."""
+    with pytest.raises(ValueError, match=repr(bad)):
+        call(bad)

@@ -29,10 +29,6 @@ class NonFiniteState(SplitOptError):
     """The ODE right-hand side produced NaN or Inf at an accepted state."""
 
 
-class SingularR(SplitOptError):
-    """The triangular factor of a batch is singular; no closed-form step."""
-
-
 class ZeroRow(SplitOptError):
     """A data row required to be nonzero has (numerically) zero norm."""
 

@@ -78,8 +78,9 @@ class IntegratorConfig:
     max_steps: int = 10_000
 
     def __post_init__(self):
-        if not (self.rtol > 0 and self.atol > 0):
-            raise ValueError("rtol and atol must be positive")
+        for name, tol in (("rtol", self.rtol), ("atol", self.atol)):
+            if not 0 < tol < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and positive, got {tol!r}")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
         if not self.h_init >= 0:

@@ -12,7 +12,7 @@ every epoch in a freshly seeded order, applying one of
 
 A run records its metrics at its start and after every epoch.  Its clock
 leaves out ``check_run``, which factors the batches of every method but
-SGD and builds their least-squares plans.
+SGD: a least-squares plan or a QR, whichever the step reads.
 Divergence (non-finite loss or loss above ``DIVERGENCE_FACTOR`` = 1e6
 times the start record's) is recorded in the trace and ends the run, it is
 not an error.
@@ -55,8 +55,8 @@ class StoppingRule:
     def __post_init__(self):
         if self.kind not in STOP_KINDS:
             raise ValueError(f"unknown stopping rule {self.kind!r}")
-        if not self.threshold > 0:
-            raise ValueError("threshold must be positive")
+        if not 0 < self.threshold < math.inf:  # NaN fails too
+            raise ValueError(f"threshold must be finite and positive, got {self.threshold!r}")
 
 
 @dataclass(frozen=True)
@@ -141,19 +141,18 @@ def _stop_metric(rule, pb, holdout, theta_ref):
 def check_run(pb: Problem, holdout: Problem | None, cfg: RunConfig):
     """Check that a run config can train on this data; return its stop metric.
 
-    Raises for Kaczmarz off least squares, for any method but SGD on a
-    rank-deficient batch (it factors the problem's batches and, for least
-    squares, builds their spectral plans), and for a stop rule the data
-    cannot measure.  The result maps theta to the stop rule's metric, or
-    is None without a stop rule.
+    Raises for Kaczmarz off least squares, for a stop rule the data cannot
+    measure, and for any method but SGD on a rank-deficient batch: it
+    factors each batch for its step, a least-squares plan (one SVD) or,
+    for logistic and softmax, the QR.  The result maps theta to the stop
+    rule's metric, or is None without a stop rule.
     """
     if cfg.method == "kaczmarz" and pb.kind != "least-squares":
         raise ValueError("kaczmarz needs a least-squares problem")
     if cfg.method != "sgd" and cfg.batch_size <= pb.n:  # a larger one fails in run
+        factor = _lls_plan if pb.kind == "least-squares" else lambda bf: bf.qr
         for bf in partition(pb, cfg.batch_size, cfg.seed)[1]:
-            bf.qr  # factors the batch, or raises RankDeficient
-            if pb.kind == "least-squares":
-                _lls_plan(bf)
+            factor(bf)  # or raises RankDeficient
     return _stop_metric(cfg.stop, pb, holdout, pb.theta_ref) if cfg.stop else None
 
 

@@ -78,6 +78,8 @@ class Problem:
                 )
             if self.kind == "logistic" and not np.isin(self.targets, (0.0, 1.0)).all():
                 raise ValueError("logistic targets must be 0/1")
+        if self.theta_ref is not None:
+            _check_theta(self, self.theta_ref, "theta_ref")
 
     @property
     def n(self) -> int:
@@ -100,20 +102,20 @@ class Problem:
 
 
 class BatchFactorization:
-    """One minibatch (x_i, y_i) with the QR factors of x_i^T.
+    """One minibatch (x_i, y_i) and what its local steps read, kept on it.
 
-    ``qr.q`` spans the subspace the local flow moves in.  For batches wider
-    than the feature count (b > p) the factors are the economy QR of the
-    wide x_i^T: q is square and the "reduced" state simply has size p.
-    Unless passed as ``qr``, the factors are computed on the first read of
-    ``qr`` (RankDeficient is raised there) and kept: SGD never factors.
-    ``lls_plan`` keeps the least-squares step's spectral plan, which
-    depends on the batch alone; ``optimizers.check_run`` writes it for a
-    splitting or Kaczmarz config's batches, else the batch's first step does
-    (see ``solvers.lls_local_exact``), and it serves every run.  Threads
-    sharing a batch at worst compute either one twice, with equal results.
-    ``lls_gain`` keeps the last step's (h/n, gain) pair, replaced whole,
-    never in part, so no thread reads a gain made for another h/n.
+    ``qr``, the QR factors of x_i^T, is what the RK step reads: ``qr.q``
+    spans the subspace the local flow moves in (for b > p, the economy QR
+    of the wide x_i^T: q is square and the reduced state has size p).
+    Unless passed, the factors are computed on the first read of ``qr``
+    (RankDeficient is raised there) and kept.  ``lls_plan`` keeps the
+    least-squares step's spectral plan, built from one SVD of x_i^T, not
+    from ``qr`` (``solvers._lls_plan``).  ``optimizers.check_run`` builds
+    whichever one a splitting or Kaczmarz config's steps read, else the
+    first step does; SGD builds neither, and every run shares them.
+    Threads sharing a batch at worst compute either one twice, with equal
+    results.  ``lls_gain`` keeps the last step's (h/n, gain) pair, replaced
+    whole, so no thread reads a gain made for another h/n.
     """
 
     def __init__(self, x_i: np.ndarray, y_i: np.ndarray, qr: ThinQR | None = None):
@@ -134,11 +136,11 @@ def theta_shape(pb: Problem) -> tuple:
     return (pb.p, pb.k) if pb.kind == "softmax" else (pb.p,)
 
 
-def _check_theta(pb: Problem, theta: np.ndarray) -> np.ndarray:
+def _check_theta(pb: Problem, theta: np.ndarray, name: str = "parameters") -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != theta_shape(pb):
         raise DimensionMismatch(
-            f"parameters must have shape {theta_shape(pb)}, got {theta.shape}"
+            f"{name} must have shape {theta_shape(pb)}, got {theta.shape}"
         )
     return theta
 

@@ -1,21 +1,20 @@
 """Single local-step solvers for the per-batch gradient flow.
 
 For least squares the flow dtheta/dt = -(1/n) x_i^T (x_i theta - y_i) has a
-closed form through the QR factors of x_i^T.  With the thin SVD
-r = v diag(s) g^T, u = q v and z* = (g^T y_i) / s, it is
+closed form through the thin SVD x_i^T = u diag(s) g^T and z* = (g^T y_i) / s:
 
     theta(h) = theta_0 + u diag(expm1(-(h/n) s^2)) (u^T theta_0 - z*),
 
-the flow of each spectral component of q^T theta toward the batch's
-stationary point eta* = v z* (r r^T eta* = r y_i); the component of
-theta_0 orthogonal to range(q) is preserved exactly and no p x p matrix is
-ever formed.  (u, s^2, z*) depend on the batch alone, not on h or n, so
-they are built once per batch and kept on it, beside the batch's last
-(h/n, gain) pair, since a run steps at one h/n.  At h = inf the step is
-the projection onto the batch's solution set, the (block) Kaczmarz step
-that ``method="kaczmarz"`` runs.  Logistic and softmax local flows have no
-closed form and are integrated in the reduced coordinates eta = q^T theta
-with the adaptive Runge-Kutta pair, then lifted back by
+the flow of each spectral component of u^T theta toward its value z* at the
+batch's stationary point; the component of theta_0 orthogonal to range(u)
+is preserved exactly and no p x p matrix is ever formed.  (u, s^2, z*)
+depend on the batch alone, not on h or n, so they are built once per batch
+and kept on it, beside the batch's last (h/n, gain) pair, since a run steps
+at one h/n.  At h = inf the step is the projection onto the batch's
+solution set, the (block) Kaczmarz step that ``method="kaczmarz"`` runs.
+Logistic and softmax local flows have no closed form.  They are integrated
+with the adaptive Runge-Kutta pair in the reduced coordinates
+eta = q^T theta of the QR factors x_i^T = q r, then lifted back by
 theta(h) = q (eta(h) - eta(0)) + theta_0.  The right-hand side is built
 once per local step in folded form (``problems.reduced_flow``): logistic
 a tanh(B eta) + c with a = -(0.5/n) r, B = 0.5 r^T, c = r (y_i - 0.5)/n;
@@ -32,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularR, ZeroRow
+from .errors import RankDeficient, ZeroRow
+from .linalg import RANK_TOL
 from .ode import IntegratorConfig, rk45_integrate
 from .problems import BatchFactorization, Problem, _check_theta, _residual, reduced_flow
 
@@ -48,18 +48,15 @@ class LocalStepReport:
 
 
 def _lls_plan(bf: BatchFactorization) -> tuple:
-    """The batch's plan (u, w, z*), built on first use and kept in
-    ``bf.lls_plan``: u = q v and w = s^2 from the thin SVD
-    r = v diag(s) g^T, and z* = v^T eta* = (g^T y_i) / s."""
+    """The batch's plan (u, w = s^2, z* = (g^T y_i) / s) from the thin SVD
+    x_i^T = u diag(s) g^T, built on first use and kept in ``bf.lls_plan``.
+    RankDeficient if s_min < ``RANK_TOL * ||x_i||_F``, a zero row included."""
     if bf.lls_plan is not None:
         return bf.lls_plan
-    r = bf.qr.r
-    k, cols = r.shape
-    dmin = float(np.min(np.abs(np.diag(r)))) if min(k, cols) else 0.0
-    if dmin < 1e-12 * max(float(np.max(np.abs(r))), np.finfo(float).tiny):
-        raise SingularR("triangular factor has a (numerically) zero diagonal")
-    v, s, gt = np.linalg.svd(r, full_matrices=False)
-    bf.lls_plan = (bf.qr.q @ v, s * s, (gt @ bf.y_i) / s)
+    u, s, gt = np.linalg.svd(bf.x_i.T, full_matrices=False)
+    if not s[-1] >= RANK_TOL * max(float(np.linalg.norm(bf.x_i)), np.finfo(float).tiny):
+        raise RankDeficient(f"rank-deficient batch, shape {bf.x_i.shape}, at RANK_TOL {RANK_TOL:g}")
+    bf.lls_plan = (u, s * s, (gt @ bf.y_i) / s)
     return bf.lls_plan
 
 
@@ -68,10 +65,9 @@ def lls_local_exact(bf: BatchFactorization, theta0: np.ndarray, h: float, n: int
 
     At h = inf it is theta_0 - u (u^T theta_0 - z*), the projection onto
     the batch's solution set (for b > p, onto its least-squares solution).
-    The plan is kept in ``bf.lls_plan`` and serves every (h, n).
-    ``optimizers.check_run`` builds it for a splitting or Kaczmarz config's
-    batches; otherwise the batch's first step does.  Threads stepping a
-    batch without a plan at worst build it twice, with equal results.
+    The plan (one SVD of x_i^T) is kept in ``bf.lls_plan`` for every (h, n):
+    ``optimizers.check_run`` builds it for a splitting or Kaczmarz config,
+    else the batch's first step does, at worst twice across threads.
     The gain expm1(-(h/n) s^2), -1 at h = inf, is kept with its h/n in
     ``bf.lls_gain``, one pair a step reads once and replaces whole: threads
     at different h at worst recompute it, never read one for another h/n.

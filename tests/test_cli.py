@@ -316,13 +316,21 @@ class TestRun:
             ({"holdout_size": 60}, None, "config.holdout_size: must be in [0, 60), got 60"),
             ({"holdout_size": 10, "holdout": {"kind": "random-lls", "n": 20, "p": 6}}, None,
              "config.holdout_size: give holdout or holdout_size, not both"),
+            # Python's JSON reader takes Infinity.  An infinite tolerance
+            # accepted every RK step; an infinite threshold stopped every
+            # cell at epoch 0, untrained.
+            ({"integrator": {"rtol": float("inf")}}, None,
+             "config.integrator: rtol must be finite and positive, got inf"),
+            ({"stop": {"kind": "relative-residual", "threshold": float("inf")}}, None,
+             "config.stop: threshold must be finite and positive, got inf"),
         ],
         ids=["bool-batch-size", "str-init-scale", "missing-batch-size", "negative-alpha",
              "empty-alphas", "nan-noise-sigma", "nan-separation", "nan-init-scale",
              "negative-init-scale",
              "zero-batch-size", "batch-size-over-n", "zero-max-epochs",
              "alphas-same-trace-name", "methods-repeated", "alphas-repeated",
-             "negative-holdout-size", "holdout-size-over-n", "holdout-and-holdout-size"],
+             "negative-holdout-size", "holdout-size-over-n", "holdout-and-holdout-size",
+             "infinite-rtol", "infinite-threshold"],
     )
     def test_bad_field_reports_path(self, tmp_path, capsys, overrides, drop, message):
         cfg = base_config(**overrides)

@@ -1,5 +1,6 @@
 """Integrator tests against analytic solutions and the closed-form flow."""
 
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -84,6 +85,14 @@ class TestBasics:
     def test_bad_h_init_rejected(self, h_init):
         with pytest.raises(ValueError, match="h_init"):
             IntegratorConfig(h_init=h_init)
+
+    @pytest.mark.parametrize("name", ["rtol", "atol"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1e-6])
+    def test_tolerance_must_be_finite_and_positive(self, name, value):
+        """An infinite tolerance accepts every step: dy/dt = -y over (0, 10)
+        used to end at 2.2 against exp(-10) = 4.5e-5."""
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive, got"):
+            IntegratorConfig(**{name: value})
 
 
 class TestStepProposal:

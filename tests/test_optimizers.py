@@ -25,7 +25,7 @@ from splitopt import (
     random_full_rank,
     run,
 )
-from splitopt.errors import DimensionMismatch, MissingReference
+from splitopt.errors import DimensionMismatch, MissingReference, RankDeficient
 
 
 def residual(pb, theta):
@@ -250,21 +250,40 @@ class TestTailAverage:
 
 class TestRunPartition:
     def test_every_method_but_sgd_factors_the_batches(self, monkeypatch):
-        """SGD never factors; splitting and Kaczmarz factor every batch in
-        check_run, before the run's clock starts."""
+        """check_run factors each batch for what its step reads, before the
+        run's clock starts: least-squares splitting and Kaczmarz build the
+        plan (one SVD) and make no QR, logistic splitting makes one QR per
+        batch, and SGD factors nothing."""
         import splitopt.problems
 
-        def no_qr(_):
-            raise AssertionError("QR factored for a method that never reads it")
+        real_qr, qrs = splitopt.problems.economy_qr, []
 
-        monkeypatch.setattr(splitopt.problems, "economy_qr", no_qr)
+        def counting_qr(m):
+            qrs.append(m.shape)
+            return real_qr(m)
+
+        monkeypatch.setattr(splitopt.problems, "economy_qr", counting_qr)
         pb = gen_random_lls(20, 4, 0.1, 1)
         for alpha in (0.01, 0.1, 1.0):
             run(pb, None, RunConfig(method="sgd", alpha=alpha, batch_size=5, seed=0,
                                     max_epochs=2))
+        assert all(bf.lls_plan is None for bf in partition(pb, 5, 0)[1])
         for method, b in (("splitting", 5), ("kaczmarz", 1)):
-            with pytest.raises(AssertionError):
-                check_run(pb, None, RunConfig(method=method, alpha=0.1, batch_size=b, seed=0))
+            check_run(pb, None, RunConfig(method=method, alpha=0.1, batch_size=b, seed=0))
+            assert all(bf.lls_plan is not None for bf in partition(pb, b, 0)[1])
+        assert qrs == []
+        blobs = gen_gaussian_blobs(20, 4, 2, 3.0, 1)
+        check_run(blobs, None, RunConfig(method="splitting", alpha=0.1, batch_size=5, seed=0))
+        assert qrs == [(4, 5)] * 4
+        assert all(bf.lls_plan is None for bf in partition(blobs, 5, 0)[1])
+
+    @pytest.mark.parametrize("method", ["splitting", "kaczmarz"])
+    def test_unit_batch_with_a_zero_row_is_a_check_run_error(self, method):
+        x = np.random.default_rng(4).standard_normal((8, 3))
+        x[5] = 0.0
+        pb = Problem("least-squares", x, np.ones(8))
+        with pytest.raises(RankDeficient):
+            check_run(pb, None, RunConfig(method=method, alpha=0.1, batch_size=1, seed=0))
 
     def test_threads_sharing_a_partition_match_serial_runs(self, monkeypatch):
         """Runs at different h over one problem step its one partition,
@@ -483,6 +502,12 @@ class TestEvaluateStop:
     @staticmethod
     def fires(rule, pb, holdout, theta):
         return check_run(pb, holdout, RunConfig(stop=rule))(theta) <= rule.threshold
+
+    @pytest.mark.parametrize("threshold", [math.inf, math.nan, 0.0, -1.0])
+    def test_threshold_must_be_finite_and_positive(self, threshold):
+        """An infinite threshold used to stop every run at epoch 0."""
+        with pytest.raises(ValueError, match="threshold must be finite and positive, got"):
+            StoppingRule("relative-residual", threshold)
 
     def test_immediate_stop_with_huge_threshold(self):
         pb = gen_random_lls(20, 4, 0.1, 1)

@@ -51,6 +51,24 @@ def make_problem(kind, n, p, k, seed):
     return Problem(kind, x, onehot)
 
 
+class TestReference:
+    """A reference of the wrong shape is rejected when the problem is
+    built: a (p, 1) one used to broadcast in the solution distance."""
+
+    @pytest.mark.parametrize("shape", [(5, 1), (4,), (6,), (5, 2)])
+    def test_least_squares_reference_must_have_shape_p(self, shape):
+        src = gen_random_lls(30, 5, 0.0, 2)
+        with pytest.raises(DimensionMismatch, match=r"theta_ref must have shape \(5,\)"):
+            Problem("least-squares", src.x, src.targets, theta_ref=np.zeros(shape))
+        assert Problem("least-squares", src.x, src.targets, theta_ref=np.zeros(5)).p == 5
+
+    def test_softmax_reference_must_have_shape_p_by_k(self):
+        pb = make_problem("softmax", 25, 4, 3, 1)
+        with pytest.raises(DimensionMismatch):
+            Problem("softmax", pb.x, pb.targets, theta_ref=np.zeros(4))
+        Problem("softmax", pb.x, pb.targets, theta_ref=np.zeros((4, 3)))
+
+
 class TestLoss:
     def test_lls_zero_at_planted_solution(self):
         pb = gen_random_lls(30, 5, 0.0, 2)

@@ -36,7 +36,7 @@ from splitopt import (
 )
 from splitopt.linalg import expm_sym
 from splitopt.problems import reduced_flow
-from splitopt.errors import SingularR, ZeroRow
+from splitopt.errors import RankDeficient, ZeroRow
 
 
 def integrate_full_space(pb, bf, theta0, h, rtol=1e-10):
@@ -136,18 +136,18 @@ class TestLlsLocalExact:
             want = theta0 + np.linalg.pinv(bf.x_i) @ (bf.y_i - bf.x_i @ theta0)
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
-    def test_singular_r_rejected(self):
-        pb = gen_random_lls(10, 4, 0.0, 3)
-        _, batches = partition(pb, 2, 3)
-        bf = batches[0]
-        broken = type(bf)(x_i=bf.x_i, y_i=bf.y_i, qr=type(bf.qr)(bf.qr.q, bf.qr.r * 0.0))
-        with pytest.raises(SingularR):
-            lls_local_exact(broken, np.zeros(4), 1.0, pb.n)
+    def test_batch_with_two_equal_rows_rejected(self):
+        """The plan's SVD finds the rank loss: no closed-form step."""
+        row = np.array([1.0, 2.0, -1.0, 0.5])
+        bf = BatchFactorization(x_i=np.stack([row, row]), y_i=np.array([1.0, 2.0]))
+        with pytest.raises(RankDeficient):
+            lls_local_exact(bf, np.zeros(4), 1.0, 10)
+        assert bf.lls_plan is None
 
 
 def fresh(bf):
     """The same batch without a cached least-squares plan."""
-    return BatchFactorization(x_i=bf.x_i, y_i=bf.y_i, qr=bf.qr)
+    return BatchFactorization(x_i=bf.x_i, y_i=bf.y_i)
 
 
 class TestLlsPlanCache:
@@ -209,7 +209,7 @@ class TestLlsPlanCache:
 
     def test_run_grid_over_a_shared_partition_makes_m_svds(self, monkeypatch):
         """Twelve serial cells over one problem, six alphas each of
-        splitting and SGD, step one partition: m QRs and m SVDs in all."""
+        splitting and SGD, step one partition: m SVDs and no QR in all."""
         import splitopt.problems
 
         qrs, svds = [], []
@@ -233,7 +233,8 @@ class TestLlsPlanCache:
                 finished = trace.records[-1].iteration == 4 * trace.m
                 assert finished or (method == "sgd" and trace.diverged)
         assert trace.m == 15
-        assert len(qrs) == len(svds) == trace.m
+        assert len(svds) == trace.m and svds[0] == (10, 8)
+        assert qrs == []
 
     def test_shared_batch_across_threads(self):
         """Threads stepping one batch at different h share its one plan

@@ -1,8 +1,8 @@
 """Classification with integrated local flows: logistic regression on blobs.
 
-The logistic per-batch flow has no closed form, but through the batch's QR
-factors it reduces to a min(b, p)-dimensional ODE that an adaptive
-Runge-Kutta integrator solves per step.  This script trains on two
+The logistic per-batch flow has no closed form, but through the batch's thin
+SVD it reduces to a min(b, p)-dimensional ODE that an adaptive Runge-Kutta
+integrator solves per step.  This script trains on two
 Gaussian clusters at several learning rates and compares against SGD on
 held-out error.
 """

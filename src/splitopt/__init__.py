@@ -5,7 +5,7 @@ an epoch of minibatch SGD is the first-order operator-splitting scheme for
 that flow with sequential step h = alpha * m.  This package replaces each
 Euler substep by the flow of the per-batch ODE itself: in closed form for
 least squares (Kaczmarz is splitting at h = inf: any batch size, least
-squares only), and by adaptive Runge-Kutta integration of a QR-reduced
+squares only), and by adaptive Runge-Kutta integration of an SVD-reduced
 state for logistic and softmax regression.  The ``bounds`` module
 quantifies the asymptotic error of the splitting itself for the linear case.
 """

@@ -62,6 +62,9 @@ class DatasetSpec:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         if self.n < 1 or self.p < 1:
             raise ValueError("n and p must be at least 1")
+        for name, least in (("k", 2), ("rays", 1), ("image_side", 2)):
+            if (val := getattr(self, name)) < least:
+                raise ValueError(f"{name} must be at least {least}, got {val!r}")
         for name in ("noise_sigma", "separation"):
             val = getattr(self, name)
             if not val >= 0:  # NaN fails too
@@ -331,8 +334,8 @@ def partition(pb: Problem, b: int, seed: int):
     Returns ``(Partition, [BatchFactorization, ...])``; a trailing short
     batch keeps its own size.  The problem keeps the partition of its last
     key (b, seed, pb.x, pb.targets), so calls with that key, from any
-    thread, share batches that keep their QR factors, spectral plans and
-    last gains, and a ``Partition`` that keeps its epoch orders.
+    thread, share batches that keep their SVDs and last gains, and a
+    ``Partition`` that keeps its epoch orders.
     """
     if not (1 <= b <= pb.n):
         raise ValueError(f"batch size must be in [1, {pb.n}], got {b}")

@@ -8,8 +8,9 @@ matrices through their eigendecomposition, the rank-structured identity
 which lets an N x N exponential be assembled from an r x r one, and the
 spectral norm (from the top eigenvalue of the scaled Gram matrix) and
 logarithmic norm used by the splitting-error analysis.  ``economy_qr`` is
-the one QR routine; ``thin_qr`` is the same factorization restricted to
-tall inputs.
+the one QR routine; ``thin_qr``, the same factorization restricted to tall
+inputs, factors the blocks of ``bounds.build_split``.  Minibatches are not
+factored here but by one SVD each (``problems.BatchFactorization``).
 
 Everything here is a pure function of its inputs and safe to call
 concurrently.  Matrices are plain float ndarrays.  Each check runs at the
@@ -57,8 +58,7 @@ def thin_qr(m: np.ndarray) -> ThinQR:
 def economy_qr(m: np.ndarray) -> ThinQR:
     """QR of an arbitrary matrix with thin_qr's sign fix and rank check.
 
-    For wide inputs q is square (rows x rows) and r upper trapezoidal; this
-    is the factorization used for batches with more samples than features.
+    For wide inputs q is square (rows x rows) and r upper trapezoidal.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:

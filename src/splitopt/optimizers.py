@@ -12,7 +12,7 @@ every epoch in a freshly seeded order, applying one of
 
 A run records its metrics at its start and after every epoch.  Its clock
 leaves out ``check_run``, which factors the batches of every method but
-SGD: a least-squares plan or a QR, whichever the step reads.
+SGD: one thin SVD each, which every kind's step reads.
 Divergence (non-finite loss or loss above ``DIVERGENCE_FACTOR`` = 1e6
 times the start record's) is recorded in the trace and ends the run, it is
 not an error.
@@ -40,7 +40,7 @@ from .data import partition
 from .errors import MissingReference
 from .ode import IntegratorConfig
 from .problems import Problem, _check_theta, loss, test_error, theta_shape
-from .solvers import _lls_plan, euler_step, lls_local_exact, local_step_rk
+from .solvers import euler_step, lls_local_exact, local_step_rk
 
 METHODS = ("sgd", "splitting", "kaczmarz")
 STOP_KINDS = ("relative-residual", "solution-distance", "test-error", "loss-threshold")
@@ -143,16 +143,15 @@ def check_run(pb: Problem, holdout: Problem | None, cfg: RunConfig):
 
     Raises for Kaczmarz off least squares, for a stop rule the data cannot
     measure, and for any method but SGD on a rank-deficient batch: it
-    factors each batch for its step, a least-squares plan (one SVD) or,
-    for logistic and softmax, the QR.  The result maps theta to the stop
-    rule's metric, or is None without a stop rule.
+    factors each batch for its step, one thin SVD (``bf.svd``) whatever
+    the kind.  The result maps theta to the stop rule's metric, or is None
+    without a stop rule.
     """
     if cfg.method == "kaczmarz" and pb.kind != "least-squares":
         raise ValueError("kaczmarz needs a least-squares problem")
     if cfg.method != "sgd" and cfg.batch_size <= pb.n:  # a larger one fails in run
-        factor = _lls_plan if pb.kind == "least-squares" else lambda bf: bf.qr
         for bf in partition(pb, cfg.batch_size, cfg.seed)[1]:
-            factor(bf)  # or raises RankDeficient
+            bf.svd  # or raises RankDeficient
     return _stop_metric(cfg.stop, pb, holdout, pb.theta_ref) if cfg.stop else None
 
 

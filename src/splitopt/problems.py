@@ -12,13 +12,13 @@ The 1/2 on the quadratic keeps every gradient free of stray factors, so
 the batch gradient is exactly (1/b) x_i^T (x_i theta - y_i) and the local
 flow matches the closed-form solver.
 
-Each minibatch carries the QR factors of X_i^T, through which
-the per-batch gradient-flow ODE restricts to the coordinates eta = Q^T
-theta: the flow never leaves theta_0 + range(Q), so only a state of size
+Each minibatch keeps one thin SVD x_i^T = u diag(s) g^T, through which
+the per-batch gradient-flow ODE restricts to the coordinates eta = u^T
+theta: the flow never leaves theta_0 + range(u), so only a state of size
 min(b, p) (times K) needs to be evolved.  ``local_rhs`` is the original
 full-space right-hand side.  ``reduced_flow`` builds the restricted one,
--(1/n) r (pred(r^T eta) - y_i), for one batch with its batch-only factors
-folded in:
+-(1/n) r (pred(r^T eta) - y_i) with r = diag(s) g^T (so x_i^T = u r), for
+one batch with its batch-only factors folded in:
 
     least squares   a (B eta) + c         a = -r/n, B = r^T, c = r y_i / n
     logistic        a tanh(B eta) + c     a = -(0.5/n) r, B = 0.5 r^T,
@@ -33,11 +33,13 @@ shifted by its column maxima, exponentiated and divided by its column sums
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .linalg import ThinQR, economy_qr
+from .errors import DimensionMismatch, RankDeficient
+from .linalg import RANK_TOL
 
 KINDS = ("least-squares", "logistic", "softmax")
 
@@ -101,31 +103,43 @@ class Problem:
             raise DimensionMismatch("holdout problem does not match (kind, p, K)")
 
 
+class BatchSVD(NamedTuple):
+    """A batch's thin SVD x_i^T = u diag(s) g^T as its steps read it: u,
+    w = s^2, r = diag(s) g^T (x_i^T = u r) and z* = (g^T y_i) / s by rows."""
+
+    u: np.ndarray
+    w: np.ndarray
+    r: np.ndarray
+    z_star: np.ndarray
+
+
 class BatchFactorization:
     """One minibatch (x_i, y_i) and what its local steps read, kept on it.
 
-    ``qr``, the QR factors of x_i^T, is what the RK step reads: ``qr.q``
-    spans the subspace the local flow moves in (for b > p, the economy QR
-    of the wide x_i^T: q is square and the reduced state has size p).
-    Unless passed, the factors are computed on the first read of ``qr``
-    (RankDeficient is raised there) and kept.  ``lls_plan`` keeps the
-    least-squares step's spectral plan, built from one SVD of x_i^T, not
-    from ``qr`` (``solvers._lls_plan``).  ``optimizers.check_run`` builds
-    whichever one a splitting or Kaczmarz config's steps read, else the
-    first step does; SGD builds neither, and every run shares them.
-    Threads sharing a batch at worst compute either one twice, with equal
-    results.  ``lls_gain`` keeps the last step's (h/n, gain) pair, replaced
-    whole, so no thread reads a gain made for another h/n.
+    ``svd``, the batch's one factorization, is computed on first read and
+    kept: the least-squares step reads (u, w, z*), the RK step u and r.
+    The read raises ValueError for a non-finite x_i or y_i and
+    RankDeficient for s_min < ``RANK_TOL * ||x_i||_F`` (a zero row
+    included), whatever the kind.  ``optimizers.check_run`` reads it for a
+    splitting or Kaczmarz config, else the first step does; SGD never does,
+    and every run shares it (threads at worst compute it twice, equally).
+    ``lls_gain`` keeps the last least-squares step's (h/n, gain) pair,
+    replaced whole, so no thread reads a gain made for another h/n.
     """
 
-    def __init__(self, x_i: np.ndarray, y_i: np.ndarray, qr: ThinQR | None = None):
-        self.x_i, self.y_i, self._qr, self.lls_plan, self.lls_gain = x_i, y_i, qr, None, None
+    def __init__(self, x_i: np.ndarray, y_i: np.ndarray):
+        self.x_i, self.y_i, self.lls_gain = x_i, y_i, None
 
-    @property
-    def qr(self) -> ThinQR:
-        if self._qr is None:
-            self._qr = economy_qr(self.x_i.T)
-        return self._qr
+    @cached_property
+    def svd(self) -> BatchSVD:
+        x, y = self.x_i, self.y_i
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError(f"batch of shape {x.shape} has a non-finite entry in x_i or y_i")
+        u, s, gt = np.linalg.svd(x.T, full_matrices=False)
+        if not s[-1] >= RANK_TOL * max(float(np.linalg.norm(x)), np.finfo(float).tiny):
+            raise RankDeficient(f"rank-deficient batch, shape {x.shape}, at RANK_TOL {RANK_TOL:g}")
+        z_star = (gt @ y) / (s[:, None] if y.ndim == 2 else s)
+        return BatchSVD(u, s * s, s[:, None] * gt, z_star)
 
     @property
     def b(self) -> int:
@@ -230,7 +244,7 @@ def reduced_flow(pb: Problem, bf: BatchFactorization):
     """The batch's reduced flow in folded form (see the module docstring),
     as one callable on the flattened state.  Build it once per local step;
     nothing is checked per call."""
-    r, n = bf.qr.r, pb.n
+    r, n = bf.svd.r, pb.n
     if pb.kind == "softmax":
         a, c = -r / n, r @ bf.y_i / n
         shape, ones = (r.shape[0], pb.k), np.ones(pb.k)
@@ -252,14 +266,14 @@ def reduced_flow(pb: Problem, bf: BatchFactorization):
 
 
 def reduced_rhs(pb: Problem, bf: BatchFactorization, eta: np.ndarray) -> np.ndarray:
-    """The per-batch flow restricted to eta = q^T theta, at one state.
+    """The per-batch flow restricted to eta = u^T theta, at one state.
 
     -(1/n) r (pred(r^T eta) - y_i), evaluated through ``reduced_flow``;
-    equals q^T local_rhs(theta) at any theta with q^T theta = eta.  The
+    equals u^T local_rhs(theta) at any theta with u^T theta = eta.  The
     state has min(b, p) rows (times K columns for softmax) instead of p.
     """
     eta = np.asarray(eta, dtype=float)
-    r = bf.qr.r
+    r = bf.svd.r
     want = (r.shape[0], pb.k) if pb.kind == "softmax" else (r.shape[0],)
     if eta.shape != want:
         raise DimensionMismatch(f"reduced state must have shape {want}, got {eta.shape}")

@@ -1,27 +1,25 @@
 """Single local-step solvers for the per-batch gradient flow.
 
-For least squares the flow dtheta/dt = -(1/n) x_i^T (x_i theta - y_i) has a
-closed form through the thin SVD x_i^T = u diag(s) g^T and z* = (g^T y_i) / s:
+Every step reads the batch's one thin SVD x_i^T = u diag(s) g^T, kept on
+the batch (``problems.BatchSVD``).  For least squares the flow
+dtheta/dt = -(1/n) x_i^T (x_i theta - y_i) has a closed form through it and
+z* = (g^T y_i) / s:
 
     theta(h) = theta_0 + u diag(expm1(-(h/n) s^2)) (u^T theta_0 - z*),
 
 the flow of each spectral component of u^T theta toward its value z* at the
 batch's stationary point; the component of theta_0 orthogonal to range(u)
-is preserved exactly and no p x p matrix is ever formed.  (u, s^2, z*)
-depend on the batch alone, not on h or n, so they are built once per batch
-and kept on it, beside the batch's last (h/n, gain) pair, since a run steps
-at one h/n.  At h = inf the step is the projection onto the batch's
-solution set, the (block) Kaczmarz step that ``method="kaczmarz"`` runs.
+is preserved exactly and no p x p matrix is ever formed.  Beside the SVD
+the batch keeps only its last (h/n, gain) pair, since a run steps at one
+h/n.  At h = inf the step is the projection onto the batch's solution set,
+the (block) Kaczmarz step that ``method="kaczmarz"`` runs.
 Logistic and softmax local flows have no closed form.  They are integrated
 with the adaptive Runge-Kutta pair in the reduced coordinates
-eta = q^T theta of the QR factors x_i^T = q r, then lifted back by
-theta(h) = q (eta(h) - eta(0)) + theta_0.  The right-hand side is built
-once per local step in folded form (``problems.reduced_flow``): logistic
-a tanh(B eta) + c with a = -(0.5/n) r, B = 0.5 r^T, c = r (y_i - 0.5)/n;
-softmax scores laid out K x b, z = eta^T r, shifted and normalised along
-axis 0 into e, then (a e^T).ravel() + c with a = -r/n.  The integrator
-calls it directly.  The step reports the integrator's last step-size
-proposal so a caller can start the batch's next step there.
+eta = u^T theta, with r = diag(s) g^T so that x_i^T = u r, then lifted back
+by theta(h) = u (eta(h) - eta(0)) + theta_0.  The right-hand side is built
+once per local step in the folded form ``problems.reduced_flow`` gives and
+called by the integrator directly.  The step reports the integrator's last
+step-size proposal so a caller can start the batch's next step there.
 
 An explicit Euler step of the local flow at step h = alpha * m is exactly
 one SGD step at learning rate alpha; ``euler_step`` is that baseline.
@@ -31,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficient, ZeroRow
-from .linalg import RANK_TOL
+from .errors import ZeroRow
 from .ode import IntegratorConfig, rk45_integrate
 from .problems import BatchFactorization, Problem, _check_theta, _residual, reduced_flow
 
@@ -47,27 +44,13 @@ class LocalStepReport:
     h_next: float
 
 
-def _lls_plan(bf: BatchFactorization) -> tuple:
-    """The batch's plan (u, w = s^2, z* = (g^T y_i) / s) from the thin SVD
-    x_i^T = u diag(s) g^T, built on first use and kept in ``bf.lls_plan``.
-    RankDeficient if s_min < ``RANK_TOL * ||x_i||_F``, a zero row included."""
-    if bf.lls_plan is not None:
-        return bf.lls_plan
-    u, s, gt = np.linalg.svd(bf.x_i.T, full_matrices=False)
-    if not s[-1] >= RANK_TOL * max(float(np.linalg.norm(bf.x_i)), np.finfo(float).tiny):
-        raise RankDeficient(f"rank-deficient batch, shape {bf.x_i.shape}, at RANK_TOL {RANK_TOL:g}")
-    bf.lls_plan = (u, s * s, (gt @ bf.y_i) / s)
-    return bf.lls_plan
-
-
 def lls_local_exact(bf: BatchFactorization, theta0: np.ndarray, h: float, n: int) -> np.ndarray:
     """Exact flow of the least-squares local ODE at time h (1/n scaling).
 
     At h = inf it is theta_0 - u (u^T theta_0 - z*), the projection onto
     the batch's solution set (for b > p, onto its least-squares solution).
-    The plan (one SVD of x_i^T) is kept in ``bf.lls_plan`` for every (h, n):
-    ``optimizers.check_run`` builds it for a splitting or Kaczmarz config,
-    else the batch's first step does, at worst twice across threads.
+    (u, s^2, z*) come from the batch's kept SVD, ``bf.svd``, for every
+    (h, n); reading it raises for a non-finite or rank-deficient batch.
     The gain expm1(-(h/n) s^2), -1 at h = inf, is kept with its h/n in
     ``bf.lls_gain``, one pair a step reads once and replaces whole: threads
     at different h at worst recompute it, never read one for another h/n.
@@ -75,7 +58,7 @@ def lls_local_exact(bf: BatchFactorization, theta0: np.ndarray, h: float, n: int
     if not h >= 0:  # NaN fails too; inf is the Kaczmarz projection
         raise ValueError(f"h must be nonnegative, got {h!r}")
     theta0 = np.asarray(theta0, dtype=float)
-    u, w, z_star = _lls_plan(bf)
+    u, w, _, z_star = bf.svd
     t = h / n
     kept = bf.lls_gain
     if kept is None or kept[0] != t:
@@ -118,14 +101,14 @@ def local_step_rk(
 ) -> LocalStepReport:
     """One local step for logistic/softmax: integrate the reduced flow.
 
-    The state q^T theta (size min(b, p), times K for softmax) is integrated
+    The state u^T theta (size min(b, p), times K for softmax) is integrated
     from 0 to h with ``rk45_integrate`` and lifted back.  The right-hand
     side is the batch's folded ``reduced_flow``, built once for the step
     and called by the integrator directly; least-squares
     batches are served by the closed form instead and are rejected here.
     The integration starts from ``cfg.h_init``; the report's ``h_next`` is
     the integrator's proposal, which a caller passes back as ``h_init`` to
-    start the batch's next step warm.  Only the batch's QR, if not yet
+    start the batch's next step warm.  Only the batch's SVD, if not yet
     computed, is written to ``bf``.  No loss is evaluated: callers that
     want the batch loss call ``batch_loss`` on ``theta_next``.
     """
@@ -134,10 +117,10 @@ def local_step_rk(
     if not 0 <= h < np.inf:  # NaN fails too
         raise ValueError(f"h must be finite and nonnegative, got {h!r}")
     theta0 = np.asarray(theta0, dtype=float)
-    q = bf.qr.q
-    eta0 = q.T @ theta0
+    u = bf.svd.u
+    eta0 = u.T @ theta0
     sol = rk45_integrate(reduced_flow(pb, bf), eta0.ravel(), (0.0, h), cfg)
-    theta = theta0 + q @ (sol.y_end.reshape(eta0.shape) - eta0)
+    theta = theta0 + u @ (sol.y_end.reshape(eta0.shape) - eta0)
     return LocalStepReport(theta_next=theta, rhs_evals=sol.rhs_evals, h_next=sol.h_next)
 
 

@@ -72,7 +72,7 @@ def test_criterion_1_closed_form_matches_integration():
         x_i = rng.standard_normal((20, 50))
         y_i = rng.standard_normal(20)
         theta0 = rng.standard_normal(50)
-        bf = BatchFactorization(x_i=x_i, y_i=y_i, qr=thin_qr(x_i.T))
+        bf = BatchFactorization(x_i=x_i, y_i=y_i)
 
         def rhs(theta):
             return -(x_i.T @ (x_i @ theta - y_i)) / n
@@ -356,7 +356,7 @@ def test_criterion_9_invariant_suites():
             theta1 = local_step_rk(pb, bf, theta0, h).theta_next
         before, after = batch_loss(pb, bf, theta0), batch_loss(pb, bf, theta1)
         delta = theta1 - theta0
-        perp = delta - bf.qr.q @ (bf.qr.q.T @ delta)
+        perp = delta - bf.svd.u @ (bf.svd.u.T @ delta)
         if np.linalg.norm(perp) > 1e-10:
             failures.append(f"complement conservation seed {seed}")
         if after > before + 1e-8:

@@ -115,10 +115,17 @@ class TestDatagen:
         np.testing.assert_array_equal(pb.targets, ref.targets)
 
     def test_rejection_is_prefixed_and_writes_nothing(self, tmp_path, capsys):
-        out = tmp_path / "lls.txt"
-        assert main(["--out", str(out), "datagen", "--kind", "random-lls", "--n", "0"]) == 2
-        assert "datagen: n and p must be at least 1" in capsys.readouterr().err
-        assert not out.exists()
+        out = tmp_path / "data"
+        for flags, message in (
+            (["--kind", "random-lls", "--n", "0"], "n and p must be at least 1"),
+            (["--kind", "gaussian-blobs", "--k", "1"], "k must be at least 2, got 1"),
+            (["--kind", "gaussian-blobs", "--k", "0"], "k must be at least 2, got 0"),
+            (["--kind", "tomo-like", "--rays", "-1"], "rays must be at least 1, got -1"),
+            (["--kind", "tomo-like", "--image-side", "1"], "image_side must be at least 2, got 1"),
+        ):
+            assert main(["--out", str(out), "datagen", *flags]) == 2
+            assert f"datagen: {message}" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("values, written", [([], None), (["3", "5"], [3, 5])])
     def test_class_filter_is_a_list_or_null(self, tmp_path, values, written):
@@ -323,6 +330,12 @@ class TestRun:
              "config.integrator: rtol must be finite and positive, got inf"),
             ({"stop": {"kind": "relative-residual", "threshold": float("inf")}}, None,
              "config.stop: threshold must be finite and positive, got inf"),
+            ({"dataset": {"kind": "gaussian-blobs", "n": 60, "p": 6, "k": 1}}, None,
+             "config.dataset: k must be at least 2, got 1"),
+            ({"dataset": {"kind": "tomo-like", "rays": -1}}, None,
+             "config.dataset: rays must be at least 1, got -1"),
+            ({"dataset": {"kind": "tomo-like", "image_side": 1}}, None,
+             "config.dataset: image_side must be at least 2, got 1"),
         ],
         ids=["bool-batch-size", "str-init-scale", "missing-batch-size", "negative-alpha",
              "empty-alphas", "nan-noise-sigma", "nan-separation", "nan-init-scale",
@@ -330,7 +343,8 @@ class TestRun:
              "zero-batch-size", "batch-size-over-n", "zero-max-epochs",
              "alphas-same-trace-name", "methods-repeated", "alphas-repeated",
              "negative-holdout-size", "holdout-size-over-n", "holdout-and-holdout-size",
-             "infinite-rtol", "infinite-threshold"],
+             "infinite-rtol", "infinite-threshold", "one-class-blobs", "negative-rays",
+             "unit-image-side"],
     )
     def test_bad_field_reports_path(self, tmp_path, capsys, overrides, drop, message):
         cfg = base_config(**overrides)

@@ -232,7 +232,7 @@ class TestPartition:
         _, b = partition(gen_random_lls(20, 6, 0.1, 2), 5, 7)
         for ba, bb in zip(a, b):
             assert np.array_equal(ba.x_i, bb.x_i)
-            assert np.array_equal(ba.qr.q, bb.qr.q)
+            assert np.array_equal(ba.svd.u, bb.svd.u)
 
     def test_batches_cover_all_samples(self):
         pb = gen_random_lls(23, 5, 0.2, 3)
@@ -248,13 +248,13 @@ class TestPartition:
         pb = gen_random_lls(18, 9, 0.0, 4)
         _, batches = partition(pb, 6, 4)
         for bf in batches:
-            np.testing.assert_allclose(bf.qr.q @ bf.qr.r, bf.x_i.T, atol=1e-12)
+            np.testing.assert_allclose(bf.svd.u @ bf.svd.r, bf.x_i.T, atol=1e-12)
 
     def test_wide_batches_get_square_q(self):
         pb = gen_gaussian_blobs(40, 5, 2, 3.0, 0)
         _, batches = partition(pb, 16, 0)
-        assert batches[0].qr.q.shape == (5, 5)
-        assert batches[0].qr.r.shape == (5, 16)
+        assert batches[0].svd.u.shape == (5, 5)
+        assert batches[0].svd.r.shape == (5, 16)
 
     def test_epoch_order_is_seeded_permutation(self):
         pb = gen_random_lls(30, 5, 0.0, 6)
@@ -282,9 +282,9 @@ class TestPartition:
     def test_rank_deficient_batch_propagates(self):
         x = np.ones((6, 3))  # every batch has repeated rows
         pb = Problem("least-squares", x, np.zeros(6))
-        _, batches = partition(pb, 2, 0)  # factored on the first read of qr
+        _, batches = partition(pb, 2, 0)  # factored on the first read of svd
         with pytest.raises(RankDeficient):
-            batches[0].qr
+            batches[0].svd
 
     def test_kept_on_the_problem_for_the_last_batch_size_and_seed(self):
         pb = gen_random_lls(20, 6, 0.1, 2)

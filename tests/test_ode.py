@@ -197,28 +197,28 @@ class TestLinearFlowOracle:
         pb = gen_random_lls(40, 12, 0.1, 99)
         _, batches = partition(pb, 5, 99)
         bf = batches[0]
-        r = bf.qr.r
+        r = bf.svd.r
         rng = np.random.default_rng(1)
         theta0 = rng.standard_normal(pb.p)
         h = 2.5
-        eta0 = bf.qr.q.T @ theta0
+        eta0 = bf.svd.u.T @ theta0
 
         def rhs(eta):
             return -(r @ (r.T @ eta - bf.y_i)) / pb.n
 
         cfg = IntegratorConfig(rtol=1e-10, atol=1e-13)
         sol = rk45_integrate(rhs, eta0, (0.0, h), cfg)
-        want = bf.qr.q.T @ lls_local_exact(bf, theta0, h, pb.n)
+        want = bf.svd.u.T @ lls_local_exact(bf, theta0, h, pb.n)
         assert np.linalg.norm(sol.y_end - want) <= 1e-6 * max(1.0, np.linalg.norm(want))
 
     def test_agreement_scales_with_rtol(self):
         pb = gen_random_lls(30, 8, 0.0, 5)
         _, batches = partition(pb, 4, 5)
         bf = batches[0]
-        r = bf.qr.r
+        r = bf.svd.r
         theta0 = np.zeros(pb.p)
-        eta0 = bf.qr.q.T @ theta0
-        want = bf.qr.q.T @ lls_local_exact(bf, theta0, 1.0, pb.n)
+        eta0 = bf.svd.u.T @ theta0
+        want = bf.svd.u.T @ lls_local_exact(bf, theta0, 1.0, pb.n)
         for rtol in (1e-6, 1e-8):
             cfg = IntegratorConfig(rtol=rtol, atol=rtol * 1e-3)
             sol = rk45_integrate(

@@ -26,6 +26,7 @@ from splitopt import (
     run,
 )
 from splitopt.errors import DimensionMismatch, MissingReference, RankDeficient
+from splitopt.linalg import RANK_TOL, economy_qr
 
 
 def residual(pb, theta):
@@ -250,44 +251,68 @@ class TestTailAverage:
 
 class TestRunPartition:
     def test_every_method_but_sgd_factors_the_batches(self, monkeypatch):
-        """check_run factors each batch for what its step reads, before the
-        run's clock starts: least-squares splitting and Kaczmarz build the
-        plan (one SVD) and make no QR, logistic splitting makes one QR per
-        batch, and SGD factors nothing."""
-        import splitopt.problems
+        """check_run factors each batch before the run's clock starts: one
+        SVD per batch for least-squares splitting and Kaczmarz and for
+        logistic and softmax splitting, no QR, and SGD factors nothing."""
+        qrs, svds = [], []
+        qr, svd = np.linalg.qr, np.linalg.svd
 
-        real_qr, qrs = splitopt.problems.economy_qr, []
+        def counting_qr(*args, **kwargs):
+            qrs.append(args[0].shape)
+            return qr(*args, **kwargs)
 
-        def counting_qr(m):
-            qrs.append(m.shape)
-            return real_qr(m)
+        def counting_svd(*args, **kwargs):
+            svds.append(args[0].shape)
+            return svd(*args, **kwargs)
 
-        monkeypatch.setattr(splitopt.problems, "economy_qr", counting_qr)
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         pb = gen_random_lls(20, 4, 0.1, 1)
         for alpha in (0.01, 0.1, 1.0):
             run(pb, None, RunConfig(method="sgd", alpha=alpha, batch_size=5, seed=0,
                                     max_epochs=2))
-        assert all(bf.lls_plan is None for bf in partition(pb, 5, 0)[1])
+        assert svds == [] and all("svd" not in vars(bf) for bf in partition(pb, 5, 0)[1])
         for method, b in (("splitting", 5), ("kaczmarz", 1)):
             check_run(pb, None, RunConfig(method=method, alpha=0.1, batch_size=b, seed=0))
-            assert all(bf.lls_plan is not None for bf in partition(pb, b, 0)[1])
+            assert all("svd" in vars(bf) for bf in partition(pb, b, 0)[1])
+        assert svds == [(4, 5)] * 4 + [(4, 1)] * 20
+        for k in (2, 3):
+            svds.clear()
+            blobs = gen_gaussian_blobs(20, 4, k, 3.0, 1)
+            check_run(blobs, None, RunConfig(method="splitting", alpha=0.1, batch_size=5, seed=0))
+            assert svds == [(4, 5)] * 4
         assert qrs == []
-        blobs = gen_gaussian_blobs(20, 4, 2, 3.0, 1)
-        check_run(blobs, None, RunConfig(method="splitting", alpha=0.1, batch_size=5, seed=0))
-        assert qrs == [(4, 5)] * 4
-        assert all(bf.lls_plan is None for bf in partition(blobs, 5, 0)[1])
 
-    @pytest.mark.parametrize("method", ["splitting", "kaczmarz"])
-    def test_unit_batch_with_a_zero_row_is_a_check_run_error(self, method):
+    @pytest.mark.parametrize(
+        "kind, method",
+        [("least-squares", "splitting"), ("least-squares", "kaczmarz"),
+         ("logistic", "splitting"), ("softmax", "splitting")],
+        ids=["splitting", "kaczmarz", "logistic", "softmax"],
+    )
+    def test_unit_batch_with_a_zero_row_is_a_check_run_error(self, kind, method):
         x = np.random.default_rng(4).standard_normal((8, 3))
         x[5] = 0.0
-        pb = Problem("least-squares", x, np.ones(8))
+        targets = np.eye(3)[np.arange(8) % 3] if kind == "softmax" else np.ones(8)
+        pb = Problem(kind, x, targets)
         with pytest.raises(RankDeficient):
             check_run(pb, None, RunConfig(method=method, alpha=0.1, batch_size=1, seed=0))
 
+    def test_one_rank_rule_for_every_kind(self):
+        """Two rows at an angle of 1.5e-10: a QR of either order keeps both
+        diagonal entries above RANK_TOL * ||x||_F, but s_min is below it, so
+        a logistic batch is rejected as a least-squares one is."""
+        x = np.array([[1.0, 0.0, 0.0], [1.0, 1.5e-10, 0.0]])
+        for rows in (x, x[::-1]):
+            economy_qr(rows.T)  # the diagonal test accepts it
+        assert np.linalg.svd(x, compute_uv=False)[-1] < RANK_TOL * np.linalg.norm(x)
+        for kind in ("least-squares", "logistic"):
+            pb = Problem(kind, x, np.array([1.0, 0.0]))
+            with pytest.raises(RankDeficient):
+                check_run(pb, None, RunConfig(method="splitting", alpha=0.1, batch_size=2, seed=0))
+
     def test_threads_sharing_a_partition_match_serial_runs(self, monkeypatch):
         """Runs at different h over one problem step its one partition,
-        share each batch's h-independent plan and keep their own step-size
+        share each batch's h-independent SVD and keep their own step-size
         proposals, so threads interleaving their steps change nothing:
         least squares (closed form) and logistic (RK with warm starts)."""
         import splitopt.optimizers
@@ -324,8 +349,7 @@ class TestRunPartition:
                 assert want.rhs_evals == got.rhs_evals
             batches = partition(pb, 6, 2)[1]
             assert len(stepped) >= len(cfgs) and all(b is batches for b in stepped)
-            plans = [bf.lls_plan for bf in batches]
-            assert all((p is not None) == (pb.kind == "least-squares") for p in plans)
+            assert all("svd" in vars(bf) for bf in batches)
 
     def test_run_ignores_slots_left_on_a_shared_partition(self):
         """Steps taken on a problem's batches outside a run leave their

@@ -152,40 +152,42 @@ class TestReducedRhs:
         pb = gen_random_lls(20, 8, 0.3, 17)
         _, batches = partition(pb, 4, 17)
         bf = batches[0]
-        eta_star = np.linalg.solve(bf.qr.r.T, bf.y_i)
+        eta_star = np.linalg.solve(bf.svd.r.T, bf.y_i)
         np.testing.assert_allclose(reduced_rhs(pb, bf, eta_star), 0.0, atol=1e-12)
 
     def test_logistic_unit_batch_hand_form(self):
-        """b = 1: d eta/dt = -(1/n) ||x|| (sigma(||x|| eta) - y)."""
+        """b = 1: d eta/dt = -(1/n) rho (sigma(rho eta) - y), rho = r[0, 0],
+        |rho| = ||x||: the SVD's 1 x 1 g^T is +-1."""
         x = np.array([[0.6, -0.8, 1.2]])
         pb = Problem("logistic", np.vstack([x, np.eye(3)[:1] * 2]), np.array([1.0, 0.0]))
         _, batches = partition(pb, 1, 5)
         bf = next(b for b in batches if abs(b.x_i[0, 2] - 1.2) < 1e-12)
-        norm = np.linalg.norm(x[0])
+        rho = bf.svd.r[0, 0]
+        assert abs(rho) == pytest.approx(np.linalg.norm(x[0]), rel=1e-14)
         eta = np.array([0.37])
         got = reduced_rhs(pb, bf, eta)
-        want = -(norm * (sigmoid(norm * eta[0]) - 1.0)) / pb.n
+        want = -(rho * (sigmoid(rho * eta[0]) - 1.0)) / pb.n
         np.testing.assert_allclose(got, [want], rtol=1e-12)
 
     @pytest.mark.parametrize("kind", ["least-squares", "logistic", "softmax"])
     def test_projection_identity(self, kind):
-        """reduced_rhs(q^T theta) = q^T local_rhs(theta), and the full-space
-        flow is invariant to components orthogonal to range(q)."""
+        """reduced_rhs(u^T theta) = u^T local_rhs(theta), and the full-space
+        flow is invariant to components orthogonal to range(u)."""
         pb = make_problem(kind, 21, 7, 3, 51)
         _, batches = partition(pb, 3, 51)
         bf = batches[2]
-        q = bf.qr.q
+        u = bf.svd.u
         rng = np.random.default_rng(9)
         shape = (7, 3) if kind == "softmax" else (7,)
         theta = rng.standard_normal(shape)
-        # add a component orthogonal to range(q)
+        # add a component orthogonal to range(u)
         perp = rng.standard_normal(shape)
-        perp = perp - q @ (q.T @ perp)
-        got = reduced_rhs(pb, bf, q.T @ (theta + perp))
-        want = q.T @ local_rhs(pb, bf, theta + perp)
+        perp = perp - u @ (u.T @ perp)
+        got = reduced_rhs(pb, bf, u.T @ (theta + perp))
+        want = u.T @ local_rhs(pb, bf, theta + perp)
         np.testing.assert_allclose(got, want, atol=1e-12)
         # moving theta along the orthogonal complement leaves the rhs alone
-        same = reduced_rhs(pb, bf, q.T @ theta)
+        same = reduced_rhs(pb, bf, u.T @ theta)
         np.testing.assert_allclose(got, same, atol=1e-12)
 
 

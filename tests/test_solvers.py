@@ -86,7 +86,7 @@ class TestLlsLocalExact:
         for h in (0.1, 1.0, 10.0, 1000.0):
             theta_h = lls_local_exact(bf, theta0, h, pb.n)
             delta = theta_h - theta0
-            perp = delta - bf.qr.q @ (bf.qr.q.T @ delta)
+            perp = delta - bf.svd.u @ (bf.svd.u.T @ delta)
             assert np.linalg.norm(perp) <= 1e-10
 
     def test_semigroup(self):
@@ -130,7 +130,7 @@ class TestLlsLocalExact:
         _, batches = partition(pb, b, 0)
         theta0 = np.random.default_rng(5).standard_normal(pb.p)
         for bf in batches:
-            r = bf.qr.r
+            r = bf.svd.r
             h = 1e3 * pb.n / np.linalg.eigvalsh(r @ r.T)[0]
             got = lls_local_exact(bf, theta0, h, pb.n)
             want = theta0 + np.linalg.pinv(bf.x_i) @ (bf.y_i - bf.x_i @ theta0)
@@ -142,11 +142,11 @@ class TestLlsLocalExact:
         bf = BatchFactorization(x_i=np.stack([row, row]), y_i=np.array([1.0, 2.0]))
         with pytest.raises(RankDeficient):
             lls_local_exact(bf, np.zeros(4), 1.0, 10)
-        assert bf.lls_plan is None
+        assert "svd" not in vars(bf)
 
 
 def fresh(bf):
-    """The same batch without a cached least-squares plan."""
+    """The same batch without its kept SVD."""
     return BatchFactorization(x_i=bf.x_i, y_i=bf.y_i)
 
 
@@ -169,12 +169,12 @@ class TestLlsPlanCache:
         bf = batches[1]
         theta = np.random.default_rng(8).standard_normal(12)
         lls_local_exact(bf, theta, 0.5, pb.n)
-        plan = bf.lls_plan
+        plan = bf.svd
         for h, n in ((0.5, pb.n), (4.0, pb.n), (math.inf, pb.n), (0.5, pb.n), (0.5, 2 * pb.n),
                      (1e6, 7)):
             got = lls_local_exact(bf, theta, h, n)
             assert np.array_equal(got, lls_local_exact(fresh(bf), theta, h, n))
-            assert bf.lls_plan is plan
+            assert bf.svd is plan
             theta = got
 
     def test_negative_h_rejected_with_a_plan_cached(self):
@@ -196,44 +196,45 @@ class TestLlsPlanCache:
         for name, (pb, b, which) in cases.items():
             bf = partition(pb, b, 12)[1][which]
             assert (bf.b > pb.p) == (name == "wide") and (bf.b == 1) == (name == "single-row")
-            q, r = bf.qr.q, bf.qr.r
+            u, r = bf.svd.u, bf.svd.r
             eta_star = np.linalg.solve(r @ r.T, r @ bf.y_i)
             theta = np.random.default_rng(9).standard_normal(pb.p)
             for h in (0.3, 0.3, 5.0, 0.3, 80.0):
-                eta0 = q.T @ theta
+                eta0 = u.T @ theta
                 core = expm_sym(r @ r.T, -h / pb.n)
-                want = theta + q @ (core @ (eta0 - eta_star) + eta_star - eta0)
+                want = theta + u @ (core @ (eta0 - eta_star) + eta_star - eta0)
                 got = lls_local_exact(bf, theta, h, pb.n)
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
                 theta = got
 
     def test_run_grid_over_a_shared_partition_makes_m_svds(self, monkeypatch):
         """Twelve serial cells over one problem, six alphas each of
-        splitting and SGD, step one partition: m SVDs and no QR in all."""
-        import splitopt.problems
-
+        splitting and SGD, step one partition: m SVDs and no QR in all,
+        for least-squares, logistic and softmax problems alike."""
         qrs, svds = [], []
-        qr, svd = splitopt.problems.economy_qr, np.linalg.svd
+        qr, svd = np.linalg.qr, np.linalg.svd
 
-        def counting_qr(m):
-            qrs.append(m.shape)
-            return qr(m)
+        def counting_qr(*args, **kwargs):
+            qrs.append(args[0].shape)
+            return qr(*args, **kwargs)
 
         def counting_svd(*args, **kwargs):
             svds.append(args[0].shape)
             return svd(*args, **kwargs)
 
-        monkeypatch.setattr(splitopt.problems, "economy_qr", counting_qr)
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        pb = gen_random_lls(120, 10, 0.1, 5)
-        for alpha in (0.001, 0.01, 0.5, 1.0, 20.0, 100.0):
-            for method in ("splitting", "sgd"):
-                trace = run(pb, None, RunConfig(method=method, alpha=alpha, batch_size=8,
-                                                seed=5, max_epochs=4))
-                finished = trace.records[-1].iteration == 4 * trace.m
-                assert finished or (method == "sgd" and trace.diverged)
-        assert trace.m == 15
-        assert len(svds) == trace.m and svds[0] == (10, 8)
+        for pb in (gen_random_lls(120, 10, 0.1, 5), gen_gaussian_blobs(120, 10, 2, 3.0, 5),
+                   gen_gaussian_blobs(120, 10, 3, 3.0, 5)):
+            svds.clear()
+            for alpha in (0.001, 0.01, 0.5, 1.0, 20.0, 100.0):
+                for method in ("splitting", "sgd"):
+                    trace = run(pb, None, RunConfig(method=method, alpha=alpha, batch_size=8,
+                                                    seed=5, max_epochs=4))
+                    finished = trace.records[-1].iteration == 4 * trace.m
+                    assert finished or (method == "sgd" and trace.diverged)
+            assert trace.m == 15
+            assert svds == [(10, 8)] * trace.m, pb.kind
         assert qrs == []
 
     def test_shared_batch_across_threads(self):
@@ -385,7 +386,7 @@ class TestLocalStepRK:
         when p >= 64 (the state never exceeds min(b, p) x K)."""
         pb = gen_gaussian_blobs(128, 80, 10, 3.0, 6)
         _, batches = partition(pb, 64, 6)
-        assert batches[0].qr.q.shape == (80, 64)
+        assert batches[0].svd.u.shape == (80, 64)
         rep = local_step_rk(pb, batches[0], np.zeros((80, 10)), 0.5)
         assert rep.theta_next.shape == (80, 10)
 
@@ -404,7 +405,7 @@ class TestLocalStepRK:
         theta0 = np.random.default_rng(4).standard_normal(9)
         rep = local_step_rk(pb, bf, theta0, 2.0)
         delta = rep.theta_next - theta0
-        perp = delta - bf.qr.q @ (bf.qr.q.T @ delta)
+        perp = delta - bf.svd.u @ (bf.svd.u.T @ delta)
         assert np.linalg.norm(perp) <= 1e-10
 
     def test_least_squares_routed_elsewhere(self):
@@ -444,9 +445,9 @@ class TestLocalStepRK:
             rep = local_step_rk(pb, bf, theta, 2.0, cfg)
             assert rep.h_next > 0
             theta = rep.theta_next
-        assert vars(bf).keys() == vars(before).keys() and bf.lls_plan is None
+        assert vars(bf).keys() == vars(before).keys() | {"svd"} and bf.lls_gain is None
         for got, want in ((bf.x_i, before.x_i), (bf.y_i, before.y_i),
-                          (bf.qr.q, before.qr.q), (bf.qr.r, before.qr.r)):
+                          (bf.svd.u, before.svd.u), (bf.svd.r, before.svd.r)):
             assert np.array_equal(got, want)
 
     def test_one_clipped_step_proposes_nothing(self):
@@ -465,7 +466,7 @@ class TestFoldedFlow:
     @staticmethod
     def plain_rhs(pb, bf):
         """The reduced flow as written, with scores laid out b x K."""
-        r, y, n = bf.qr.r, bf.y_i, pb.n
+        r, y, n = bf.svd.r, bf.y_i, pb.n
         if pb.kind == "logistic":
             return lambda v: -(r @ (1.0 / (1.0 + np.exp(-(r.T @ v))) - y)) / n
         shape = (r.shape[0], pb.k)
@@ -502,10 +503,10 @@ class TestFoldedFlow:
 
         monkeypatch.setattr(solvers, "rk45_integrate", recording)
         rep = local_step_rk(pb, bf, theta0, h)
-        q = bf.qr.q
-        eta0 = q.T @ theta0
+        u = bf.svd.u
+        eta0 = u.T @ theta0
         want = rk45_integrate(self.plain_rhs(pb, bf), eta0.ravel(), (0.0, h))
-        theta = theta0 + q @ (want.y_end.reshape(eta0.shape) - eta0)
+        theta = theta0 + u @ (want.y_end.reshape(eta0.shape) - eta0)
         assert np.linalg.norm(rep.theta_next - theta) <= 1e-12 * np.linalg.norm(theta)
         (got,) = sols
         assert got.steps_taken > 3
@@ -521,11 +522,11 @@ class TestFoldedFlow:
         theta = np.random.default_rng(7).standard_normal((20, 10))
         theta *= 1e3 / np.max(np.abs(bf.x_i @ theta))
         assert np.max(np.abs(bf.x_i @ theta)) == pytest.approx(1e3)
-        q = bf.qr.q
+        u = bf.svd.u
         with np.errstate(over="raise", invalid="raise"):
-            got = reduced_flow(pb, bf)((q.T @ theta).ravel())
+            got = reduced_flow(pb, bf)((u.T @ theta).ravel())
             rep = local_step_rk(pb, bf, theta, 1.0 * part.m)
-        want = (q.T @ local_rhs(pb, bf, theta)).ravel()
+        want = (u.T @ local_rhs(pb, bf, theta)).ravel()
         assert np.isfinite(got).all() and np.isfinite(rep.theta_next).all()
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -617,3 +618,20 @@ def test_non_finite_local_time_is_rejected(call, bad):
     all-NaN theta."""
     with pytest.raises(ValueError, match=repr(bad)):
         call(bad)
+
+
+@pytest.mark.parametrize("x_i, y_i", [
+    ([[1.0, math.inf], [0.0, 1.0]], [1.0, 0.0]),
+    ([[1.0, math.nan], [0.0, 1.0]], [1.0, 0.0]),
+    ([[1.0, 0.0], [0.0, 1.0]], [1.0, math.nan]),
+], ids=["inf-in-x", "nan-in-x", "nan-in-y"])
+def test_non_finite_batch_is_rejected(x_i, y_i):
+    """A hand-built batch with a non-finite entry raises a ValueError that
+    says so, from the closed-form and the RK step alike, before any SVD."""
+    logistic = Problem("logistic", np.eye(2), np.array([1.0, 0.0]))
+    for step in (lambda bf: lls_local_exact(bf, np.zeros(2), 1.0, 2),
+                 lambda bf: local_step_rk(logistic, bf, np.zeros(2), 1.0)):
+        bf = BatchFactorization(np.array(x_i), np.array(y_i))
+        with pytest.raises(ValueError, match="non-finite"):
+            step(bf)
+        assert "svd" not in vars(bf)

@@ -11,10 +11,10 @@ bounds    build a row-split operator family, sweep the splitting error
 plot      render trace CSVs as a log-y convergence chart (SVG)
 
 Global flags: --seed (overrides config seeds), --out (output file or
-directory), --threads (worker cap for grid cells).  All randomness flows
-from seeds; re-running a config reproduces every output byte except the
-wall_seconds column.  Divergence of a run is a recorded outcome, not a
-failure exit.
+directory), --threads (worker cap for grid cells, at least 1).  All
+randomness flows from seeds; re-running a config reproduces every output
+byte except the wall_seconds column.  Divergence of a run is a recorded
+outcome, not a failure exit.
 """
 
 import argparse
@@ -205,6 +205,8 @@ def cmd_datagen(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     with open(args.config) as f:
         cfg = parse_experiment_config(json.load(f))
     if args.seed is not None:
@@ -263,9 +265,8 @@ def cmd_run(args) -> int:
         return replace(c, alpha=cfg.alphas[0]) if c.method == "kaczmarz" else c
 
     cells = list(dict.fromkeys(map(cell_of, jobs)))
-    threads = max(1, args.threads)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    if args.threads > 1:
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
             ran = dict(zip(cells, pool.map(run_cell, cells)))
     else:
         ran = {c: run_cell(c) for c in cells}

@@ -10,9 +10,13 @@ every epoch in a freshly seeded order, applying one of
     kaczmarz    theta <- the least-squares splitting step at h = inf: the
                 projection onto the batch's solution set (block for b > 1)
 
-A run records its metrics at its start and after every epoch.  Its clock
-leaves out ``check_run``, which factors the batches of every method but
-SGD: one thin SVD each, which every kind's step reads.
+A run records its loss and stop metric at its start and after every
+epoch.  A record costs one pass over the training rows: least squares
+shares one residual X theta - y between its loss and its relative
+residual, ``test-error`` adds a pass over the holdout, and
+``loss-threshold`` reuses the loss as its metric.  The run's clock leaves
+out the checks of ``check_run``, which factor the batches of every method
+but SGD: one thin SVD each, which every kind's step reads.
 Divergence (non-finite loss or loss above ``DIVERGENCE_FACTOR`` = 1e6
 times the start record's) is recorded in the trace and ends the run, it is
 not an error.
@@ -39,7 +43,7 @@ import numpy as np
 from .data import partition
 from .errors import MissingReference
 from .ode import IntegratorConfig
-from .problems import Problem, _check_theta, loss, test_error, theta_shape
+from .problems import Problem, _check_theta, loss, loss_and_residual, test_error, theta_shape
 from .solvers import euler_step, lls_local_exact, local_step_rk
 
 METHODS = ("sgd", "splitting", "kaczmarz")
@@ -116,26 +120,47 @@ class Trace:
         return np.array([r.iteration for r in self.records])
 
 
-def _stop_metric(rule, pb, holdout, theta_ref):
-    """The rule's metric as a function of theta; raises first if the data
-    lack what the rule reads."""
-    if rule.kind == "relative-residual":
+def _evaluator(pb: Problem, holdout: Problem | None, cfg: RunConfig):
+    """Make ``check_run``'s checks; return the run's record as a function
+    of the point it measures, ``point -> (loss, metric)``, the metric NaN
+    without a stop rule.  The relative residual reads the residual the
+    least-squares loss was computed from, and loss-threshold's metric is
+    the loss itself."""
+    if cfg.method == "kaczmarz" and pb.kind != "least-squares":
+        raise ValueError("kaczmarz needs a least-squares problem")
+    if cfg.method != "sgd" and cfg.batch_size <= pb.n:  # a larger one fails in run
+        for bf in partition(pb, cfg.batch_size, cfg.seed)[1]:
+            bf.svd  # or raises RankDeficient
+    kind = cfg.stop.kind if cfg.stop else None
+    if kind == "relative-residual":
         if pb.kind != "least-squares":
             raise ValueError("relative-residual applies to least-squares problems")
         ynorm = max(float(np.linalg.norm(pb.targets)), 1e-300)
-        return lambda theta: float(np.linalg.norm(pb.x @ theta - pb.targets)) / ynorm
-    if rule.kind == "solution-distance":
-        if theta_ref is None:
+
+        def relative_residual(point):
+            cur, resid = loss_and_residual(pb, point)
+            return cur, float(np.linalg.norm(resid)) / ynorm
+
+        return relative_residual
+    if kind == "loss-threshold":
+
+        def loss_as_metric(point):
+            cur = loss(pb, point)
+            return cur, cur
+
+        return loss_as_metric
+    if kind == "solution-distance":
+        if pb.theta_ref is None:
             raise MissingReference("solution-distance needs a known reference solution")
-        ref = np.asarray(theta_ref, dtype=float)
+        ref = np.asarray(pb.theta_ref, dtype=float)
         ref_norm = max(float(np.linalg.norm(ref)), 1e-300)
-        return lambda theta: float(np.linalg.norm(theta - ref)) / ref_norm
-    if rule.kind == "test-error":
+        return lambda point: (loss(pb, point), float(np.linalg.norm(point - ref)) / ref_norm)
+    if kind == "test-error":
         if holdout is None:
             raise MissingReference("test-error needs a holdout problem")
         pb.check_holdout(holdout)
-        return lambda theta: test_error(pb, theta, holdout)
-    return lambda theta: loss(pb, theta)
+        return lambda point: (loss(pb, point), test_error(pb, point, holdout))
+    return lambda point: (loss(pb, point), math.nan)
 
 
 def check_run(pb: Problem, holdout: Problem | None, cfg: RunConfig):
@@ -147,12 +172,8 @@ def check_run(pb: Problem, holdout: Problem | None, cfg: RunConfig):
     the kind.  The result maps theta to the stop rule's metric, or is None
     without a stop rule.
     """
-    if cfg.method == "kaczmarz" and pb.kind != "least-squares":
-        raise ValueError("kaczmarz needs a least-squares problem")
-    if cfg.method != "sgd" and cfg.batch_size <= pb.n:  # a larger one fails in run
-        for bf in partition(pb, cfg.batch_size, cfg.seed)[1]:
-            bf.svd  # or raises RankDeficient
-    return _stop_metric(cfg.stop, pb, holdout, pb.theta_ref) if cfg.stop else None
+    evaluate = _evaluator(pb, holdout, cfg)
+    return (lambda theta: evaluate(theta)[1]) if cfg.stop else None
 
 
 def _init_theta(pb: Problem, cfg: RunConfig) -> np.ndarray:
@@ -171,13 +192,19 @@ def run(
 
     The batches are ``partition(pb, cfg.batch_size, cfg.seed)``, shared by
     every run over ``pb`` at that batch size and seed.  The wall clock
-    covers the optimization loop, not ``check_run``.
+    covers the optimization loop, not the checks of ``check_run``.  A
+    non-finite ``theta0`` raises ValueError.
     """
-    metric_of = check_run(pb, holdout, cfg)
+    evaluate = _evaluator(pb, holdout, cfg)
     part, batches = partition(pb, cfg.batch_size, cfg.seed)
     m = part.m
     h = math.inf if cfg.method == "kaczmarz" else cfg.alpha * m
-    theta = _check_theta(pb, theta0).copy() if theta0 is not None else _init_theta(pb, cfg)
+    if theta0 is None:
+        theta = _init_theta(pb, cfg)
+    else:
+        theta = _check_theta(pb, theta0, "theta0").copy()
+        if not np.isfinite(theta).all():
+            raise ValueError("theta0 must be finite")
 
     trace = Trace(
         method=cfg.method,
@@ -201,9 +228,7 @@ def run(
     def observe(epoch: int) -> bool:
         """Record the measurement after ``epoch`` epochs (0: the start);
         True when the run should end."""
-        point = reported()
-        cur_loss = loss(pb, point)
-        metric = metric_of(point) if metric_of else math.nan
+        cur_loss, metric = evaluate(reported())
         baseline = trace.records[0].loss if trace.records else cur_loss
         # Absolute floor keeps rounding noise near a zero-loss optimum from
         # being read as a blowup.
@@ -236,8 +261,8 @@ def run(
                 window.append(theta)
                 if len(window) > (epoch - 1) // 2:
                     window.popleft()
-            for idx in part.epoch_order(epoch - 1):
-                theta = step(idx, theta)
+            for i in part.epoch_order(epoch - 1).tolist():
+                theta = step(i, theta)
 
     trace.theta = reported()
     return trace

@@ -51,6 +51,7 @@ class Problem:
     targets: np.ndarray
     theta_ref: np.ndarray | None = None  # planted solution / phantom, if known
     _partition: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _theta_shape: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -80,6 +81,8 @@ class Problem:
                 )
             if self.kind == "logistic" and not np.isin(self.targets, (0.0, 1.0)).all():
                 raise ValueError("logistic targets must be 0/1")
+        # Derived once here, since every step's parameter check reads it.
+        self._theta_shape = (self.p, self.k) if self.kind == "softmax" else (self.p,)
         if self.theta_ref is not None:
             _check_theta(self, self.theta_ref, "theta_ref")
 
@@ -128,7 +131,7 @@ class BatchFactorization:
     """
 
     def __init__(self, x_i: np.ndarray, y_i: np.ndarray):
-        self.x_i, self.y_i, self.lls_gain = x_i, y_i, None
+        self.x_i, self.y_i, self.b, self.lls_gain = x_i, y_i, x_i.shape[0], None
 
     @cached_property
     def svd(self) -> BatchSVD:
@@ -141,20 +144,17 @@ class BatchFactorization:
         z_star = (gt @ y) / (s[:, None] if y.ndim == 2 else s)
         return BatchSVD(u, s * s, s[:, None] * gt, z_star)
 
-    @property
-    def b(self) -> int:
-        return self.x_i.shape[0]
-
 
 def theta_shape(pb: Problem) -> tuple:
-    return (pb.p, pb.k) if pb.kind == "softmax" else (pb.p,)
+    """(p,) for least squares and logistic regression, (p, K) for softmax."""
+    return pb._theta_shape
 
 
 def _check_theta(pb: Problem, theta: np.ndarray, name: str = "parameters") -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != theta_shape(pb):
+    if theta.shape != pb._theta_shape:
         raise DimensionMismatch(
-            f"{name} must have shape {theta_shape(pb)}, got {theta.shape}"
+            f"{name} must have shape {pb._theta_shape}, got {theta.shape}"
         )
     return theta
 
@@ -178,44 +178,52 @@ def _softmax_rows(m: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _predict(kind: str, scores: np.ndarray) -> np.ndarray:
-    """Predictions from scores: identity, sigmoid or row softmax by kind."""
-    if kind == "least-squares":
-        return scores
-    if kind == "logistic":
-        return sigmoid(scores)
-    return _softmax_rows(scores)
-
-
 def _residual(kind: str, x: np.ndarray, targets: np.ndarray, theta: np.ndarray):
-    """Prediction minus target; rows x 1 target layout matching the kind."""
-    return _predict(kind, x @ theta) - targets
+    """Prediction minus target, the prediction being the scores x theta
+    themselves, their sigmoid or their row softmax by kind."""
+    z = x @ theta
+    if kind == "logistic":
+        z = sigmoid(z)
+    elif kind == "softmax":
+        z = _softmax_rows(z)
+    return z - targets
 
 
-def _mean_loss(kind: str, x: np.ndarray, targets: np.ndarray, theta: np.ndarray) -> float:
+def _loss_and_residual(kind: str, x: np.ndarray, targets: np.ndarray, theta: np.ndarray):
+    """Mean loss over the rows of x and, for least squares, the residual
+    x theta - targets it was read from (None for the other kinds)."""
     rows = x.shape[0]
     z = x @ theta
     if kind == "least-squares":
-        return float(np.sum(np.square(z - targets))) / (2 * rows)
+        z -= targets
+        return float(np.sum(np.square(z))) / (2 * rows), z
     if kind == "logistic":
         # softplus(z) - y z, the stable form of the negative log-likelihood
-        return float(np.sum(np.logaddexp(0.0, z) - targets * z)) / rows
+        return float(np.sum(np.logaddexp(0.0, z) - targets * z)) / rows, None
     zmax = z.max(axis=1)
     lse = zmax + np.log(np.sum(np.exp(z - zmax[:, None]), axis=1))
     true_score = np.sum(z * targets, axis=1)
-    return float(np.sum(lse - true_score)) / rows
+    return float(np.sum(lse - true_score)) / rows, None
 
 
 def loss(pb: Problem, theta: np.ndarray) -> float:
     """Full-data mean loss."""
     theta = _check_theta(pb, theta)
-    return _mean_loss(pb.kind, pb.x, pb.targets, theta)
+    return _loss_and_residual(pb.kind, pb.x, pb.targets, theta)[0]
+
+
+def loss_and_residual(pb: Problem, theta: np.ndarray) -> tuple:
+    """Full-data mean loss and, for least squares, the residual X theta - y
+    it was read from (None for the other kinds): one pass over the rows
+    gives a run's record both its loss and its relative residual."""
+    theta = _check_theta(pb, theta)
+    return _loss_and_residual(pb.kind, pb.x, pb.targets, theta)
 
 
 def batch_loss(pb: Problem, bf: BatchFactorization, theta: np.ndarray) -> float:
     """Mean loss restricted to one batch (1/b scaling)."""
     theta = _check_theta(pb, theta)
-    return _mean_loss(pb.kind, bf.x_i, bf.y_i, theta)
+    return _loss_and_residual(pb.kind, bf.x_i, bf.y_i, theta)[0]
 
 
 def batch_gradient(pb: Problem, bf: BatchFactorization, theta: np.ndarray) -> np.ndarray:

@@ -129,4 +129,5 @@ def euler_step(pb: Problem, bf: BatchFactorization, theta0: np.ndarray, alpha: f
     if not alpha > 0:  # NaN fails too
         raise ValueError(f"alpha must be positive, got {alpha!r}")
     theta0 = _check_theta(pb, theta0)
-    return theta0 - alpha * (bf.x_i.T @ _residual(pb.kind, bf.x_i, bf.y_i, theta0) / bf.b)
+    x = bf.x_i
+    return theta0 - alpha * (x.T @ _residual(pb.kind, x, bf.y_i, theta0) / bf.b)

@@ -480,6 +480,18 @@ class TestRun:
                      "--config", str(cfg_path)]) == 0
         assert_same_outputs(serial, parallel)
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
+        """--threads -3 used to run serially and exit 0."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config()))
+        out = tmp_path / "runs"
+        assert main(["--out", str(out), "--threads", threads, "run",
+                     "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: --threads must be at least 1, got {threads}" in err
+        assert not out.exists()
+
     def test_kaczmarz_runs_once_per_repeat(self, tmp_path, monkeypatch):
         """Kaczmarz (h = inf) never reads alpha: one run per repeat, whose
         trace is written under every alpha."""

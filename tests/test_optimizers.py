@@ -21,10 +21,13 @@ from splitopt import (
     lls_local_unit,
     local_rhs,
     local_step_rk,
+    loss,
     partition,
     random_full_rank,
     run,
+    theta_shape,
 )
+from splitopt import test_error as misclassification
 from splitopt.errors import DimensionMismatch, MissingReference, RankDeficient
 from splitopt.linalg import RANK_TOL, economy_qr
 
@@ -87,6 +90,26 @@ class TestRunBasics:
         assert trace.stopped and trace.records[-1].epoch == 0
         assert np.array_equal(trace.theta, theta0)
         assert not np.shares_memory(trace.theta, theta0)
+
+    @pytest.mark.parametrize(
+        "kind, method",
+        [("least-squares", "sgd"), ("least-squares", "splitting"),
+         ("least-squares", "kaczmarz"), ("logistic", "splitting")],
+        ids=["sgd", "splitting", "kaczmarz", "logistic-splitting"],
+    )
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_theta0_is_rejected(self, kind, method, bad):
+        """A non-finite theta0 used to run and come back diverged, with one
+        record of loss NaN; it is an input error, raised before any record."""
+        pb = (gen_random_lls(20, 4, 0.1, 2) if kind == "least-squares"
+              else gen_gaussian_blobs(20, 4, 2, 3.0, 2))
+        cfg = RunConfig(method=method, alpha=0.1, batch_size=4, seed=0, max_epochs=2)
+        theta0 = np.zeros(4)
+        theta0[1] = bad
+        with pytest.raises(ValueError, match="theta0 must be finite"):
+            run(pb, None, cfg, theta0=theta0)
+        with pytest.raises(ValueError, match="theta0 must be finite"):
+            run(pb, None, cfg, theta0=np.full(4, bad))
 
     def test_single_full_batch_huge_h_solves_least_squares(self):
         """One batch covering the data with a huge step lands on the
@@ -369,6 +392,67 @@ class TestRunPartition:
             assert want.rhs_evals == got.rhs_evals
 
 
+class TestRecords:
+    """A record measures the reported point bit for bit: its loss is
+    ``loss`` there and its metric the stop rule's, whatever shares work."""
+
+    @staticmethod
+    def problems(kind):
+        """(train, holdout, metric of theta by the rule's definition)."""
+        if kind == "test-error":
+            data = gen_gaussian_blobs(240, 4, 2, 2.0, 6)
+            train = Problem(data.kind, data.x[:160], data.targets[:160])
+            hold = Problem(data.kind, data.x[160:], data.targets[160:])
+            return train, hold, lambda theta: misclassification(train, theta, hold)
+        pb = gen_random_lls(60, 6, 0.1, 4)
+        if kind == "relative-residual":
+            ynorm = float(np.linalg.norm(pb.targets))
+            return pb, None, lambda theta: float(np.linalg.norm(pb.x @ theta - pb.targets)) / ynorm
+        if kind == "solution-distance":
+            ref_norm = float(np.linalg.norm(pb.theta_ref))
+            return pb, None, lambda theta: float(np.linalg.norm(theta - pb.theta_ref)) / ref_norm
+        return pb, None, lambda theta: loss(pb, theta)
+
+    @pytest.mark.parametrize("method", ["sgd", "splitting"])
+    @pytest.mark.parametrize(
+        "kind", ["relative-residual", "solution-distance", "test-error", "loss-threshold"])
+    def test_last_record_is_the_reported_point_bit_for_bit(self, kind, method):
+        """Budgets of one to five epochs end at five different points; from
+        three epochs on, splitting reports a tail average."""
+        train, hold, metric = self.problems(kind)
+        for epochs in range(1, 6):
+            cfg = RunConfig(method=method, alpha=0.05, batch_size=6, seed=1,
+                            max_epochs=epochs, stop=StoppingRule(kind, 1e-300))
+            trace = run(train, hold, cfg)
+            last = trace.records[-1]
+            assert last.epoch == epochs and not trace.diverged
+            assert last.loss == loss(train, trace.theta)
+            assert last.metric == metric(trace.theta)
+
+    @pytest.mark.parametrize(
+        "kind, reads",
+        [("loss-threshold", "loss"), ("relative-residual", "loss_and_residual")])
+    def test_one_loss_evaluation_per_record(self, kind, reads, monkeypatch):
+        """loss-threshold's metric is the record's loss, not a second
+        evaluation; relative-residual reads the residual the loss made."""
+        import splitopt.optimizers
+
+        calls = {"loss": 0, "loss_and_residual": 0}
+        for name in calls:
+            real = getattr(splitopt.optimizers, name)
+
+            def counting(pb, theta, name=name, real=real):
+                calls[name] += 1
+                return real(pb, theta)
+
+            monkeypatch.setattr(splitopt.optimizers, name, counting)
+        pb = gen_random_lls(40, 5, 0.1, 0)
+        trace = run(pb, None, RunConfig(method="splitting", alpha=0.5, batch_size=8, seed=1,
+                                        max_epochs=4, stop=StoppingRule(kind, 1e-300)))
+        assert calls == {name: len(trace.records) * (name == reads) for name in calls}
+        assert len(trace.records) == 5
+
+
 class TestSgdSplittingIdentity:
     def test_euler_local_steps_reproduce_sgd(self):
         """Swapping each local solve for one Euler step of the local ODE at
@@ -393,6 +477,24 @@ class TestSgdSplittingIdentity:
         cfg = RunConfig(method="sgd", alpha=alpha, batch_size=b, seed=seed, max_epochs=epochs)
         trace = run(pb, None, cfg)
         np.testing.assert_allclose(trace.theta, theta_sgd, atol=1e-12)
+
+
+    @pytest.mark.parametrize("kind", ["least-squares", "logistic", "softmax"])
+    def test_sgd_run_is_bitwise_the_euler_step_loop(self, kind):
+        """run(method="sgd") is a loop of euler_step over the epoch orders,
+        bit for bit, not just to a tolerance a reordered expression passes."""
+        from splitopt import euler_step
+
+        pb = (gen_random_lls(60, 6, 0.1, 3) if kind == "least-squares"
+              else gen_gaussian_blobs(60, 6, 2 if kind == "logistic" else 3, 2.0, 3))
+        theta0 = 0.1 * np.random.default_rng(5).standard_normal(theta_shape(pb))
+        cfg = RunConfig(method="sgd", alpha=0.05, batch_size=7, seed=2, max_epochs=3)
+        part, batches = partition(pb, 7, 2)
+        theta = theta0
+        for epoch in range(3):
+            for idx in part.epoch_order(epoch):
+                theta = euler_step(pb, batches[idx], theta, 0.05)
+        assert np.array_equal(run(pb, None, cfg, theta0).theta, theta)
 
 
 class TestKaczmarzRuns:

@@ -20,6 +20,7 @@ outcome, not a failure exit.
 import argparse
 import csv
 import json
+import math
 import sys
 import types
 import typing
@@ -98,6 +99,8 @@ class ExperimentConfig:
             raise ValueError(f"max_epochs must be at least 1, got {self.max_epochs}")
         if not self.init_scale >= 0:  # NaN fails too
             raise ValueError(f"init_scale must be nonnegative, got {self.init_scale!r}")
+        if self.init_scale == math.inf:  # every init entry inf or NaN
+            raise ValueError(f"init_scale must be finite, got {self.init_scale!r}")
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r} in methods")

@@ -60,14 +60,14 @@ class IntegratorConfig:
     """Tolerances and budgets for rk45_integrate.
 
     ``h_init = 0`` selects the starting step automatically from the usual
-    error-norm heuristic.  A splitting run passes each batch's last
-    proposal instead from its second visit on, so a set ``h_init`` applies
-    only to a batch's first visit.
+    error-norm heuristic.  A splitting run passes the last proposal of its
+    previous RK steps instead, so a set ``h_init`` applies only to the
+    run's first RK step.
 
     The default ``rtol = 1e-4`` with ``atol = rtol * 1e-3`` comes from the
     softmax accuracy table of ``demos/softmax_local_accuracy.py``: on the
     column-scaled blobs instance splitting stops at the same epochs as at
-    rtol 1e-6 with 35-42% fewer right-hand-side evaluations, while at
+    rtol 1e-6 with 34-42% fewer right-hand-side evaluations, while at
     rtol 1e-1 it never reaches the target.  The default keeps three
     decades from that cliff.
     """

@@ -84,6 +84,8 @@ class RunConfig:
             raise ValueError("max_epochs must be at least 1")
         if not self.init_scale >= 0:  # NaN fails too
             raise ValueError(f"init_scale must be nonnegative, got {self.init_scale!r}")
+        if self.init_scale == math.inf:  # every init entry inf or NaN
+            raise ValueError(f"init_scale must be finite, got {self.init_scale!r}")
 
 
 @dataclass
@@ -273,11 +275,12 @@ def _batch_step(pb: Problem, cfg: RunConfig, h: float, batches: list, trace: Tra
     an RK local step adds its right-hand-side evaluations to
     ``trace.rhs_evals``.
 
-    A run visits each batch once an epoch over the same span h, so the RK
-    step on a batch starts from the last positive step-size proposal this
-    run's steps on it left; ``cfg.integrator.h_init`` serves first visits
-    only.  The proposals are the run's own, so runs sharing a partition
-    across threads never see each other's.
+    Every RK step of a run integrates its batch's flow over the same span
+    h, so each one starts from the last positive step-size proposal any
+    earlier step of the run reported, a batch's first visit included;
+    ``cfg.integrator.h_init`` (the start-step probe at 0) serves the run's
+    first RK step only.  The proposal is the run's own, so runs sharing a
+    partition across threads never see each other's.
 
     The solver is looked up in this module's globals when the run starts,
     so a function swapped in there (a tracer's wrapper, say) sees every step.
@@ -289,13 +292,14 @@ def _batch_step(pb: Problem, cfg: RunConfig, h: float, batches: list, trace: Tra
         exact, n = lls_local_exact, pb.n
         return lambda i, theta: exact(batches[i], theta, h, n)
     rk = local_step_rk
-    starts = [cfg.integrator] * len(batches)
+    start = cfg.integrator
 
     def rk_step(i, theta):
-        rep = rk(pb, batches[i], theta, h, starts[i])
+        nonlocal start
+        rep = rk(pb, batches[i], theta, h, start)
         trace.rhs_evals += rep.rhs_evals
         if rep.h_next > 0:
-            starts[i] = replace(cfg.integrator, h_init=rep.h_next)
+            start = replace(cfg.integrator, h_init=rep.h_next)
         return rep.theta_next
 
     return rk_step

@@ -19,7 +19,8 @@ eta = u^T theta, with r = diag(s) g^T so that x_i^T = u r, then lifted back
 by theta(h) = u (eta(h) - eta(0)) + theta_0.  The right-hand side is built
 once per local step in the folded form ``problems.reduced_flow`` gives and
 called by the integrator directly.  The step reports the integrator's last
-step-size proposal so a caller can start the batch's next step there.
+step-size proposal so a caller can start its next step, on any batch over
+a like span, there.
 
 An explicit Euler step of the local flow at step h = alpha * m is exactly
 one SGD step at learning rate alpha; ``euler_step`` is that baseline.
@@ -108,9 +109,10 @@ def local_step_rk(
     batches are served by the closed form instead and are rejected here.
     The integration starts from ``cfg.h_init``; the report's ``h_next`` is
     the integrator's proposal, which a caller passes back as ``h_init`` to
-    start the batch's next step warm.  Only the batch's SVD, if not yet
-    computed, is written to ``bf``.  No loss is evaluated: callers that
-    want the batch loss call ``batch_loss`` on ``theta_next``.
+    start its next step over the same span warm, on this batch or another.
+    Only the batch's SVD, if not yet computed, is written to ``bf``.  No
+    loss is evaluated: callers that want the batch loss call
+    ``batch_loss`` on ``theta_next``.
     """
     if pb.kind == "least-squares":
         raise ValueError("least-squares local steps use lls_local_exact")

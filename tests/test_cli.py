@@ -309,6 +309,9 @@ class TestRun:
             ({"init_scale": float("nan")}, None,
              "config: init_scale must be nonnegative, got nan"),
             ({"init_scale": -0.01}, None, "config: init_scale must be nonnegative, got -0.01"),
+            # An infinite init_scale used to exit 0 with every cell
+            # diverged at epoch 0.
+            ({"init_scale": float("inf")}, None, "config: init_scale must be finite, got inf"),
             ({"batch_size": 0}, None, "config: batch_size must be at least 1, got 0"),
             ({"batch_size": 500}, None,
              "config.batch_size: 500 exceeds the 60 training samples"),
@@ -339,7 +342,7 @@ class TestRun:
         ],
         ids=["bool-batch-size", "str-init-scale", "missing-batch-size", "negative-alpha",
              "empty-alphas", "nan-noise-sigma", "nan-separation", "nan-init-scale",
-             "negative-init-scale",
+             "negative-init-scale", "infinite-init-scale",
              "zero-batch-size", "batch-size-over-n", "zero-max-epochs",
              "alphas-same-trace-name", "methods-repeated", "alphas-repeated",
              "negative-holdout-size", "holdout-size-over-n", "holdout-and-holdout-size",

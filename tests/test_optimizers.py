@@ -74,7 +74,7 @@ class TestRunBasics:
         trace = run(pb, None, cfg, theta0=pb.theta_ref)
         assert trace.records[0].loss == pytest.approx(0.0, abs=1e-20)
 
-    @pytest.mark.parametrize("scale", [float("nan"), -1.0])
+    @pytest.mark.parametrize("scale", [float("nan"), -1.0, math.inf])
     def test_bad_init_scale_rejected(self, scale):
         with pytest.raises(ValueError, match="init_scale"):
             RunConfig(method="sgd", alpha=0.1, batch_size=8, max_epochs=3, init_scale=scale)
@@ -191,9 +191,10 @@ class TestRunBasics:
         assert len(spent) == 18
 
     def test_rk_steps_start_from_the_runs_last_proposal(self, monkeypatch):
-        """Each RK local step starts from the last positive proposal this
-        run's steps on its batch reported; ``h_init`` serves first visits
-        only, and a step that proposes nothing leaves the start as it was."""
+        """Each RK local step starts from the last positive proposal any
+        earlier step of the run reported, a batch's first visit included;
+        ``h_init`` serves the run's first step only, a step that proposes
+        nothing leaves the start as it was, and a second run starts afresh."""
         import splitopt.optimizers
 
         real = splitopt.optimizers.local_step_rk
@@ -203,7 +204,7 @@ class TestRunBasics:
             rep = real(pb, bf, theta, h, cfg)
             if len(visits) % 3 == 2:
                 rep = dataclasses.replace(rep, h_next=0.0)
-            visits.append((id(bf), cfg.h_init, rep.h_next))
+            visits.append((cfg.h_init, rep.h_next))
             return rep
 
         monkeypatch.setattr(splitopt.optimizers, "local_step_rk", proposing_nothing_every_third)
@@ -214,14 +215,36 @@ class TestRunBasics:
             visits.clear()
             run(blobs, None, cfg)
             assert len(visits) == 24
-            last, prev, kept = {}, {}, 0
-            for batch, h_init, h_next in visits:
-                assert h_init == last.get(batch, 1e-3)
-                kept += prev.get(batch) == 0.0 and batch in last
-                prev[batch] = h_next
+            assert visits[0][0] == 1e-3 and all(h_init != 1e-3 for h_init, _ in visits[1:])
+            start, kept = 1e-3, 0
+            for h_init, h_next in visits:
+                assert h_init == start
+                kept += h_next == 0.0
                 if h_next > 0:
-                    last[batch] = h_next
-            assert kept > 0 and len(last) == 6
+                    start = h_next
+            assert kept >= 8  # every third by the wrapper, more by the integrator
+
+    @pytest.mark.parametrize("k", [2, 10], ids=["logistic", "softmax"])
+    def test_a_run_probes_for_its_start_step_once(self, monkeypatch, k):
+        """At h_init = 0 each RK step spends one f(y0) and six evaluations
+        an attempt, and the run one start-step probe in all."""
+        import splitopt.solvers
+
+        real = splitopt.solvers.rk45_integrate
+        sols = []
+
+        def counted(rhs, y0, t_span, cfg):
+            sols.append(real(rhs, y0, t_span, cfg))
+            return sols[-1]
+
+        monkeypatch.setattr(splitopt.solvers, "rk45_integrate", counted)
+        blobs = gen_gaussian_blobs(200, 6, k, 3.0, 4)
+        cfg = RunConfig(method="splitting", alpha=10.0, batch_size=20, seed=1, max_epochs=5)
+        trace = run(blobs, None, cfg)
+        assert len(sols) == 50 and sols[0].h_next > 0
+        assert sum(s.rejected_steps for s in sols) > 0
+        assert trace.rhs_evals == sum(1 + 6 * (s.steps_taken + s.rejected_steps)
+                                      for s in sols) + 1
 
 
 class TestTailAverage:

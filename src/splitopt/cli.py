@@ -91,8 +91,10 @@ class ExperimentConfig:
         if not self.alphas:
             raise ValueError("alphas must be nonempty")
         for a in self.alphas:
-            if not a > 0:
+            if not a > 0:  # NaN fails too
                 raise ValueError(f"alphas must be positive, got {a!r}")
+            if a == math.inf:  # h = alpha * m = inf: the Kaczmarz projection
+                raise ValueError(f"alphas must be finite, got {a!r}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.max_epochs < 1:

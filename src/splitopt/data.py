@@ -14,6 +14,7 @@ Linear-system text format:
     header line "n p", then n lines of p+1 scalars (a row of X, then y).
 """
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -69,6 +70,8 @@ class DatasetSpec:
             val = getattr(self, name)
             if not val >= 0:  # NaN fails too
                 raise ValueError(f"{name} must be nonnegative, got {val!r}")
+            if val == math.inf:  # the data would be non-finite
+                raise ValueError(f"{name} must be finite, got {val!r}")
         if self.kind == "linear-system-file" and self.path is None:
             raise ValueError("linear-system-file needs a path")
         if self.kind == "idx-images" and None in (self.images_path, self.labels_path):

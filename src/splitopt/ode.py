@@ -11,7 +11,14 @@ next step's first, so a step costs six right-hand-side evaluations.  y and
 the stages k_1 .. k_7 are the rows of one (8, d) array.  Each attempt scales
 the tableau's rows by h once, so every stage input, y_new and the error
 vector is one weighted product of rows: a stage input rounds as
-y + sum_j (h a_ij) k_j rather than y + h sum_j a_ij k_j.
+y + sum_j (h a_ij) k_j rather than y + h sum_j a_ij k_j.  These products
+and the error norm's inner product call the method ``ndarray.dot``, not
+``@``: both reach the same BLAS routine and give the same bits, but at
+this size matmul's ufunc dispatch costs more than the arithmetic.  A
+(4)-by-(4, 200) stage input takes 0.52 us with ``.dot`` against 0.97 us
+with ``@`` (numpy 2.4, OpenBLAS at one thread, best of 3 x 200k calls);
+the function ``np.dot``, at 0.71 us, pays an ``__array_function__``
+dispatch that the method skips.
 
 The solution carries the controller's last proposal, ``h_next``: the step
 it would try next after the last accepted step that the span end did not
@@ -47,7 +54,6 @@ _TABLEAU = np.array([
     [1.0, 35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
 ])
-_H_SCALED = _TABLEAU != 1.0  # no a_ij or error weight is 1
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -97,7 +103,7 @@ class OdeSolution:
 
 
 def _rms(x: np.ndarray) -> float:
-    return math.sqrt((x @ x) / x.size) if x.size else 0.0
+    return math.sqrt(x.dot(x) / x.size) if x.size else 0.0
 
 
 def _initial_step(rhs, y0, f0, t_len, cfg):
@@ -170,13 +176,14 @@ def rk45_integrate(rhs, y0, t_span, cfg: IntegratorConfig | None = None) -> OdeS
         if h <= 1e-14 * max(abs(t), t_len):
             raise StepBudgetExceeded(f"step size underflow at t={t:g}")
         h_step = min(h, remaining)
-        np.multiply(_TABLEAU, h_step, out=coef, where=_H_SCALED)
+        np.multiply(_TABLEAU, h_step, out=coef)
+        coef[:7, 0] = 1.0  # the weight of y stays 1
         for w, prev, out in stages:
-            y_new = w @ prev
+            y_new = w.dot(prev)
             out[...] = rhs(y_new)
-        err_vec = coef[7] @ ks[1:]
-        if np.isfinite(y_new).all():
-            abs_new = np.abs(y_new)
+        err_vec = coef[7].dot(ks[1:])
+        abs_new = np.abs(y_new)
+        if math.isfinite(np.maximum.reduce(abs_new, initial=0.0)):  # a NaN carries through
             err_vec /= atol + rtol * np.maximum(abs_y, abs_new)
             err = _rms(err_vec)
             err = math.inf if math.isnan(err) else err  # NaN: a stage was non-finite

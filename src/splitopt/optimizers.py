@@ -78,8 +78,10 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not self.alpha > 0:  # NaN fails too
+            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
+        if self.alpha == math.inf:  # h = alpha * m = inf: the Kaczmarz projection
+            raise ValueError(f"alpha must be finite, got {self.alpha!r}")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be at least 1")
         if not self.init_scale >= 0:  # NaN fails too

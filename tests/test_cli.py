@@ -306,6 +306,13 @@ class TestRun:
             ({"dataset": {"kind": "gaussian-blobs", "n": 60, "p": 6,
                           "separation": float("nan")}}, None,
              "config.dataset: separation must be nonnegative, got nan"),
+            # An infinite one used to exit 2 with a message that named no field.
+            ({"dataset": {"kind": "random-lls", "n": 60, "p": 6,
+                          "noise_sigma": float("inf")}}, None,
+             "config.dataset: noise_sigma must be finite, got inf"),
+            ({"dataset": {"kind": "gaussian-blobs", "n": 60, "p": 6,
+                          "separation": float("inf")}}, None,
+             "config.dataset: separation must be finite, got inf"),
             ({"init_scale": float("nan")}, None,
              "config: init_scale must be nonnegative, got nan"),
             ({"init_scale": -0.01}, None, "config: init_scale must be nonnegative, got -0.01"),
@@ -341,7 +348,8 @@ class TestRun:
              "config.dataset: image_side must be at least 2, got 1"),
         ],
         ids=["bool-batch-size", "str-init-scale", "missing-batch-size", "negative-alpha",
-             "empty-alphas", "nan-noise-sigma", "nan-separation", "nan-init-scale",
+             "empty-alphas", "nan-noise-sigma", "nan-separation", "infinite-noise-sigma",
+             "infinite-separation", "nan-init-scale",
              "negative-init-scale", "infinite-init-scale",
              "zero-batch-size", "batch-size-over-n", "zero-max-epochs",
              "alphas-same-trace-name", "methods-repeated", "alphas-repeated",
@@ -459,20 +467,22 @@ class TestRun:
         assert "init_seed=7" in err
         assert "needed more than 5 steps" in err
 
-    def test_infinite_alpha_fails_its_rk_cell(self, tmp_path, capsys):
-        """Python's json reads Infinity; h = inf has no RK flow to integrate."""
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(base_config(
-            dataset={"kind": "gaussian-blobs", "n": 200, "p": 5, "seed": 1},
-            holdout_size=40, methods=["splitting"], alphas=[float("inf")],
-            batch_size=20)))
-        assert "Infinity" in cfg_path.read_text()
-        out = tmp_path / "runs"
-        assert main(["--out", str(out), "run", "--config", str(cfg_path)]) == 2
-        err = capsys.readouterr().err
-        assert "method=splitting alpha=inf" in err
-        assert "h must be finite and nonnegative, got inf" in err
-        assert not out.exists()
+    def test_infinite_alpha_is_a_config_error(self, tmp_path, capsys):
+        """Python's json reads Infinity.  h = alpha * m = inf used to run a
+        least-squares splitting cell as the Kaczmarz projection and exit 0,
+        and to fail a logistic cell in its RK step; both are refused when
+        the config is parsed."""
+        least_squares = {"methods": ["splitting", "kaczmarz"]}
+        logistic = {"dataset": {"kind": "gaussian-blobs", "n": 200, "p": 5, "seed": 1},
+                    "holdout_size": 40, "methods": ["splitting"], "batch_size": 20}
+        for overrides in (least_squares, logistic):
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(base_config(**overrides, alphas=[float("inf")])))
+            assert "Infinity" in cfg_path.read_text()
+            out = tmp_path / "runs"
+            assert main(["--out", str(out), "run", "--config", str(cfg_path)]) == 2
+            assert "error: config: alphas must be finite, got inf" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_threads_match_serial_output(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

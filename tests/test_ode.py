@@ -19,6 +19,9 @@ DP_A = [
     [F(9017, 3168), F(-355, 33), F(46732, 5247), F(49, 176), F(-5103, 18656)],
 ]
 DP_B = [F(35, 384), F(0), F(500, 1113), F(125, 192), F(-2187, 6784), F(11, 84)]
+# The embedded 4th-order weights b*_j, b*_7 included.
+DP_B4 = [F(5179, 57600), F(0), F(7571, 16695), F(393, 640), F(-92097, 339200), F(187, 2100),
+         F(1, 40)]
 
 
 class TestBasics:
@@ -76,6 +79,31 @@ class TestBasics:
             k.append(rhs(y0 + h * sum((float(a) * kj for a, kj in zip(row, k)), np.zeros(3))))
         want = y0 + h * sum(float(b) * kj for b, kj in zip(DP_B, k))
         np.testing.assert_allclose(sol.y_end, want, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("d", [1, 3, 200])
+    def test_one_step_is_the_tableau_arithmetic_bitwise(self, d):
+        """The same accepted step written with @ in the integrator's layout:
+        each stage input is [1, h a_i1, ..., h a_ii] times (y, k_1, ..., k_i),
+        and the error vector (h (b_j - b*_j)) times (k_1, ..., k_7).  y_end
+        and the proposal h_next agree bit for bit."""
+
+        def rhs(y):
+            return np.sin(np.roll(y, 1)) - 0.5 * y
+
+        y0 = np.random.default_rng(d).standard_normal(d)
+        h, rtol, atol = 0.05, 1e-2, 1e-2
+        sol = rk45_integrate(rhs, y0, (0.0, h), IntegratorConfig(rtol=rtol, atol=atol, h_init=h))
+        assert (sol.steps_taken, sol.rejected_steps, sol.rhs_evals) == (1, 0, 7)
+        ks = [y0, rhs(y0)]
+        for row in DP_A[1:] + [DP_B]:
+            y_new = np.array([1.0] + [h * float(a) for a in row]) @ np.array(ks)
+            ks.append(rhs(y_new))
+        err_weights = [h * float(b - b4) for b, b4 in zip(DP_B + [0], DP_B4)]
+        err_vec = np.array(err_weights) @ np.array(ks[1:])
+        err_vec /= atol + rtol * np.maximum(np.abs(y0), np.abs(y_new))
+        err = math.sqrt((err_vec @ err_vec) / d)
+        assert np.array_equal(sol.y_end, y_new)
+        assert sol.h_next == h * min(5.0, max(0.2, 0.9 * err ** -0.2))
 
     def test_reversed_span_rejected(self):
         with pytest.raises(ValueError):

@@ -74,6 +74,16 @@ class TestRunBasics:
         trace = run(pb, None, cfg, theta0=pb.theta_ref)
         assert trace.records[0].loss == pytest.approx(0.0, abs=1e-20)
 
+    @pytest.mark.parametrize("alpha, message", [
+        (float("nan"), "alpha must be positive, got nan"),
+        (0.0, "alpha must be positive, got 0.0"),
+        # An SGD run used to come back diverged, with a NaN record.
+        (math.inf, "alpha must be finite, got inf"),
+    ], ids=["nan", "zero", "inf"])
+    def test_bad_alpha_rejected(self, alpha, message):
+        with pytest.raises(ValueError, match=message):
+            RunConfig(method="sgd", alpha=alpha, batch_size=8, max_epochs=3)
+
     @pytest.mark.parametrize("scale", [float("nan"), -1.0, math.inf])
     def test_bad_init_scale_rejected(self, scale):
         with pytest.raises(ValueError, match="init_scale"):

@@ -8,8 +8,8 @@ when the RMS of the scaled error is at most 1, and the next step chosen as
 
 The pair is first-same-as-last (FSAL): an accepted step's last stage is the
 next step's first, so a step costs six right-hand-side evaluations.  y and
-the stages k_1 .. k_7 are the rows of one (8, d) array.  Each attempt scales
-the tableau's rows by h once, so every stage input, y_new and the error
+the stages k_1 .. k_7 are the rows of one (8, d) array.  The tableau's rows
+are scaled by the attempt's h, so every stage input, y_new and the error
 vector is one weighted product of rows: a stage input rounds as
 y + sum_j (h a_ij) k_j rather than y + h sum_j a_ij k_j.  These products
 and the error norm's inner product call the method ``ndarray.dot``, not
@@ -19,6 +19,18 @@ this size matmul's ufunc dispatch costs more than the arithmetic.  A
 with ``@`` (numpy 2.4, OpenBLAS at one thread, best of 3 x 200k calls);
 the function ``np.dot``, at 0.71 us, pays an ``__array_function__``
 dispatch that the method skips.
+
+That array, a private copy of the tableau, the h the copy is scaled by and
+the stage views into both make a workspace.  Each thread keeps one per
+state size, so a run, whose states take one or two sizes, builds them
+once.  A call takes its size's workspace out of its thread's pool and puts
+it back on return: concurrent calls draw on different pools, a nested call
+of the same size finds none there and builds its own, and a call that
+raises drops the one it held.  An attempt at the h the copy was last
+scaled by skips the rescaling: where one step covers each local step's
+span, every attempt is at that span.  In the benchmark's ``classify``
+splitting runs 92-98% of the attempts at alpha <= 1 skip it, and 0-5% at
+alpha = 10.  A workspace holds 8 (d + 7) floats for the life of its thread.
 
 The solution carries the controller's last proposal, ``h_next``: the step
 it would try next after the last accepted step that the span end did not
@@ -34,6 +46,8 @@ one f(y0), one start-step probe when ``h_init`` is 0 and six per attempt.
 """
 
 import math
+import numbers
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,10 +101,24 @@ class IntegratorConfig:
         for name, tol in (("rtol", self.rtol), ("atol", self.atol)):
             if not 0 < tol < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be finite and positive, got {tol!r}")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
+        _check_count("max_steps", self.max_steps)
         if not self.h_init >= 0:
             raise ValueError("h_init must be >= 0")
+
+
+def _check_count(name: str, value) -> None:
+    """Raise unless ``value`` is an integer >= 1; a bool, a fraction or NaN
+    is not a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _with_h_init(cfg: IntegratorConfig, h_init: float) -> IntegratorConfig:
+    """``cfg`` with ``h_init`` replaced, built without ``__post_init__``:
+    ``cfg`` passed its checks, and so does any positive, finite proposal."""
+    new = object.__new__(IntegratorConfig)
+    new.__dict__.update(cfg.__dict__, h_init=h_init)
+    return new
 
 
 @dataclass
@@ -100,6 +128,26 @@ class OdeSolution:
     rhs_evals: int
     rejected_steps: int
     h_next: float = 0.0
+
+
+class _Workspaces(threading.local):
+    """Each thread's idle workspaces, by state size."""
+
+    def __init__(self):
+        self.by_size = {}
+
+
+_workspaces = _Workspaces()
+
+
+def _workspace(d: int) -> tuple:
+    """A new workspace for states of size d: the (8, d) stage array, a
+    private copy of the tableau, the (weights, y and earlier stages, output
+    row) views of stages 2..7, and the h the copy is scaled by (NaN: none)."""
+    ks = np.empty((8, d))
+    coef = _TABLEAU.copy()
+    stages = [(coef[i, :i + 1], ks[:i + 1], ks[i + 1]) for i in range(1, 7)]
+    return ks, coef, stages, math.nan
 
 
 def _rms(x: np.ndarray) -> float:
@@ -147,7 +195,8 @@ def rk45_integrate(rhs, y0, t_span, cfg: IntegratorConfig | None = None) -> OdeS
 
     t_len = t1 - t0
     atol, rtol = cfg.atol, cfg.rtol
-    ks = np.empty((8, y.size))
+    pool = _workspaces.by_size
+    ks, coef, stages, h_scaled = pool.pop(y.size, None) or _workspace(y.size)
     ks[0] = y
     ks[1] = rhs(y)
     if not np.isfinite(ks[1]).all():
@@ -156,9 +205,6 @@ def rk45_integrate(rhs, y0, t_span, cfg: IntegratorConfig | None = None) -> OdeS
         h, start_evals = cfg.h_init, 1
     else:
         h, start_evals = _initial_step(rhs, y, ks[1], t_len, cfg), 2
-    coef = _TABLEAU.copy()  # per call: concurrent integrations share nothing
-    # (weights, y and earlier stages, output row) for stages 2..7
-    stages = [(coef[i, :i + 1], ks[:i + 1], ks[i + 1]) for i in range(1, 7)]
 
     t = t0
     steps = 0
@@ -176,8 +222,10 @@ def rk45_integrate(rhs, y0, t_span, cfg: IntegratorConfig | None = None) -> OdeS
         if h <= 1e-14 * max(abs(t), t_len):
             raise StepBudgetExceeded(f"step size underflow at t={t:g}")
         h_step = min(h, remaining)
-        np.multiply(_TABLEAU, h_step, out=coef)
-        coef[:7, 0] = 1.0  # the weight of y stays 1
+        if h_step != h_scaled:
+            np.multiply(_TABLEAU, h_step, out=coef)
+            coef[:7, 0] = 1.0  # the weight of y stays 1
+            h_scaled = h_step
         for w, prev, out in stages:
             y_new = w.dot(prev)
             out[...] = rhs(y_new)
@@ -205,5 +253,6 @@ def rk45_integrate(rhs, y0, t_span, cfg: IntegratorConfig | None = None) -> OdeS
         h = h_step * factor
 
     evals = start_evals + 6 * (steps + rejected)
+    pool[y.size] = (ks, coef, stages, h_scaled)
     return OdeSolution(y_end=ks[0].copy(), steps_taken=steps, rhs_evals=evals,
                        rejected_steps=rejected, h_next=h_next)

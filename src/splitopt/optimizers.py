@@ -13,7 +13,8 @@ every epoch in a freshly seeded order, applying one of
 A run records its loss and stop metric at its start and after every
 epoch.  A record costs one pass over the training rows: least squares
 shares one residual X theta - y between its loss and its relative
-residual, ``test-error`` adds a pass over the holdout, and
+residual, softmax reduces its scores class-major, ``test-error`` adds a
+pass over the holdout (its true labels derived once and kept on it), and
 ``loss-threshold`` reuses the loss as its metric.  The run's clock leaves
 out the checks of ``check_run``, which factor the batches of every method
 but SGD: one thin SVD each, which every kind's step reads.
@@ -36,13 +37,13 @@ SGD and Kaczmarz report their iterates.
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import partition
 from .errors import MissingReference
-from .ode import IntegratorConfig
+from .ode import IntegratorConfig, _check_count, _with_h_init
 from .problems import Problem, _check_theta, loss, loss_and_residual, test_error, theta_shape
 from .solvers import euler_step, lls_local_exact, local_step_rk
 
@@ -82,8 +83,7 @@ class RunConfig:
             raise ValueError(f"alpha must be positive, got {self.alpha!r}")
         if self.alpha == math.inf:  # h = alpha * m = inf: the Kaczmarz projection
             raise ValueError(f"alpha must be finite, got {self.alpha!r}")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be at least 1")
+        _check_count("max_epochs", self.max_epochs)
         if not self.init_scale >= 0:  # NaN fails too
             raise ValueError(f"init_scale must be nonnegative, got {self.init_scale!r}")
         if self.init_scale == math.inf:  # every init entry inf or NaN
@@ -282,7 +282,9 @@ def _batch_step(pb: Problem, cfg: RunConfig, h: float, batches: list, trace: Tra
     earlier step of the run reported, a batch's first visit included;
     ``cfg.integrator.h_init`` (the start-step probe at 0) serves the run's
     first RK step only.  The proposal is the run's own, so runs sharing a
-    partition across threads never see each other's.
+    partition across threads never see each other's; it reaches the next
+    step as a copy of ``cfg.integrator`` that skips the config's checks,
+    which a positive, finite proposal passes.
 
     The solver is looked up in this module's globals when the run starts,
     so a function swapped in there (a tracer's wrapper, say) sees every step.
@@ -301,7 +303,7 @@ def _batch_step(pb: Problem, cfg: RunConfig, h: float, batches: list, trace: Tra
         rep = rk(pb, batches[i], theta, h, start)
         trace.rhs_evals += rep.rhs_evals
         if rep.h_next > 0:
-            start = replace(cfg.integrator, h_init=rep.h_next)
+            start = _with_h_init(cfg.integrator, rep.h_next)
         return rep.theta_next
 
     return rk_step

@@ -31,6 +31,16 @@ shifted by its column maxima, exponentiated and divided by its column sums
 1_K^T z, all in z's own buffer, and c is added into the product's output.
 ``reduced_rhs`` evaluates the flow at one state, with a shape check.
 
+A record costs one pass over the rows it measures.  The softmax loss
+makes it class-major: the true-class total is one inner product of the
+n x K scores with the one-hot targets, and the scores, copied once to
+K x n, are shifted by their column maxima, exponentiated in place and
+summed by ``ones.dot``, so no reduction runs along the strided axis (at
+n = 2000, K = 10 about 140 us against 550 us row-major, numpy 2.4).
+``test_error`` derives a holdout's true labels, the argmax of its
+one-hot targets, on first use and keeps them on the holdout ``Problem``,
+whose arrays are owned and read-only.
+
 The flow closures, the residual, the loss and the holdout scores run once
 per RHS evaluation, step or record, so their products call the method
 ``ndarray.dot``, not ``@``: the same BLAS routine and the same bits,
@@ -59,6 +69,7 @@ class Problem:
     targets: np.ndarray
     theta_ref: np.ndarray | None = None  # planted solution / phantom, if known
     _partition: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _labels: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _theta_shape: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -208,10 +219,16 @@ def _loss_and_residual(kind: str, x: np.ndarray, targets: np.ndarray, theta: np.
     if kind == "logistic":
         # softplus(z) - y z, the stable form of the negative log-likelihood
         return float(np.sum(np.logaddexp(0.0, z) - targets * z)) / rows, None
-    zmax = z.max(axis=1)
-    lse = zmax + np.log(np.sum(np.exp(z - zmax[:, None]), axis=1))
-    true_score = np.sum(z * targets, axis=1)
-    return float(np.sum(lse - true_score)) / rows, None
+    # One class-major pass: the true-class total as one inner product, then
+    # the scores K x n, so each reduction runs over rows of contiguous data.
+    true_total = z.ravel().dot(targets.ravel())
+    z = z.T.copy()
+    zmax = np.maximum.reduce(z)
+    z -= zmax
+    np.exp(z, out=z)
+    lse = np.log(np.ones(z.shape[0]).dot(z))
+    lse += zmax
+    return float(lse.sum() - true_total) / rows, None
 
 
 def loss(pb: Problem, theta: np.ndarray) -> float:
@@ -310,6 +327,7 @@ def test_error(pb: Problem, theta: np.ndarray, holdout: Problem) -> float:
     if pb.kind == "logistic":
         pred = (z >= 0).astype(float)
         return float(np.mean(pred != holdout.targets))
-    pred = np.argmax(z, axis=1)
-    truth = np.argmax(holdout.targets, axis=1)
-    return float(np.mean(pred != truth))
+    truth = holdout._labels
+    if truth is None:  # derived once: the holdout's targets are read-only
+        truth = holdout._labels = np.argmax(holdout.targets, axis=1)
+    return float(np.mean(np.argmax(z, axis=1) != truth))

@@ -1,6 +1,10 @@
 """Integrator tests against analytic solutions and the closed-form flow."""
 
 import math
+import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
 import numpy as np
@@ -114,6 +118,15 @@ class TestBasics:
         with pytest.raises(ValueError, match="h_init"):
             IntegratorConfig(h_init=h_init)
 
+    @pytest.mark.parametrize("steps", [math.nan, 2.5, True, 0],
+                             ids=["nan", "fraction", "bool", "zero"])
+    def test_bad_max_steps_rejected(self, steps):
+        """NaN used to switch the step budget off: dy/dt = -y over (0, 100)
+        took 49 steps unchecked."""
+        with pytest.raises(ValueError,
+                           match=re.escape(f"max_steps must be an integer >= 1, got {steps!r}")):
+            IntegratorConfig(max_steps=steps)
+
     @pytest.mark.parametrize("name", ["rtol", "atol"])
     @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1e-6])
     def test_tolerance_must_be_finite_and_positive(self, name, value):
@@ -195,11 +208,106 @@ class TestErrorControl:
         np.testing.assert_allclose(sol.y_end, [0.0, 1.0], atol=1e-7)
 
 
+def fresh(fn, *args):
+    """fn(*args) on a new thread, whose integrations start with no kept
+    workspace."""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn, *args).result(timeout=30)
+
+
+def same(a, b):
+    """Two solutions agree bit for bit, counters and proposal included."""
+    return (np.array_equal(a.y_end, b.y_end)
+            and (a.steps_taken, a.rhs_evals, a.rejected_steps, a.h_next)
+            == (b.steps_taken, b.rhs_evals, b.rejected_steps, b.h_next))
+
+
+class TestWorkspace:
+    """Each thread keeps one workspace per state size, and a call holds it
+    alone; every result is bit for bit a fresh call's."""
+
+    CFG = IntegratorConfig(rtol=1e-6, atol=1e-9)
+
+    def test_concurrent_threads_share_nothing(self):
+        """Four threads, more than the cores, integrate different
+        right-hand sides of one state size at once, with the interpreter
+        switching threads every microsecond: each waits for the others
+        inside its first evaluation."""
+        flows = [lambda y, c=c: np.cos(np.roll(y, 1)) - c * y * (1 + y * y)
+                 for c in (0.5, 1.0, 1.5, 2.0)]
+        met = threading.Barrier(len(flows), timeout=10)
+
+        def meeting(f):
+            first = [True]
+
+            def rhs(y):
+                if first and first.pop():
+                    met.wait()
+                return f(y)
+
+            return rhs
+
+        y0 = np.linspace(-1.0, 2.0, 4)
+        want = [fresh(rk45_integrate, f, y0, (0.0, 5.0), self.CFG) for f in flows]
+        # This thread now keeps a workspace of the size, which a pool shared
+        # across threads would hand to all four.
+        rk45_integrate(flows[0], y0, (0.0, 5.0), self.CFG)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(flows)) as pool:
+                runs = [pool.submit(rk45_integrate, meeting(f), y0, (0.0, 5.0), self.CFG)
+                        for f in flows]
+                got = [run.result(timeout=30) for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        for sol, ref in zip(got, want):
+            assert same(sol, ref)
+
+    def test_nested_call_on_its_own_state_size(self):
+        """A right-hand side that integrates a state of its own size while
+        the outer call holds that size's workspace."""
+
+        def inner_flow(y):
+            return rk45_integrate(np.sin, y, (0.0, 0.1), self.CFG).y_end - y
+
+        def inner_flow_fresh(y):
+            return fresh(rk45_integrate, np.sin, y, (0.0, 0.1), self.CFG).y_end - y
+
+        y0 = np.array([0.4, -1.3, 2.2])
+        want = fresh(rk45_integrate, inner_flow_fresh, y0, (0.0, 2.0), self.CFG)
+        for _ in range(2):  # the second run reuses both kept workspaces
+            assert same(rk45_integrate(inner_flow, y0, (0.0, 2.0), self.CFG), want)
+
+    @pytest.mark.parametrize("d", [1, 3, 200])
+    def test_h_then_another_h_then_h_again(self, d):
+        """Single-step calls at h, h' and h again: a tableau kept scaled by
+        one h serves only that h."""
+
+        def rhs(y):
+            return np.sin(np.roll(y, 1)) - 0.5 * y
+
+        y0 = np.random.default_rng(d).standard_normal(d)
+        for h in (0.05, 0.03, 0.05):
+            cfg = IntegratorConfig(rtol=1e-2, atol=1e-2, h_init=h)
+            got = rk45_integrate(rhs, y0, (0.0, h), cfg)
+            assert got.steps_taken == 1 and got.rejected_steps == 0
+            assert same(got, fresh(rk45_integrate, rhs, y0, (0.0, h), cfg))
+
+
 class TestFailureModes:
     def test_step_budget(self):
+        """The failed call leaves no trace in the workspaces: a one-step
+        call of its state size before it and after it agree bit for bit,
+        and with a fresh call."""
+        one_step = IntegratorConfig(rtol=1e-2, atol=1e-2, h_init=0.05)
+        before = rk45_integrate(np.sin, np.array([0.3]), (0.0, 0.05), one_step)
         cfg = IntegratorConfig(rtol=1e-10, atol=1e-13, max_steps=3)
         with pytest.raises(StepBudgetExceeded):
             rk45_integrate(lambda y: np.cos(50 * y) * 50, np.array([0.1]), (0.0, 10.0), cfg)
+        after = rk45_integrate(np.sin, np.array([0.3]), (0.0, 0.05), one_step)
+        assert same(after, before)
+        assert same(after, fresh(rk45_integrate, np.sin, np.array([0.3]), (0.0, 0.05), one_step))
 
     def test_state_overflow_is_rejected(self):
         """A constant RHS makes the error estimate 0, so only the finiteness

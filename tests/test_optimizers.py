@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -88,6 +89,21 @@ class TestRunBasics:
     def test_bad_init_scale_rejected(self, scale):
         with pytest.raises(ValueError, match="init_scale"):
             RunConfig(method="sgd", alpha=0.1, batch_size=8, max_epochs=3, init_scale=scale)
+
+    @pytest.mark.parametrize("epochs", [math.nan, 2.5, True, 0],
+                             ids=["nan", "fraction", "bool", "zero"])
+    def test_bad_max_epochs_rejected(self, epochs):
+        """NaN used to return an untrained trace with one record at epoch 0,
+        and 2.5 to run three epochs."""
+        with pytest.raises(ValueError,
+                           match=re.escape(f"max_epochs must be an integer >= 1, got {epochs!r}")):
+            RunConfig(method="sgd", alpha=0.01, batch_size=4, max_epochs=epochs)
+
+    def test_numpy_integer_max_epochs_accepted(self):
+        pb = gen_random_lls(40, 4, 0.1, 0)
+        trace = run(pb, None, RunConfig(method="sgd", alpha=0.01, batch_size=4,
+                                        max_epochs=np.int64(2)))
+        assert [r.epoch for r in trace.records] == [0, 1, 2]
 
     def test_theta0_is_checked_and_copied(self):
         pb = gen_random_lls(20, 4, 0.0, 2)
@@ -484,6 +500,32 @@ class TestRecords:
                                         max_epochs=4, stop=StoppingRule(kind, 1e-300)))
         assert calls == {name: len(trace.records) * (name == reads) for name in calls}
         assert len(trace.records) == 5
+
+
+    def test_holdout_labels_are_derived_once(self, monkeypatch):
+        """A softmax run's holdout error reads the holdout's labels, the
+        argmax of its constant targets, derived at the first record only
+        and kept on the holdout for every later record and run."""
+        data = gen_gaussian_blobs(240, 4, 10, 3.0, 6)
+        train = Problem(data.kind, data.x[:160], data.targets[:160])
+        hold = Problem(data.kind, data.x[160:], data.targets[160:])
+        real, of_targets = np.argmax, []
+
+        def counting(a, *args, **kwargs):
+            of_targets.append(a is hold.targets)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argmax", counting)
+        cfg = RunConfig(method="splitting", alpha=0.5, batch_size=16, seed=1, max_epochs=5,
+                        stop=StoppingRule("test-error", 1e-300))
+        trace = run(train, hold, cfg)
+        assert len(trace.records) == 6
+        assert of_targets.count(True) == 1 and of_targets.count(False) == 6
+        truth = real(hold.targets, axis=1)
+        assert trace.records[-1].metric == float(np.mean(real(hold.x @ trace.theta, axis=1)
+                                                         != truth))
+        run(train, hold, cfg)
+        assert of_targets.count(True) == 1
 
 
 class TestSgdSplittingIdentity:

@@ -146,9 +146,12 @@ class TestEvaluation:
         elif k == 2:
             want = float(np.sum(np.logaddexp(0.0, z) - y * z)) / n
         else:
-            zmax = z.max(axis=1)
-            lse = zmax + np.log(np.sum(np.exp(z - zmax[:, None]), axis=1))
-            want = float(np.sum(lse - np.sum(z * y, axis=1))) / n
+            # Class-major: scores K x n, log-sum-exp down each column, and
+            # the true-class total as one inner product.
+            zt = z.T.copy()
+            zmax = zt.max(axis=0)
+            lse = np.log(np.ones(k) @ np.exp(zt - zmax)) + zmax
+            want = float(np.sum(lse) - z.ravel() @ y.ravel()) / n
         got, got_resid = loss_and_residual(pb, theta)
         assert got == want
         if resid is None:

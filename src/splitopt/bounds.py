@@ -2,9 +2,10 @@
 
 Splitting a full-rank matrix X into row blocks X_1..X_k turns the linear
 flow matrix A = -X^T X into a sum of negative semidefinite low-rank parts
-A_i = -X_i^T X_i = Q_i B_i Q_i^T with B_i = -R_i R_i^T from the thin QR of
-X_i^T.  The one-step (time t) composition of the part flows differs from
-the exact flow by
+A_i = -X_i^T X_i = Q_i B_i Q_i^T, with B_i = diag(w_i), w_i = -s_i^2, from
+the thin SVD X_i^T = Q_i diag(s_i) G_i^T and rank rule of every minibatch
+(``problems.BatchFactorization``).  The one-step (time t) composition of
+the part flows differs from the exact flow by
 
     err(t) = || e^{A_k t} ... e^{A_1 t} - e^{A t} ||_2,
 
@@ -15,23 +16,20 @@ to the norm of the product of the orthogonal complements
 
 ``splitting_error`` evaluates the left side, ``error_limit`` the right
 side, and ``error_sweep`` tabulates both over a time grid, all from one
-eigendecomposition of A = U diag(w) U^T and of each B_i = V_i diag(w_i)
-V_i^T (so Q_i must be orthonormal and B_i symmetric, as ``build_split``
+eigendecomposition A = U diag(w) U^T and orthonormal Q_i (as ``build_split``
 makes them).  The error is carried in A's eigenbasis: U is orthogonal, so
 
     err(t) = || P(t) U - U diag(e^{t w}) ||_2,   P(t) = e^{A_k t} ... e^{A_1 t},
 
 where the product starts from U and the exact flow is a column scaling,
 never an N x N exponential.  Part 1 acts first: part i moves the product
-P by the rank-r_i update P + Q_i V_i diag(expm1(t w_i)) V_i^T Q_i^T P,
-which at t = inf is Pi_i P.  At t = 0 every update is zero and the
-scaling is by ones, so err(0) is exactly 0.
+P by the rank-r_i update P + Q_i diag(expm1(t w_i)) Q_i^T P, which at
+t = inf is Pi_i P.  At t = 0 every update is zero and the scaling is by
+ones, so err(0) is exactly 0.
 
-The approach to the limit is governed by the slowest decay rate among the
-parts and the full flow, exp(t * mu) with mu the largest of the
-logarithmic norms; for an iid Gaussian X the smallest singular value can
-make that rate impractically slow, so ``random_full_rank`` draws matrices
-with singular values bounded away from zero.
+The approach to the limit goes as exp(t * mu), mu the largest of max(w_i)
+and A's logarithmic norm; an iid Gaussian X can make that rate impractically
+slow, so ``random_full_rank`` keeps singular values away from zero.
 """
 
 import csv
@@ -40,13 +38,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficient
-from .linalg import spectral_norm, thin_qr
+from .linalg import spectral_norm
+from .ode import _check_count
+from .problems import BatchFactorization
 
 
 @dataclass
 class LowRankPart:
     q: np.ndarray  # N x r_i, orthonormal columns
-    b: np.ndarray  # r_i x r_i, symmetric negative definite
+    w: np.ndarray  # r_i, negative: the part is q diag(w) q^T
 
 
 @dataclass
@@ -76,14 +76,15 @@ def build_split(x: np.ndarray, blocks: int, seed: int | None = None) -> SplitOpe
     """Split the rows of a square full-rank x into near-equal blocks.
 
     With a seed the rows are permuted first (the default keeps them
-    contiguous).  Raises RankDeficient when a block loses full row rank or
-    the assembled A = -x^T x is not negative definite.
+    contiguous).  Raises ValueError for a non-finite entry, RankDeficient
+    when a block loses full row rank or A = -x^T x is not negative definite.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     if x.ndim != 2 or x.shape[1] != n:
         raise ValueError(f"expected a square matrix, got {x.shape}")
-    if not (1 <= blocks <= n):
+    _check_count("blocks", blocks)
+    if blocks > n:
         raise ValueError(f"blocks must be in [1, {n}]")
     if seed is not None:
         x = x[np.random.default_rng(seed).permutation(n)]
@@ -91,8 +92,8 @@ def build_split(x: np.ndarray, blocks: int, seed: int | None = None) -> SplitOpe
     parts, ranks = [], []
     for i in range(blocks):
         xi = x[edges[i] : edges[i + 1]]
-        fac = thin_qr(xi.T)
-        parts.append(LowRankPart(q=fac.q, b=-(fac.r @ fac.r.T)))
+        svd = BatchFactorization(xi, np.zeros(len(xi))).svd
+        parts.append(LowRankPart(q=svd.u, w=-svd.w))
         ranks.append(xi.shape[0])
     a_full = -(x.T @ x)
     w = np.linalg.eigvalsh(a_full)
@@ -105,14 +106,12 @@ def _errors(ops: SplitOperators, t_grid):
     """err(t) = ||P(t) U - U diag(e^{t w})|| for each t in t_grid.  t = inf
     gives the limit ||Pi_k ... Pi_1 U|| = ||Pi_k ... Pi_1||: each part flow
     is then its projector and the exact flow is 0."""
-    eigs = [np.linalg.eigh(part.b) for part in ops.parts]
-    parts = [(part.q @ v, w) for part, (w, v) in zip(ops.parts, eigs)]
     w_full, u_full = np.linalg.eigh(ops.a_full)
     for t in t_grid:
         prod = u_full.copy()
-        for u, w in parts:
-            c = np.full(len(w), -1.0) if t == np.inf else np.expm1(t * w)
-            prod += u @ (c[:, None] * (u.T @ prod))
+        for part in ops.parts:
+            c = np.full(len(part.w), -1.0) if t == np.inf else np.expm1(t * part.w)
+            prod += part.q @ (c[:, None] * (part.q.T @ prod))
         if t != np.inf:
             prod -= u_full * np.exp(t * w_full)
         yield spectral_norm(prod)

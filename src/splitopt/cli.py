@@ -33,7 +33,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .data import DATASET_KINDS, DatasetSpec, make_problem, save_linear_system, split_holdout
 from .errors import EmptyTrace, SplitOptError
-from .ode import IntegratorConfig
+from .ode import IntegratorConfig, _check_count
 from .optimizers import METHODS, RunConfig, StoppingRule, Trace, check_run, run
 from .plotting import PALETTE, Series, render_line_chart
 
@@ -99,6 +99,7 @@ class ExperimentConfig:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be at least 1, got {self.max_epochs}")
+        _check_count("seed", self.seed, 0)
         if not self.init_scale >= 0:  # NaN fails too
             raise ValueError(f"init_scale must be nonnegative, got {self.init_scale!r}")
         if self.init_scale == math.inf:  # every init entry inf or NaN
@@ -425,6 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None:
+            _check_count("--seed", args.seed, 0)
         return args.func(args)
     except (SplitOptError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,6 +26,7 @@ from .errors import (
     ParseError,
     TruncatedFile,
 )
+from .ode import _check_count
 from .problems import BatchFactorization, Problem
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -61,6 +62,7 @@ class DatasetSpec:
     def __post_init__(self):
         if self.kind not in DATASET_KINDS:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
+        _check_count("seed", self.seed, 0)
         if self.n < 1 or self.p < 1:
             raise ValueError("n and p must be at least 1")
         for name, least in (("k", 2), ("rays", 1), ("image_side", 2)):

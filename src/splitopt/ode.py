@@ -106,11 +106,11 @@ class IntegratorConfig:
             raise ValueError("h_init must be >= 0")
 
 
-def _check_count(name: str, value) -> None:
-    """Raise unless ``value`` is an integer >= 1; a bool, a fraction or NaN
-    is not a count."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def _check_count(name: str, value, least: int = 1) -> None:
+    """Raise unless ``value`` is an integer >= ``least`` (1 for a count, 0
+    for a seed); a bool, a fraction or NaN is neither."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _with_h_init(cfg: IntegratorConfig, h_init: float) -> IntegratorConfig:

@@ -84,6 +84,10 @@ class RunConfig:
         if self.alpha == math.inf:  # h = alpha * m = inf: the Kaczmarz projection
             raise ValueError(f"alpha must be finite, got {self.alpha!r}")
         _check_count("max_epochs", self.max_epochs)
+        _check_count("batch_size", self.batch_size)
+        _check_count("seed", self.seed, 0)
+        if self.init_seed is not None:
+            _check_count("init_seed", self.init_seed, 0)
         if not self.init_scale >= 0:  # NaN fails too
             raise ValueError(f"init_scale must be nonnegative, got {self.init_scale!r}")
         if self.init_scale == math.inf:  # every init entry inf or NaN

@@ -19,6 +19,18 @@ from splitopt.bounds import LowRankPart, write_sweep_csv
 from splitopt.errors import RankDeficient
 
 
+def count_calls(monkeypatch, *names):
+    """The shapes each named ``np.linalg`` routine is called on, by name."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def counting(a, *args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+            calls[_name].append(np.shape(a))
+            return _f(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
 class TestBuildSplit:
     def test_single_block_is_whole_operator(self):
         x = random_full_rank(10, 0)
@@ -26,14 +38,14 @@ class TestBuildSplit:
         assert len(ops.parts) == 1
         part = ops.parts[0]
         np.testing.assert_allclose(
-            part.q @ part.b @ part.q.T, ops.a_full, atol=1e-10
+            (part.q * part.w) @ part.q.T, ops.a_full, atol=1e-10
         )
 
     def test_parts_sum_to_full_operator(self):
         x = random_full_rank(30, 1)
         for k in (2, 3, 7):
             ops = build_split(x, k)
-            total = sum(p.q @ p.b @ p.q.T for p in ops.parts)
+            total = sum((p.q * p.w) @ p.q.T for p in ops.parts)
             assert np.max(np.abs(total - ops.a_full)) <= 1e-10 * np.max(np.abs(ops.a_full))
 
     def test_hundred_dim_two_block_shapes(self):
@@ -41,7 +53,7 @@ class TestBuildSplit:
         ops = build_split(x, 2)
         assert ops.ranks == [50, 50]
         assert ops.parts[0].q.shape == (100, 50)
-        assert ops.parts[0].b.shape == (50, 50)
+        assert ops.parts[0].w.shape == (50,)
 
     def test_forty_blocks_near_equal(self):
         x = random_full_rank(100, 3)
@@ -54,8 +66,7 @@ class TestBuildSplit:
         x = random_full_rank(20, 4)
         ops = build_split(x, 4)
         for part in ops.parts:
-            w = np.linalg.eigvalsh(part.b)
-            assert np.all(w < 0)
+            assert np.all(part.w < 0)
 
     def test_singular_matrix_rejected(self):
         rng = np.random.default_rng(5)
@@ -63,6 +74,27 @@ class TestBuildSplit:
         x[-1] = x[:4].sum(axis=0)  # dependent row in the second block
         with pytest.raises(RankDeficient):
             build_split(x, 2)
+
+    def test_one_svd_per_block_and_no_qr(self, monkeypatch):
+        """Each block is factored by its thin SVD, the minibatch one."""
+        x = random_full_rank(20, 6)
+        calls = count_calls(monkeypatch, "svd", "qr")
+        ops = build_split(x, 3)
+        assert calls == {"svd": [(20, 6), (20, 7), (20, 7)], "qr": []}
+        assert ops.ranks == [6, 7, 7]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        x = random_full_rank(8, 6)
+        x[5, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            build_split(x, 2)
+
+    @pytest.mark.parametrize("blocks", [0, 9, 2.5, True], ids=["zero", "over-n", "fraction", "bool"])
+    def test_bad_block_count_rejected(self, blocks):
+        """2.5 used to raise TypeError, and True to build one block."""
+        with pytest.raises(ValueError, match="blocks must be"):
+            build_split(random_full_rank(8, 6), blocks)
 
     def test_seeded_row_permutation(self):
         x = random_full_rank(12, 6)
@@ -105,7 +137,7 @@ class TestErrorLimit:
         q2 = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
         a_full = -(q1 @ q1.T) - (q2 @ q2.T)
         ops = SplitOperators(
-            parts=[LowRankPart(q1, -np.eye(1)), LowRankPart(q2, -np.eye(1))],
+            parts=[LowRankPart(q1, -np.ones(1)), LowRankPart(q2, -np.ones(1))],
             a_full=a_full,
             ranks=[1, 1],
         )
@@ -126,7 +158,7 @@ class TestSweepConvergence:
         ops = build_split(x, 2)
         lim = error_limit(ops)
         mu = max(
-            max(log_norm(p.b) for p in ops.parts), log_norm(ops.a_full)
+            max(p.w.max() for p in ops.parts), log_norm(ops.a_full)
         )
         assert mu < 0
         for t in (30.0, 45.0):
@@ -185,7 +217,7 @@ def per_t_error(ops, t):
     """err(t) rebuilt from scratch: every part flow and the exact flow."""
     prod = np.eye(ops.a_full.shape[0])
     for part in ops.parts:
-        prod = expm_lowrank(part.q, part.b, t) @ prod
+        prod = expm_lowrank(part.q, np.diag(part.w), t) @ prod
     return spectral_norm(prod - expm_sym(ops.a_full, t))
 
 
@@ -215,17 +247,12 @@ class TestEvaluator:
         assert error_sweep(ops, [0.0, 1.0])[:, 2] == pytest.approx(want, abs=1e-12)
 
     def test_sweep_decomposes_each_operator_once(self, monkeypatch):
+        """One eigh, of A, per sweep; the parts are diagonal already."""
         ops = build_split(random_full_rank(30, 3), 7)
-        eigh, calls = np.linalg.eigh, []
-
-        def counting_eigh(a, *args, **kwargs):
-            calls.append(a.shape)
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        calls = count_calls(monkeypatch, "eigh", "svd")
         rows = error_sweep(ops, np.linspace(0.0, 50.0, 51))
         assert rows.shape == (51, 3)
-        assert len(calls) == len(ops.parts) + 1
+        assert calls == {"eigh": [(30, 30)], "svd": []}
 
 
 class TestDecayProperty:

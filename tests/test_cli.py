@@ -346,6 +346,10 @@ class TestRun:
              "config.dataset: rays must be at least 1, got -1"),
             ({"dataset": {"kind": "tomo-like", "image_side": 1}}, None,
              "config.dataset: image_side must be at least 2, got 1"),
+            # Negative seeds used to reach numpy, whose message named no field.
+            ({"seed": -1}, None, "config: seed must be an integer >= 0, got -1"),
+            ({"dataset": {"kind": "random-lls", "n": 60, "p": 6, "seed": -1}}, None,
+             "config.dataset: seed must be an integer >= 0, got -1"),
         ],
         ids=["bool-batch-size", "str-init-scale", "missing-batch-size", "negative-alpha",
              "empty-alphas", "nan-noise-sigma", "nan-separation", "infinite-noise-sigma",
@@ -355,7 +359,7 @@ class TestRun:
              "alphas-same-trace-name", "methods-repeated", "alphas-repeated",
              "negative-holdout-size", "holdout-size-over-n", "holdout-and-holdout-size",
              "infinite-rtol", "infinite-threshold", "one-class-blobs", "negative-rays",
-             "unit-image-side"],
+             "unit-image-side", "negative-seed", "negative-dataset-seed"],
     )
     def test_bad_field_reports_path(self, tmp_path, capsys, overrides, drop, message):
         cfg = base_config(**overrides)
@@ -493,6 +497,17 @@ class TestRun:
                      "--config", str(cfg_path)]) == 0
         assert_same_outputs(serial, parallel)
 
+    @pytest.mark.parametrize("command", ["run", "datagen"])
+    def test_negative_seed_flag_rejected(self, tmp_path, capsys, command):
+        """--seed -1 used to fail in numpy with a message that named no field."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config()))
+        flags = {"run": ["--config", str(cfg_path)], "datagen": ["--kind", "random-lls"]}
+        out = tmp_path / "out"
+        assert main(["--seed", "-1", "--out", str(out), command, *flags[command]]) == 2
+        assert "error: --seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
         """--threads -3 used to run serially and exit 0."""
@@ -600,13 +615,15 @@ class TestBounds:
     @pytest.mark.parametrize(
         "bad",
         [["--blocks", "0"], ["--points", "0"], ["--t-max", "-5"], ["--t-max", "nan"],
-         ["--t-max", "inf"], ["--n", "0"], ["--n", "-3"], ["--points", "-2"]],
+         ["--t-max", "inf"], ["--n", "0"], ["--n", "-3"], ["--points", "-2"],
+         ["--seed", "-1"]],
         ids=["zero-blocks", "zero-points", "negative-t-max", "nan-t-max", "inf-t-max",
-             "zero-n", "negative-n", "negative-points"],
+             "zero-n", "negative-n", "negative-points", "negative-seed"],
     )
     def test_rejected_input_leaves_no_out_dir(self, tmp_path, capsys, bad):
         out = tmp_path / "b0"
-        assert main(["--out", str(out), "bounds", "--n", "10", *bad]) == 2
+        top, sub = (bad, []) if bad[0] == "--seed" else ([], bad)  # --seed precedes the command
+        assert main(["--out", str(out), *top, "bounds", "--n", "10", *sub]) == 2
         assert not out.exists()
         err = capsys.readouterr().err
         assert bad[0].lstrip("-") in err

@@ -99,6 +99,18 @@ class TestRunBasics:
                            match=re.escape(f"max_epochs must be an integer >= 1, got {epochs!r}")):
             RunConfig(method="sgd", alpha=0.01, batch_size=4, max_epochs=epochs)
 
+    @pytest.mark.parametrize("name, value, least", [
+        ("batch_size", 2.5, 1), ("batch_size", True, 1), ("batch_size", 0, 1),
+        ("seed", -1, 0), ("init_seed", -1, 0), ("seed", 1.0, 0),
+    ], ids=["fractional-batch", "bool-batch", "zero-batch", "negative-seed",
+            "negative-init-seed", "float-seed"])
+    def test_bad_count_or_seed_rejected(self, name, value, least):
+        """A batch size of 2.5 used to escape run as TypeError, True to run
+        at b = 1, and a negative seed to fail later in numpy."""
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{name} must be an integer >= {least}, got {value!r}")):
+            RunConfig(method="splitting", alpha=0.1, **{"batch_size": 4, name: value})
+
     def test_numpy_integer_max_epochs_accepted(self):
         pb = gen_random_lls(40, 4, 0.1, 0)
         trace = run(pb, None, RunConfig(method="sgd", alpha=0.01, batch_size=4,

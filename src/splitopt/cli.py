@@ -20,7 +20,6 @@ outcome, not a failure exit.
 import argparse
 import csv
 import json
-import math
 import sys
 import types
 import typing
@@ -32,9 +31,9 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .data import DATASET_KINDS, DatasetSpec, make_problem, save_linear_system, split_holdout
-from .errors import EmptyTrace, SplitOptError
-from .ode import IntegratorConfig, _check_count
-from .optimizers import METHODS, RunConfig, StoppingRule, Trace, check_run, run
+from .errors import EmptyTrace, ParseError, SplitOptError
+from .ode import IntegratorConfig, _check_count, _check_real
+from .optimizers import RunConfig, StoppingRule, Trace, check_run, run
 from .plotting import PALETTE, Series, render_line_chart
 
 TRACE_HEADER = (
@@ -72,6 +71,12 @@ SUMMARY_HEADER = (
 
 @dataclass
 class ExperimentConfig:
+    """A ``run`` grid.  It builds its cells once, as ``cells``: one
+    ``RunConfig`` per (method, alpha, repeat), in that order, with
+    ``init_seed = seed + repeat``.  They check every field a run takes;
+    this checks what no one run can (``repeat``, nonempty lists, trace
+    names).  ``dataclasses.replace`` builds the cells anew."""
+
     dataset: DatasetSpec
     alphas: list[float]
     batch_size: int
@@ -84,29 +89,19 @@ class ExperimentConfig:
     init_scale: float = 0.01
     holdout: DatasetSpec | None = None
     holdout_size: int = 0
+    cells: list[RunConfig] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.repeat < 1:
-            raise ValueError("repeat must be at least 1")
-        if not self.alphas:
-            raise ValueError("alphas must be nonempty")
-        for a in self.alphas:
-            if not a > 0:  # NaN fails too
-                raise ValueError(f"alphas must be positive, got {a!r}")
-            if a == math.inf:  # h = alpha * m = inf: the Kaczmarz projection
-                raise ValueError(f"alphas must be finite, got {a!r}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be at least 1, got {self.max_epochs}")
-        _check_count("seed", self.seed, 0)
-        if not self.init_scale >= 0:  # NaN fails too
-            raise ValueError(f"init_scale must be nonnegative, got {self.init_scale!r}")
-        if self.init_scale == math.inf:  # every init entry inf or NaN
-            raise ValueError(f"init_scale must be finite, got {self.init_scale!r}")
-        for m in self.methods:
-            if m not in METHODS:
-                raise ValueError(f"unknown method {m!r} in methods")
+        _check_count("repeat", self.repeat)
+        for name in ("methods", "alphas"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be nonempty")
+        self.cells = [
+            RunConfig(method=method, alpha=alpha, batch_size=self.batch_size, seed=self.seed,
+                      max_epochs=self.max_epochs, stop=self.stop, integrator=self.integrator,
+                      init_scale=self.init_scale, init_seed=self.seed + rep)
+            for method in self.methods for alpha in self.alphas for rep in range(self.repeat)
+        ]
         # Trace files are named by method and f"{alpha:g}"; two entries
         # with one name would overwrite each other's files.
         for name, vals, tag in (
@@ -130,12 +125,12 @@ def _build(cls, d, path):
     """
     if not isinstance(d, dict):
         raise ValueError(f"{path}: expected an object")
-    known = {f.name for f in fields(cls)}
+    known = {f.name: f for f in fields(cls) if f.init}  # not ExperimentConfig.cells
     for key in d:
         if key not in known:
             raise ValueError(f"{path}.{key}: unknown field")
     kwargs = {}
-    for f in fields(cls):
+    for f in known.values():
         if d.get(f.name) is not None:
             kwargs[f.name] = _convert(f.type, d[f.name], f"{path}.{f.name}")
         elif f.default is MISSING and f.default_factory is MISSING:
@@ -211,12 +206,10 @@ def cmd_datagen(args) -> int:
 
 
 def cmd_run(args) -> int:
-    if args.threads < 1:
-        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     with open(args.config) as f:
         cfg = parse_experiment_config(json.load(f))
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = replace(cfg, seed=args.seed)
     if cfg.holdout is not None and cfg.holdout_size:
         raise ValueError("config.holdout_size: give holdout or holdout_size, not both")
     pb = make_problem(cfg.dataset)
@@ -234,25 +227,9 @@ def cmd_run(args) -> int:
             f"config.batch_size: {cfg.batch_size} exceeds the {pb.n} training samples"
         )
 
-    jobs = []
-    for method in cfg.methods:
-        for alpha in cfg.alphas:
-            for rep in range(cfg.repeat):
-                run_cfg = RunConfig(
-                    method=method,
-                    alpha=alpha,
-                    batch_size=cfg.batch_size,
-                    seed=cfg.seed,
-                    max_epochs=cfg.max_epochs,
-                    stop=cfg.stop,
-                    integrator=cfg.integrator,
-                    init_scale=cfg.init_scale,
-                    init_seed=cfg.seed + rep,
-                )
-                jobs.append(run_cfg)
     # Cells differ only in what the data never constrain (alpha, init
     # seed), so one check per method rejects a config before any cell runs.
-    for c in {c.method: c for c in jobs}.values():
+    for c in {c.method: c for c in cfg.cells}.values():
         try:
             check_run(pb, holdout, c)
         except (SplitOptError, ValueError) as exc:
@@ -270,13 +247,13 @@ def cmd_run(args) -> int:
     def cell_of(c):
         return replace(c, alpha=cfg.alphas[0]) if c.method == "kaczmarz" else c
 
-    cells = list(dict.fromkeys(map(cell_of, jobs)))
+    runs = list(dict.fromkeys(map(cell_of, cfg.cells)))
     if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            ran = dict(zip(cells, pool.map(run_cell, cells)))
+            ran = dict(zip(runs, pool.map(run_cell, runs)))
     else:
-        ran = {c: run_cell(c) for c in cells}
-    traces = [replace(ran[cell_of(c)], alpha=c.alpha) for c in jobs]
+        ran = {c: run_cell(c) for c in runs}
+    traces = [replace(ran[cell_of(c)], alpha=c.alpha) for c in cfg.cells]
 
     # Made only now, so a run that fails in a cell (an integrator out of
     # steps, say) leaves no empty directory behind.
@@ -311,11 +288,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    if not (np.isfinite(args.t_max) and args.t_max >= 0):
-        raise ValueError(f"--t-max must be finite and nonnegative, got {args.t_max!r}")
-    for flag, value in (("--n", args.n), ("--points", args.points)):
-        if value < 1:
-            raise ValueError(f"{flag} must be at least 1, got {value}")
+    _check_real("--t-max", args.t_max, positive=False)
+    _check_count("--n", args.n)
+    _check_count("--points", args.points)
     seed = args.seed if args.seed is not None else 0
     x = bounds_mod.random_full_rank(args.n, seed)
     ops = bounds_mod.build_split(x, args.blocks)
@@ -340,18 +315,28 @@ def cmd_bounds(args) -> int:
 
 
 def _read_traces(paths):
+    """Trace rows grouped by (method, alpha), then by seed; each row's
+    numeric columns parsed once, as floats keyed by column name."""
     groups = {}
-    total = 0
     for path in paths:
         with open(path, newline="") as f:
             reader = csv.DictReader(f)
             if reader.fieldnames is None or tuple(reader.fieldnames) != TRACE_HEADER:
                 raise EmptyTrace(f"{path}: not a trace CSV (bad header)")
             for row in reader:
-                total += 1
-                key = (row["method"], float(row["alpha"]))
-                groups.setdefault(key, {}).setdefault(row["seed"], []).append(row)
-    if total == 0:
+                where = f"{path}: line {reader.line_num}"
+                if None in row or None in row.values():  # too many fields, or too few
+                    raise ParseError(f"{where}: expected {len(TRACE_HEADER)} fields")
+                nums = {}
+                for name in TRACE_HEADER[1:]:
+                    try:
+                        nums[name] = float(row[name])
+                    except ValueError:
+                        raise ParseError(
+                            f"{where}: {name} is not a number: {row[name]!r}") from None
+                key = (row["method"], nums["alpha"])
+                groups.setdefault(key, {}).setdefault(row["seed"], []).append(nums)
+    if not groups:
         raise EmptyTrace("no trace records in the given files")
     return groups
 
@@ -367,9 +352,9 @@ def cmd_plot(args) -> int:
         palette_idx += 1
         first = True
         for seed in sorted(runs_by_seed):
-            rows = [r for r in runs_by_seed[seed] if r["diverged"] == "0"]
-            xs = [float(r[args.x_axis]) for r in rows]
-            ys = [float(r[args.y]) for r in rows]
+            rows = [r for r in runs_by_seed[seed] if r["diverged"] == 0]
+            xs = [r[args.x_axis] for r in rows]
+            ys = [r[args.y] for r in rows]
             label = f"{method} alpha={alpha:g}" if first else ""
             series.append(Series(label, xs, ys, color=color))
             first = False
@@ -428,6 +413,7 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None:
             _check_count("--seed", args.seed, 0)
+        _check_count("--threads", args.threads)
         return args.func(args)
     except (SplitOptError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

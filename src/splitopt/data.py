@@ -14,7 +14,6 @@ Linear-system text format:
     header line "n p", then n lines of p+1 scalars (a row of X, then y).
 """
 
-import math
 import struct
 from dataclasses import dataclass, field
 
@@ -26,7 +25,7 @@ from .errors import (
     ParseError,
     TruncatedFile,
 )
-from .ode import _check_count
+from .ode import _check_count, _check_real
 from .problems import BatchFactorization, Problem
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -62,18 +61,11 @@ class DatasetSpec:
     def __post_init__(self):
         if self.kind not in DATASET_KINDS:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
-        _check_count("seed", self.seed, 0)
-        if self.n < 1 or self.p < 1:
-            raise ValueError("n and p must be at least 1")
-        for name, least in (("k", 2), ("rays", 1), ("image_side", 2)):
-            if (val := getattr(self, name)) < least:
-                raise ValueError(f"{name} must be at least {least}, got {val!r}")
+        for name, least in (("seed", 0), ("n", 1), ("p", 1), ("k", 2), ("rays", 1),
+                            ("image_side", 2)):
+            _check_count(name, getattr(self, name), least)
         for name in ("noise_sigma", "separation"):
-            val = getattr(self, name)
-            if not val >= 0:  # NaN fails too
-                raise ValueError(f"{name} must be nonnegative, got {val!r}")
-            if val == math.inf:  # the data would be non-finite
-                raise ValueError(f"{name} must be finite, got {val!r}")
+            _check_real(name, getattr(self, name), positive=False)
         if self.kind == "linear-system-file" and self.path is None:
             raise ValueError("linear-system-file needs a path")
         if self.kind == "idx-images" and None in (self.images_path, self.labels_path):

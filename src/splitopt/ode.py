@@ -98,19 +98,30 @@ class IntegratorConfig:
     max_steps: int = 10_000
 
     def __post_init__(self):
-        for name, tol in (("rtol", self.rtol), ("atol", self.atol)):
-            if not 0 < tol < math.inf:  # NaN fails too
-                raise ValueError(f"{name} must be finite and positive, got {tol!r}")
+        _check_real("rtol", self.rtol)
+        _check_real("atol", self.atol)
+        _check_real("h_init", self.h_init, positive=False)
         _check_count("max_steps", self.max_steps)
-        if not self.h_init >= 0:
-            raise ValueError("h_init must be >= 0")
 
 
 def _check_count(name: str, value, least: int = 1) -> None:
     """Raise unless ``value`` is an integer >= ``least`` (1 for a count, 0
-    for a seed); a bool, a fraction or NaN is neither."""
+    for a seed): the one check of every count a config, spec or flag takes.
+    A bool, a fraction, a string or NaN is no integer."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_real(name: str, value, positive: bool = True) -> None:
+    """Raise unless ``value`` is a finite real, > 0 when ``positive`` and
+    >= 0 otherwise: the one check of every real a config, spec or flag
+    takes.  A bool, a string, NaN and the infinities fail (an infinite
+    alpha would make h = alpha * m the Kaczmarz projection)."""
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and (
+        0 < value < math.inf if positive else 0 <= value < math.inf)  # NaN fails too
+    if not ok:
+        sign = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be finite and {sign}, got {value!r}")
 
 
 def _with_h_init(cfg: IntegratorConfig, h_init: float) -> IntegratorConfig:

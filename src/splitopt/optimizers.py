@@ -43,7 +43,7 @@ import numpy as np
 
 from .data import partition
 from .errors import MissingReference
-from .ode import IntegratorConfig, _check_count, _with_h_init
+from .ode import IntegratorConfig, _check_count, _check_real, _with_h_init
 from .problems import Problem, _check_theta, loss, loss_and_residual, test_error, theta_shape
 from .solvers import euler_step, lls_local_exact, local_step_rk
 
@@ -60,8 +60,7 @@ class StoppingRule:
     def __post_init__(self):
         if self.kind not in STOP_KINDS:
             raise ValueError(f"unknown stopping rule {self.kind!r}")
-        if not 0 < self.threshold < math.inf:  # NaN fails too
-            raise ValueError(f"threshold must be finite and positive, got {self.threshold!r}")
+        _check_real("threshold", self.threshold)
 
 
 @dataclass(frozen=True)
@@ -79,19 +78,13 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if not self.alpha > 0:  # NaN fails too
-            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
-        if self.alpha == math.inf:  # h = alpha * m = inf: the Kaczmarz projection
-            raise ValueError(f"alpha must be finite, got {self.alpha!r}")
+        _check_real("alpha", self.alpha)
         _check_count("max_epochs", self.max_epochs)
         _check_count("batch_size", self.batch_size)
         _check_count("seed", self.seed, 0)
         if self.init_seed is not None:
             _check_count("init_seed", self.init_seed, 0)
-        if not self.init_scale >= 0:  # NaN fails too
-            raise ValueError(f"init_scale must be nonnegative, got {self.init_scale!r}")
-        if self.init_scale == math.inf:  # every init entry inf or NaN
-            raise ValueError(f"init_scale must be finite, got {self.init_scale!r}")
+        _check_real("init_scale", self.init_scale, positive=False)
 
 
 @dataclass

@@ -79,7 +79,7 @@ class Problem:
         self.x = np.array(self.x, dtype=float)
         self.targets = np.array(self.targets, dtype=float)
         self.x.flags.writeable = self.targets.flags.writeable = False
-        if self.x.ndim != 2 or self.x.shape[0] < 1 or self.x.shape[1] < 1:
+        if self.x.ndim != 2 or 0 in self.x.shape:
             raise DimensionMismatch(f"design matrix must be n x p, got {self.x.shape}")
         if not np.all(np.isfinite(self.x)) or not np.all(np.isfinite(self.targets)):
             raise ValueError("design and targets must be finite")

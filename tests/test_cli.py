@@ -2,11 +2,13 @@
 
 import csv
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -117,11 +119,12 @@ class TestDatagen:
     def test_rejection_is_prefixed_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "data"
         for flags, message in (
-            (["--kind", "random-lls", "--n", "0"], "n and p must be at least 1"),
-            (["--kind", "gaussian-blobs", "--k", "1"], "k must be at least 2, got 1"),
-            (["--kind", "gaussian-blobs", "--k", "0"], "k must be at least 2, got 0"),
-            (["--kind", "tomo-like", "--rays", "-1"], "rays must be at least 1, got -1"),
-            (["--kind", "tomo-like", "--image-side", "1"], "image_side must be at least 2, got 1"),
+            (["--kind", "random-lls", "--n", "0"], "n must be an integer >= 1, got 0"),
+            (["--kind", "gaussian-blobs", "--k", "1"], "k must be an integer >= 2, got 1"),
+            (["--kind", "gaussian-blobs", "--k", "0"], "k must be an integer >= 2, got 0"),
+            (["--kind", "tomo-like", "--rays", "-1"], "rays must be an integer >= 1, got -1"),
+            (["--kind", "tomo-like", "--image-side", "1"],
+             "image_side must be an integer >= 2, got 1"),
         ):
             assert main(["--out", str(out), "datagen", *flags]) == 2
             assert f"datagen: {message}" in capsys.readouterr().err
@@ -272,10 +275,12 @@ class TestRun:
         [("config", "bogus"), ("config.dataset", "bogus"), ("config.stop", "bogus"),
          ("config.integrator", "bogus"), ("config.holdout", "bogus"),
          ("config", "shuffle_each_epoch"), ("config.integrator", "h_max"),
-         ("config", "seed_stride"), ("config.stop", "eval_every")],
+         ("config", "seed_stride"), ("config.stop", "eval_every"),
+         # ExperimentConfig builds its cells; a config cannot give them.
+         ("config", "cells")],
         ids=["config", "config.dataset", "config.stop", "config.integrator",
              "config.holdout", "config-shuffle_each_epoch", "config.integrator-h_max",
-             "config-seed_stride", "config.stop-eval_every"],
+             "config-seed_stride", "config.stop-eval_every", "config-cells"],
     )
     def test_unknown_dataset_field_reports_path(self, tmp_path, capsys, section, key):
         cfg = base_config(
@@ -296,33 +301,38 @@ class TestRun:
             ({"batch_size": True}, None, "config.batch_size: expected int, got bool"),
             ({"init_scale": "0.01"}, None, "config.init_scale: expected float, got str"),
             ({}, "batch_size", "config.batch_size: required field missing"),
-            ({"alphas": [0.05, -0.1]}, None, "config: alphas must be positive, got -0.1"),
+            ({"alphas": [0.05, -0.1]}, None,
+             "config: alpha must be finite and positive, got -0.1"),
             ({"alphas": []}, None, "config: alphas must be nonempty"),
+            # An empty methods list used to run nothing and exit 0.
+            ({"methods": []}, None, "config: methods must be nonempty"),
             # A NaN passes a `< 0` check; a NaN init_scale used to exit 0
             # with every cell diverged at epoch 0.
             ({"dataset": {"kind": "random-lls", "n": 60, "p": 6,
                           "noise_sigma": float("nan")}}, None,
-             "config.dataset: noise_sigma must be nonnegative, got nan"),
+             "config.dataset: noise_sigma must be finite and nonnegative, got nan"),
             ({"dataset": {"kind": "gaussian-blobs", "n": 60, "p": 6,
                           "separation": float("nan")}}, None,
-             "config.dataset: separation must be nonnegative, got nan"),
+             "config.dataset: separation must be finite and nonnegative, got nan"),
             # An infinite one used to exit 2 with a message that named no field.
             ({"dataset": {"kind": "random-lls", "n": 60, "p": 6,
                           "noise_sigma": float("inf")}}, None,
-             "config.dataset: noise_sigma must be finite, got inf"),
+             "config.dataset: noise_sigma must be finite and nonnegative, got inf"),
             ({"dataset": {"kind": "gaussian-blobs", "n": 60, "p": 6,
                           "separation": float("inf")}}, None,
-             "config.dataset: separation must be finite, got inf"),
+             "config.dataset: separation must be finite and nonnegative, got inf"),
             ({"init_scale": float("nan")}, None,
-             "config: init_scale must be nonnegative, got nan"),
-            ({"init_scale": -0.01}, None, "config: init_scale must be nonnegative, got -0.01"),
+             "config: init_scale must be finite and nonnegative, got nan"),
+            ({"init_scale": -0.01}, None,
+             "config: init_scale must be finite and nonnegative, got -0.01"),
             # An infinite init_scale used to exit 0 with every cell
             # diverged at epoch 0.
-            ({"init_scale": float("inf")}, None, "config: init_scale must be finite, got inf"),
-            ({"batch_size": 0}, None, "config: batch_size must be at least 1, got 0"),
+            ({"init_scale": float("inf")}, None,
+             "config: init_scale must be finite and nonnegative, got inf"),
+            ({"batch_size": 0}, None, "config: batch_size must be an integer >= 1, got 0"),
             ({"batch_size": 500}, None,
              "config.batch_size: 500 exceeds the 60 training samples"),
-            ({"max_epochs": 0}, None, "config: max_epochs must be at least 1, got 0"),
+            ({"max_epochs": 0}, None, "config: max_epochs must be an integer >= 1, got 0"),
             ({"alphas": [0.001, 0.0010000001]}, None,
              "config: alphas 0.001 and 0.0010000001 would write the same trace files"),
             ({"methods": ["sgd", "sgd"], "alphas": [0.01, 0.01]}, None,
@@ -341,19 +351,19 @@ class TestRun:
             ({"stop": {"kind": "relative-residual", "threshold": float("inf")}}, None,
              "config.stop: threshold must be finite and positive, got inf"),
             ({"dataset": {"kind": "gaussian-blobs", "n": 60, "p": 6, "k": 1}}, None,
-             "config.dataset: k must be at least 2, got 1"),
+             "config.dataset: k must be an integer >= 2, got 1"),
             ({"dataset": {"kind": "tomo-like", "rays": -1}}, None,
-             "config.dataset: rays must be at least 1, got -1"),
+             "config.dataset: rays must be an integer >= 1, got -1"),
             ({"dataset": {"kind": "tomo-like", "image_side": 1}}, None,
-             "config.dataset: image_side must be at least 2, got 1"),
+             "config.dataset: image_side must be an integer >= 2, got 1"),
             # Negative seeds used to reach numpy, whose message named no field.
             ({"seed": -1}, None, "config: seed must be an integer >= 0, got -1"),
             ({"dataset": {"kind": "random-lls", "n": 60, "p": 6, "seed": -1}}, None,
              "config.dataset: seed must be an integer >= 0, got -1"),
         ],
         ids=["bool-batch-size", "str-init-scale", "missing-batch-size", "negative-alpha",
-             "empty-alphas", "nan-noise-sigma", "nan-separation", "infinite-noise-sigma",
-             "infinite-separation", "nan-init-scale",
+             "empty-alphas", "empty-methods", "nan-noise-sigma", "nan-separation",
+             "infinite-noise-sigma", "infinite-separation", "nan-init-scale",
              "negative-init-scale", "infinite-init-scale",
              "zero-batch-size", "batch-size-over-n", "zero-max-epochs",
              "alphas-same-trace-name", "methods-repeated", "alphas-repeated",
@@ -390,7 +400,7 @@ class TestRun:
         cfg_path.write_text(json.dumps(base_config(alphas=[0.05, float("nan")])))
         out = tmp_path / "runs"
         assert main(["--out", str(out), "run", "--config", str(cfg_path)]) == 2
-        assert "config: alphas must be positive, got nan" in capsys.readouterr().err
+        assert "config: alpha must be finite and positive, got nan" in capsys.readouterr().err
         assert not out.exists()
 
     BLOBS = {"kind": "gaussian-blobs", "n": 60, "p": 6, "k": 2, "seed": 4}
@@ -485,7 +495,8 @@ class TestRun:
             assert "Infinity" in cfg_path.read_text()
             out = tmp_path / "runs"
             assert main(["--out", str(out), "run", "--config", str(cfg_path)]) == 2
-            assert "error: config: alphas must be finite, got inf" in capsys.readouterr().err
+            assert ("error: config: alpha must be finite and positive, got inf"
+                    in capsys.readouterr().err)
             assert not out.exists()
 
     def test_threads_match_serial_output(self, tmp_path):
@@ -508,17 +519,34 @@ class TestRun:
         assert "error: --seed must be an integer >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
-        """--threads -3 used to run serially and exit 0."""
+    @pytest.mark.parametrize(
+        "threads, command",
+        [(t, c) for c in ("run", "bounds", "datagen") for t in ("0", "-3")],
+        ids=["0", "-3", "0-bounds", "-3-bounds", "0-datagen", "-3-datagen"],
+    )
+    def test_threads_below_one_rejected(self, tmp_path, capsys, threads, command):
+        """--threads -3 used to run serially and exit 0, and bounds and
+        datagen took any --threads."""
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_config()))
-        out = tmp_path / "runs"
-        assert main(["--out", str(out), "--threads", threads, "run",
-                     "--config", str(cfg_path)]) == 2
+        flags = {"run": ["--config", str(cfg_path)], "bounds": ["--n", "10"],
+                 "datagen": ["--kind", "random-lls"]}
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--threads", threads, command, *flags[command]]) == 2
         err = capsys.readouterr().err
-        assert f"error: --threads must be at least 1, got {threads}" in err
+        assert f"error: --threads must be an integer >= 1, got {threads}" in err
         assert not out.exists()
+
+    def test_seed_flag_runs_as_the_config_seed(self, tmp_path):
+        """--seed replaces the config's seed, and every cell's init seed with it."""
+        flagged, inline = tmp_path / "flagged.json", tmp_path / "inline.json"
+        flagged.write_text(json.dumps(base_config(alphas=[0.02, 0.05], repeat=2)))
+        inline.write_text(json.dumps(base_config(alphas=[0.02, 0.05], repeat=2, seed=5)))
+        assert main(["--seed", "5", "--out", str(tmp_path / "f"), "run",
+                     "--config", str(flagged)]) == 0
+        assert main(["--out", str(tmp_path / "i"), "run", "--config", str(inline)]) == 0
+        assert (tmp_path / "f" / "trace_sgd_a0.02_s6.csv").exists()
+        assert_same_outputs(tmp_path / "f", tmp_path / "i")
 
     def test_kaczmarz_runs_once_per_repeat(self, tmp_path, monkeypatch):
         """Kaczmarz (h = inf) never reads alpha: one run per repeat, whose
@@ -722,6 +750,23 @@ class TestPlot:
         self._write_trace(trace, rows=())
         assert main(["--out", str(tmp_path / "c.svg"), "plot", str(trace)]) != 0
 
+    @pytest.mark.parametrize("row, message", [
+        (["sgd", "0.1", "4", "0", "1", "1", "0.1", "abc", "nan", "0"],
+         "line 3: loss is not a number: 'abc'"),
+        (["sgd", "0.1", "4", "0", "1"], "line 3: expected 10 fields"),
+    ], ids=["non-numeric", "truncated"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, capsys, row, message):
+        """A non-numeric value used to fail naming neither file nor line,
+        and a truncated row to be dropped with exit 0."""
+        trace = tmp_path / "t.csv"
+        self._write_trace(trace, rows=((0, 1.0),))
+        with open(trace, "a", newline="") as f:
+            csv.writer(f).writerow(row)
+        out = tmp_path / "c.svg"
+        assert main(["--out", str(out), "plot", str(trace)]) == 2
+        assert f"error: {trace}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_errors(self, tmp_path):
         assert main(["--out", str(tmp_path / "c.svg"), "plot",
                      str(tmp_path / "nope.csv")]) != 0
@@ -777,5 +822,25 @@ class TestConfigParsing:
             parse_experiment_config(bad)
 
     def test_unknown_method(self):
-        with pytest.raises(ValueError, match="methods"):
+        with pytest.raises(ValueError, match="unknown method 'adam'"):
             parse_experiment_config(base_config(methods=["adam"]))
+
+    def test_cells_in_grid_order(self):
+        cfg = parse_experiment_config(base_config(alphas=[0.02, 0.05], repeat=2, seed=4))
+        assert [(c.method, c.alpha, c.init_seed) for c in cfg.cells] == [
+            (m, a, 4 + r) for m in ("sgd", "splitting") for a in (0.02, 0.05) for r in (0, 1)]
+        assert {(c.seed, c.batch_size, c.max_epochs) for c in cfg.cells} == {(4, 6, 2)}
+        reseeded = replace(cfg, seed=9)
+        assert [c.init_seed for c in reseeded.cells] == [9, 10] * 4
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("batch_size", 2.5, "batch_size must be an integer >= 1, got 2.5"),
+        ("max_epochs", math.nan, "max_epochs must be an integer >= 1, got nan"),
+        ("repeat", 1.5, "repeat must be an integer >= 1, got 1.5"),
+    ], ids=["fractional-batch-size", "nan-max-epochs", "fractional-repeat"])
+    def test_library_config_checks_each_field(self, name, value, message):
+        """Through the Python API these used to pass ExperimentConfig's own
+        `< 1` checks."""
+        cfg = parse_experiment_config(base_config())
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replace(cfg, **{name: value})

@@ -1,11 +1,13 @@
 """Generators, file formats, and partitioning."""
 
+import re
 import struct
 
 import numpy as np
 import pytest
 
 from splitopt import (
+    DatasetSpec,
     Problem,
     gen_gaussian_blobs,
     gen_random_lls,
@@ -40,6 +42,19 @@ def write_idx_pair(tmp_path, images, labels):
         f.write(struct.pack(">ii", 0x00000801, labels.shape[0]))
         f.write(labels.tobytes())
     return img_path, lab_path
+
+
+class TestDatasetSpec:
+    @pytest.mark.parametrize("kind, name, value, least", [
+        ("random-lls", "n", 100.5, 1), ("random-lls", "p", True, 1),
+        ("gaussian-blobs", "k", 2.5, 2), ("random-lls", "n", "5", 1),
+    ], ids=["fractional-n", "bool-p", "fractional-k", "str-n"])
+    def test_non_integer_count_rejected(self, kind, name, value, least):
+        """These used to escape as a TypeError that named no field: the
+        string from the spec's own check, the others from the generator."""
+        message = f"{name} must be an integer >= {least}, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DatasetSpec(kind=kind, **{name: value})
 
 
 class TestRandomLLS:

@@ -113,7 +113,8 @@ class TestBasics:
         with pytest.raises(ValueError):
             rk45_integrate(lambda y: -y, np.array([1.0]), (1.0, 0.0))
 
-    @pytest.mark.parametrize("h_init", [-1.0, float("nan")])
+    # An infinite h_init used to mean "try the whole span first".
+    @pytest.mark.parametrize("h_init", [-1.0, float("nan"), math.inf])
     def test_bad_h_init_rejected(self, h_init):
         with pytest.raises(ValueError, match="h_init"):
             IntegratorConfig(h_init=h_init)

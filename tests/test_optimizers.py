@@ -76,13 +76,16 @@ class TestRunBasics:
         assert trace.records[0].loss == pytest.approx(0.0, abs=1e-20)
 
     @pytest.mark.parametrize("alpha, message", [
-        (float("nan"), "alpha must be positive, got nan"),
-        (0.0, "alpha must be positive, got 0.0"),
+        (float("nan"), "alpha must be finite and positive, got nan"),
+        (0.0, "alpha must be finite and positive, got 0.0"),
         # An SGD run used to come back diverged, with a NaN record.
-        (math.inf, "alpha must be finite, got inf"),
-    ], ids=["nan", "zero", "inf"])
+        (math.inf, "alpha must be finite and positive, got inf"),
+        # A bool used to pass as alpha = 1, a string to raise an unnamed TypeError.
+        (True, "alpha must be finite and positive, got True"),
+        ("0.1", "alpha must be finite and positive, got '0.1'"),
+    ], ids=["nan", "zero", "inf", "bool", "str"])
     def test_bad_alpha_rejected(self, alpha, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             RunConfig(method="sgd", alpha=alpha, batch_size=8, max_epochs=3)
 
     @pytest.mark.parametrize("scale", [float("nan"), -1.0, math.inf])
@@ -716,7 +719,7 @@ class TestEvaluateStop:
     def fires(rule, pb, holdout, theta):
         return check_run(pb, holdout, RunConfig(stop=rule))(theta) <= rule.threshold
 
-    @pytest.mark.parametrize("threshold", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("threshold", [math.inf, math.nan, 0.0, -1.0, True])
     def test_threshold_must_be_finite_and_positive(self, threshold):
         """An infinite threshold used to stop every run at epoch 0."""
         with pytest.raises(ValueError, match="threshold must be finite and positive, got"):

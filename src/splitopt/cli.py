@@ -72,10 +72,10 @@ SUMMARY_HEADER = (
 @dataclass
 class ExperimentConfig:
     """A ``run`` grid.  It builds its cells once, as ``cells``: one
-    ``RunConfig`` per (method, alpha, repeat), in that order, with
-    ``init_seed = seed + repeat``.  They check every field a run takes;
-    this checks what no one run can (``repeat``, nonempty lists, trace
-    names).  ``dataclasses.replace`` builds the cells anew."""
+    ``RunConfig`` per (method, alpha, repeat index r), in that order, with
+    ``init_seed = seed + r``.  They check every field a run takes; this
+    checks what no one run can (``repeat``, nonempty lists, trace names).
+    ``dataclasses.replace`` builds the cells anew."""
 
     dataset: DatasetSpec
     alphas: list[float]

@@ -74,7 +74,8 @@ class ExperimentConfig:
     """A ``run`` grid.  It builds its cells once, as ``cells``: one
     ``RunConfig`` per (method, alpha, repeat index r), in that order, with
     ``init_seed = seed + r``.  They check every field a run takes; this
-    checks what no one run can (``repeat``, nonempty lists, trace names).
+    checks what no one run can (``repeat``, nonempty lists, trace names),
+    and ``seed`` before the cells' init seeds are built from it.
     ``dataclasses.replace`` builds the cells anew."""
 
     dataset: DatasetSpec
@@ -93,6 +94,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_count("repeat", self.repeat)
+        _check_count("seed", self.seed, 0)
         for name in ("methods", "alphas"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")

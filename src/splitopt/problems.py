@@ -27,8 +27,23 @@ one batch with its batch-only factors folded in:
 
 The logistic form is sigmoid(s) = 0.5 + 0.5 tanh(s/2).  Softmax keeps its
 k x K state row-major and lays the scores out K x b, z = eta^T r; e is z
-shifted by its column maxima, exponentiated and divided by its column sums
-1_K^T z, all in z's own buffer, and c is added into the product's output.
+exponentiated and divided by its column sums 1_K^T z, all in z's own
+buffer, and c is added into the product's output.  z is shifted by its
+column maxima first only where the state does not prove exp safe.  For v
+the flattened state, |z_cj| = |eta_c^T r_j| <= ||v|| ||x_j|| <= ||v|| s_max,
+so v^T v < T^2 / max(w), one inner product against a limit fixed per flow,
+puts every score below T = ``EXP_SAFE_SCORE`` = 600 in magnitude.  Then
+each e^z lies in [e^-T, e^T], normal floats, and a column sum of K of them
+stays finite for any K below 4e47: nothing overflows or underflows, so the
+unshifted softmax has the shifted one's forward-error bound (Blanchard,
+Higham & Higham, IMA J. Numer. Anal. 41, 2021) without the shift's column
+reduction and broadcast subtract.  At K = 10, b = 64 an evaluation takes
+6.9 us against 9.3 us shifted (medians of 15, numpy 2.4, OpenBLAS at one
+thread, 2-vCPU Xeon VM).  A larger, infinite or NaN state takes the
+shifted form, bit for bit as before.  Every softmax evaluation of the
+benchmark's ``classify`` workload is unshifted (||v|| s_max stays under
+300 there); ten-class blobs with columns scaled by geomspace(1, 100, 20)
+shift 97-99.6% of their evaluations.
 ``reduced_rhs`` evaluates the flow at one state, with a shape check.
 
 A record costs one pass over the rows it measures.  The softmax loss
@@ -60,6 +75,11 @@ from .errors import DimensionMismatch, RankDeficient
 from .linalg import RANK_TOL
 
 KINDS = ("least-squares", "logistic", "softmax")
+
+# T: softmax scores below T in magnitude are exponentiated unshifted.
+# e^T ~ 3.8e260, so a column sum of K terms stays finite for any K below
+# 4e47, and e^-T ~ 2.7e-261 is a normal float64 (the least is 2.2e-308).
+EXP_SAFE_SCORE = 600.0
 
 
 @dataclass
@@ -276,15 +296,20 @@ def local_rhs(pb: Problem, bf: BatchFactorization, theta: np.ndarray) -> np.ndar
 def reduced_flow(pb: Problem, bf: BatchFactorization):
     """The batch's reduced flow in folded form (see the module docstring),
     as one callable on the flattened state.  Build it once per local step;
-    nothing is checked per call."""
+    nothing is checked per call.  The softmax flow skips the column-max
+    shift at a state v with v^T v < T^2 / max(w), which bounds every score
+    below T = ``EXP_SAFE_SCORE`` in magnitude, so exp neither overflows nor
+    underflows; at any other state (NaN and inf included) it shifts."""
     r, n = bf.svd.r, pb.n
     if pb.kind == "softmax":
         a, c = -r / n, r.dot(bf.y_i) / n
         shape, ones = (r.shape[0], pb.k), np.ones(pb.k)
+        limit = EXP_SAFE_SCORE**2 / bf.svd.w.max()  # ||v|| s_max < T iff v.v < limit
 
         def rhs(v):
             z = v.reshape(shape).T.dot(r)
-            z -= np.maximum.reduce(z)
+            if not v.dot(v) < limit:  # a NaN or inf state shifts too
+                z -= np.maximum.reduce(z)
             np.exp(z, out=z)
             z /= ones.dot(z)
             out = a.dot(z.T)

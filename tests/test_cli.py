@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from splitopt import DatasetSpec, gen_gaussian_blobs, load_linear_system, make_problem
-from splitopt.cli import main, parse_experiment_config
+from splitopt.cli import ExperimentConfig, main, parse_experiment_config
 from splitopt.plotting import Series, render_line_chart
 from splitopt.errors import EmptyTrace
 
@@ -844,3 +844,13 @@ class TestConfigParsing:
         cfg = parse_experiment_config(base_config())
         with pytest.raises(ValueError, match=re.escape(message)):
             replace(cfg, **{name: value})
+
+    def test_string_seed_named(self):
+        """A string seed used to reach ``seed + rep`` before any check and
+        escape as a TypeError that named no field."""
+        cfg = parse_experiment_config(base_config())
+        message = re.escape("seed must be an integer >= 0, got '3'")
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(dataset=cfg.dataset, alphas=[0.1], batch_size=6, seed="3")
+        with pytest.raises(ValueError, match=message):
+            replace(cfg, seed="3")

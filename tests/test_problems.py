@@ -6,6 +6,7 @@ reduced right-hand side against the projected full-space one.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splitopt import (
     Problem,
@@ -22,6 +23,7 @@ from splitopt import (
 )
 from splitopt import test_error as misclassification
 from splitopt.errors import DimensionMismatch
+from splitopt.problems import EXP_SAFE_SCORE, reduced_flow
 
 
 def finite_diff_gradient(f, theta, step=1e-6):
@@ -189,6 +191,39 @@ class TestReducedRhs:
         # moving theta along the orthogonal complement leaves the rhs alone
         same = reduced_rhs(pb, bf, u.T @ theta)
         np.testing.assert_allclose(got, same, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(b=st.integers(1, 40), k=st.sampled_from([3, 10]),
+           log_scale=st.floats(-3.0, 4.0), seed=st.integers(0, 2**16))
+    def test_softmax_flow_matches_shifted(self, b, k, log_scale, seed):
+        """Scores on either side of T: the flow agrees with the always
+        shifted softmax, raises no overflow, and a NaN state gives NaN.
+
+        Fixed beforehand: the shifted exponent loses at most 2T eps/2 = T eps,
+        each column sum (K + 2) eps, and each output row's dot product and
+        offset (b + 1) eps, so every output lies within
+        2 (T + K + b + 4) eps times its row's sum_j |a_ij| + |c_i|."""
+        pb = make_problem("softmax", 2 * b, 12, k, seed)
+        bf = partition(pb, b, seed)[1][0]
+        r, n = bf.svd.r, pb.n
+        a, c = -r / n, r @ bf.y_i / n
+
+        def shifted(v):
+            z = v.reshape(r.shape[0], k).T @ r
+            e = np.exp(z - z.max(axis=0))
+            return (a @ (e / e.sum(axis=0)).T + c).ravel()
+
+        v = 10.0**log_scale * np.random.default_rng(seed).standard_normal(r.shape[0] * k)
+        flow = reduced_flow(pb, bf)
+        with np.errstate(over="raise"):
+            got = flow(v)
+        scale = (np.abs(a).sum(axis=1)[:, None] + np.abs(c)).ravel()  # out is k x K row-major
+        tol = 2 * (EXP_SAFE_SCORE + k + b + 4) * np.finfo(float).eps * scale
+        assert np.all(np.abs(got - shifted(v)) <= tol)
+        v[seed % v.size] = np.nan
+        with np.errstate(over="raise"):
+            assert np.isnan(flow(v)).all()
+        assert np.isnan(shifted(v)).all()
 
 
 class TestScalarOps:

@@ -24,7 +24,7 @@ from splitopt import (
     sigmoid,
 )
 from splitopt import test_error as misclassification
-from splitopt.problems import loss_and_residual, reduced_flow
+from splitopt.problems import EXP_SAFE_SCORE, loss_and_residual, reduced_flow
 
 P = 20
 SHAPES = pytest.mark.parametrize("b", [8, 50, 1], ids=["b<p", "b>p", "b=1"])
@@ -96,9 +96,10 @@ class TestReducedFlow:
         if pb.kind == "logistic":
             return lambda v: (-(0.5 / n) * r) @ np.tanh((0.5 * r.T) @ v) + r @ (y - 0.5) / n
 
-        def rhs(v):
+        def rhs(v, shift=False):
             z = v.reshape(r.shape[0], pb.k).T @ r
-            z -= z.max(axis=0)
+            if shift or not v @ v < EXP_SAFE_SCORE**2 / bf.svd.w.max():
+                z -= z.max(axis=0)
             z = np.exp(z)
             z /= np.ones(pb.k) @ z
             return ((-r / n) @ z.T + r @ y / n).ravel()
@@ -113,6 +114,17 @@ class TestReducedFlow:
         for bf in batches:
             eta = rng.standard_normal(bf.svd.r.shape[0] * (k if k > 2 else 1))
             assert np.array_equal(reduced_flow(pb, bf)(eta), self.folded(pb, bf)(eta))
+
+    @SHAPES
+    def test_softmax_shifts_past_bound(self, b):
+        """A state with ||eta|| s_max >= T takes the max shift, bit for bit."""
+        pb, batches = blobs(b, 10)[:2]
+        rng = np.random.default_rng(b)
+        for bf in batches:
+            eta = rng.standard_normal(bf.svd.r.shape[0] * 10)
+            eta *= 1.5 * EXP_SAFE_SCORE / (np.linalg.norm(eta) * np.sqrt(bf.svd.w.max()))
+            got = reduced_flow(pb, bf)(eta)
+            assert np.array_equal(got, self.folded(pb, bf)(eta, shift=True))
 
 
 class TestRkLocalStep:

@@ -87,6 +87,7 @@ def build_split(x: np.ndarray, blocks: int, seed: int | None = None) -> SplitOpe
     if blocks > n:
         raise ValueError(f"blocks must be in [1, {n}]")
     if seed is not None:
+        _check_count("seed", seed, 0)
         x = x[np.random.default_rng(seed).permutation(n)]
     edges = np.linspace(0, n, blocks + 1).astype(int)
     parts, ranks = [], []

@@ -190,7 +190,7 @@ def load_idx(images_path, labels_path, class_filter=None) -> Problem:
     Pixels are scaled to [0, 1] and flattened row-major.  With a two-class
     filter the result is a logistic problem ({0, 1} targets, smaller label
     mapped to 0); otherwise labels are one-hot encoded over the classes
-    kept.  Labels above 9 are rejected.
+    kept.  Labels above 9 and fewer than two classes kept are rejected.
     """
     with open(images_path, "rb") as f:
         magic, count, rows, cols = struct.unpack(">iiii", _read_exact(f, 16, images_path))
@@ -219,6 +219,10 @@ def load_idx(images_path, labels_path, class_filter=None) -> Problem:
         x, labels = x[keep], labels[keep]
     else:
         classes = sorted(set(labels.tolist()))
+    found = np.unique(labels).size  # 0 when no row is left
+    if found < 2:
+        raise ValueError(f"{labels_path}: class_filter {class_filter!r} leaves {labels.size} "
+                         f"rows of {found} class(es); a problem needs two")
     if len(classes) == 2:
         y = (labels == classes[1]).astype(float)
         return Problem(kind="logistic", x=x, targets=y)
@@ -295,6 +299,8 @@ def gen_gaussian_blobs(n: int, p: int, k: int, separation: float, seed: int) -> 
 
 def split_holdout(pb: Problem, n_holdout: int, seed: int) -> tuple:
     """Split a problem into (train, holdout) by a seeded permutation."""
+    _check_count("n_holdout", n_holdout)
+    _check_count("seed", seed, 0)
     if not (0 < n_holdout < pb.n):
         raise ValueError("n_holdout must be in (0, n)")
     perm = np.random.default_rng(seed).permutation(pb.n)
@@ -334,6 +340,8 @@ def partition(pb: Problem, b: int, seed: int):
     thread, share batches that keep their SVDs and last gains, and a
     ``Partition`` that keeps its epoch orders.
     """
+    _check_count("batch size", b)
+    _check_count("seed", seed, 0)
     if not (1 <= b <= pb.n):
         raise ValueError(f"batch size must be in [1, {pb.n}], got {b}")
     x, y = pb.x, pb.targets

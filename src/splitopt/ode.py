@@ -77,12 +77,8 @@ _ORDER_EXP = 1 / 5
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and budgets for rk45_integrate.
-
-    ``h_init = 0`` selects the starting step automatically from the usual
-    error-norm heuristic.  A splitting run passes the last proposal of its
-    previous RK steps instead, so a set ``h_init`` applies only to the
-    run's first RK step.
+    """Tolerances and budgets for rk45_integrate; the step it starts from
+    is its ``h_init`` argument.
 
     The default ``rtol = 1e-4`` with ``atol = rtol * 1e-3`` comes from the
     softmax accuracy table of ``demos/softmax_local_accuracy.py``: on the
@@ -94,13 +90,11 @@ class IntegratorConfig:
 
     rtol: float = 1e-4
     atol: float = 1e-7
-    h_init: float = 0.0
     max_steps: int = 10_000
 
     def __post_init__(self):
         _check_real("rtol", self.rtol)
         _check_real("atol", self.atol)
-        _check_real("h_init", self.h_init, positive=False)
         _check_count("max_steps", self.max_steps)
 
 
@@ -122,14 +116,6 @@ def _check_real(name: str, value, positive: bool = True) -> None:
     if not ok:
         sign = "positive" if positive else "nonnegative"
         raise ValueError(f"{name} must be finite and {sign}, got {value!r}")
-
-
-def _with_h_init(cfg: IntegratorConfig, h_init: float) -> IntegratorConfig:
-    """``cfg`` with ``h_init`` replaced, built without ``__post_init__``:
-    ``cfg`` passed its checks, and so does any positive, finite proposal."""
-    new = object.__new__(IntegratorConfig)
-    new.__dict__.update(cfg.__dict__, h_init=h_init)
-    return new
 
 
 @dataclass
@@ -181,18 +167,20 @@ def _initial_step(rhs, y0, f0, t_len, cfg):
     return min(100 * h0, h1, t_len)
 
 
-def rk45_integrate(rhs, y0, t_span, cfg: IntegratorConfig | None = None) -> OdeSolution:
-    """Integrate ``dy/dt = rhs(y)`` from t0 to t1 with adaptive steps.
+def rk45_integrate(rhs, y0, t_span, cfg: IntegratorConfig | None = None, h_init=0.0) -> OdeSolution:
+    """Integrate ``dy/dt = rhs(y)`` from t0 to t1 with adaptive steps, the
+    first attempt at a positive ``h_init`` or, at 0, at a probed step.
 
-    Raises ValueError when t0 or t1 is not finite or t1 < t0, NonFiniteState
-    when the initial state or the right-hand side there is non-finite, and
-    StepBudgetExceeded when ``cfg.max_steps`` accepted steps do not reach
-    t1 or the step size underflows.  A right-hand side that turns
+    Raises ValueError when h_init < 0, h_init, t0 or t1 is not finite or
+    t1 < t0, NonFiniteState when the initial state or the right-hand side
+    there is non-finite, and StepBudgetExceeded when ``cfg.max_steps``
+    accepted steps do not reach t1 or the step size underflows.  A right-hand side that turns
     non-finite later (divergence, severe stiffness) makes the error
     estimate non-finite; its steps are rejected until h underflows.
     """
     if cfg is None:
         cfg = IntegratorConfig()
+    _check_real("h_init", h_init, positive=False)
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError(f"t_span must be finite, got {t_span}")
@@ -212,8 +200,8 @@ def rk45_integrate(rhs, y0, t_span, cfg: IntegratorConfig | None = None) -> OdeS
     ks[1] = rhs(y)
     if not np.isfinite(ks[1]).all():
         raise NonFiniteState("right-hand side is non-finite at the initial state")
-    if cfg.h_init > 0:
-        h, start_evals = cfg.h_init, 1
+    if h_init > 0:
+        h, start_evals = h_init, 1
     else:
         h, start_evals = _initial_step(rhs, y, ks[1], t_len, cfg), 2
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from .data import partition
 from .errors import MissingReference
-from .ode import IntegratorConfig, _check_count, _check_real, _with_h_init
+from .ode import IntegratorConfig, _check_count, _check_real
 from .problems import Problem, _check_theta, loss, loss_and_residual, test_error, theta_shape
 from .solvers import euler_step, lls_local_exact, local_step_rk
 
@@ -276,12 +276,10 @@ def _batch_step(pb: Problem, cfg: RunConfig, h: float, batches: list, trace: Tra
 
     Every RK step of a run integrates its batch's flow over the same span
     h, so each one starts from the last positive step-size proposal any
-    earlier step of the run reported, a batch's first visit included;
-    ``cfg.integrator.h_init`` (the start-step probe at 0) serves the run's
-    first RK step only.  The proposal is the run's own, so runs sharing a
-    partition across threads never see each other's; it reaches the next
-    step as a copy of ``cfg.integrator`` that skips the config's checks,
-    which a positive, finite proposal passes.
+    earlier step of the run reported, a batch's first visit included; the
+    run's first RK step, with no proposal yet, probes.  The proposal is a
+    number the run keeps, so runs sharing a partition across threads never
+    see each other's.
 
     The solver is looked up in this module's globals when the run starts,
     so a function swapped in there (a tracer's wrapper, say) sees every step.
@@ -292,15 +290,14 @@ def _batch_step(pb: Problem, cfg: RunConfig, h: float, batches: list, trace: Tra
     if pb.kind == "least-squares":
         exact, n = lls_local_exact, pb.n
         return lambda i, theta: exact(batches[i], theta, h, n)
-    rk = local_step_rk
-    start = cfg.integrator
+    rk, integrator, start = local_step_rk, cfg.integrator, 0.0
 
     def rk_step(i, theta):
         nonlocal start
-        rep = rk(pb, batches[i], theta, h, start)
+        rep = rk(pb, batches[i], theta, h, integrator, start)
         trace.rhs_evals += rep.rhs_evals
         if rep.h_next > 0:
-            start = _with_h_init(cfg.integrator, rep.h_next)
+            start = rep.h_next
         return rep.theta_next
 
     return rk_step

@@ -105,6 +105,7 @@ def local_step_rk(
     theta0: np.ndarray,
     h: float,
     cfg: IntegratorConfig | None = None,
+    h_init: float = 0.0,
 ) -> LocalStepReport:
     """One local step for logistic/softmax: integrate the reduced flow.
 
@@ -113,9 +114,9 @@ def local_step_rk(
     side is the batch's folded ``reduced_flow``, built once for the step
     and called by the integrator directly; least-squares
     batches are served by the closed form instead and are rejected here.
-    The integration starts from ``cfg.h_init``; the report's ``h_next`` is
-    the integrator's proposal, which a caller passes back as ``h_init`` to
-    start its next step over the same span warm, on this batch or another.
+    Its first attempt is at ``h_init`` (0: a probed step); the report's
+    ``h_next`` is the integrator's proposal, which a caller passes back as
+    ``h_init`` to start its next step over the same span warm.
     Only the batch's SVD, if not yet computed, is written to ``bf``.  No
     loss is evaluated: callers that want the batch loss call
     ``batch_loss`` on ``theta_next``.
@@ -127,7 +128,7 @@ def local_step_rk(
     theta0 = np.asarray(theta0, dtype=float)
     u = bf.svd.u
     eta0 = u.T.dot(theta0)
-    sol = rk45_integrate(reduced_flow(pb, bf), eta0.ravel(), (0.0, h), cfg)
+    sol = rk45_integrate(reduced_flow(pb, bf), eta0.ravel(), (0.0, h), cfg, h_init)
     theta = theta0 + u.dot(sol.y_end.reshape(eta0.shape) - eta0)
     return LocalStepReport(theta_next=theta, rhs_evals=sol.rhs_evals, h_next=sol.h_next)
 

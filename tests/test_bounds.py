@@ -96,6 +96,13 @@ class TestBuildSplit:
         with pytest.raises(ValueError, match="blocks must be"):
             build_split(random_full_rank(8, 6), blocks)
 
+    @pytest.mark.parametrize("seed", [True, 1.5, "3", -1], ids=["bool", "fraction", "str", "negative"])
+    def test_bad_seed_rejected(self, seed):
+        """True used to seed with 1, and 1.5 and "3" to raise numpy's
+        TypeError."""
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            build_split(random_full_rank(8, 6), 2, seed=seed)
+
     def test_seeded_row_permutation(self):
         x = random_full_rank(12, 6)
         a = build_split(x, 3, seed=1)

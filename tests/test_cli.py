@@ -277,10 +277,13 @@ class TestRun:
          ("config", "shuffle_each_epoch"), ("config.integrator", "h_max"),
          ("config", "seed_stride"), ("config.stop", "eval_every"),
          # ExperimentConfig builds its cells; a config cannot give them.
-         ("config", "cells")],
+         ("config", "cells"),
+         # A run's first RK step probes; later ones start from its proposal.
+         ("config.integrator", "h_init")],
         ids=["config", "config.dataset", "config.stop", "config.integrator",
              "config.holdout", "config-shuffle_each_epoch", "config.integrator-h_max",
-             "config-seed_stride", "config.stop-eval_every", "config-cells"],
+             "config-seed_stride", "config.stop-eval_every", "config-cells",
+             "config.integrator-h_init"],
     )
     def test_unknown_dataset_field_reports_path(self, tmp_path, capsys, section, key):
         cfg = base_config(

@@ -159,6 +159,24 @@ class TestIdx:
         with pytest.raises(TruncatedFile):
             load_idx(img, lab)
 
+    @pytest.mark.parametrize(
+        "labels, class_filter, message",
+        [([0, 1, 2], (1,), r"leaves 1 rows of 1 class\(es\)"),
+         ([0, 1, 1], (1, 2), r"leaves 2 rows of 1 class\(es\)"),
+         ([0, 1, 2], (7, 8), r"leaves 0 rows of 0 class\(es\)"),
+         ([3, 3, 3], None, r"leaves 3 rows of 1 class\(es\)")],
+        ids=["one-class-filter", "one-class-left", "no-match", "one-class-file"],
+    )
+    def test_degenerate_class_sets_rejected(self, tmp_path, labels, class_filter, message):
+        """A one-class filter used to give a softmax problem with K = 1,
+        whose loss and test error are always 0; a filter matching no label
+        failed later, on the design matrix's shape."""
+        images = np.zeros((len(labels), 2, 2), dtype=np.uint8)
+        img, lab = write_idx_pair(tmp_path, images, labels)
+        with pytest.raises(ValueError, match=message) as err:
+            load_idx(img, lab, class_filter)
+        assert str(lab) in str(err.value) and f"class_filter {class_filter!r}" in str(err.value)
+
     def test_label_out_of_range(self, tmp_path):
         images = np.zeros((1, 2, 2), dtype=np.uint8)
         img, lab = write_idx_pair(tmp_path, images, [11])
@@ -228,6 +246,21 @@ class TestBlobs:
         assert train.n == 30 and hold.n == 10
         assert train.kind == hold.kind == "logistic"
 
+    @pytest.mark.parametrize(
+        "n_holdout, seed, message",
+        [(True, 0, "n_holdout must be an integer >= 1"),
+         (2.0, 0, "n_holdout must be an integer >= 1"),
+         (10, -1, "seed must be an integer >= 0"),
+         (10, 1.5, "seed must be an integer >= 0"),
+         (10, True, "seed must be an integer >= 0")],
+        ids=["bool-count", "float-count", "negative-seed", "fraction-seed", "bool-seed"],
+    )
+    def test_split_holdout_checks_count_and_seed(self, n_holdout, seed, message):
+        """n_holdout = True used to hold out one row."""
+        pb = gen_gaussian_blobs(40, 3, 2, 2.0, 2)
+        with pytest.raises(ValueError, match=message):
+            split_holdout(pb, n_holdout, seed)
+
 
 class TestPartition:
     def test_single_batch(self):
@@ -293,6 +326,22 @@ class TestPartition:
             partition(pb, 0, 0)
         with pytest.raises(ValueError):
             partition(pb, 11, 0)
+
+    @pytest.mark.parametrize(
+        "b, seed, message",
+        [(True, 0, "batch size must be an integer >= 1"),
+         (2.5, 0, "batch size must be an integer >= 1"),
+         (5, -1, "seed must be an integer >= 0"),
+         (5, 1.5, "seed must be an integer >= 0"),
+         (5, "3", "seed must be an integer >= 0")],
+        ids=["bool-size", "fraction-size", "negative-seed", "fraction-seed", "str-seed"],
+    )
+    def test_size_and_seed_checked_where_they_enter(self, b, seed, message):
+        """b = True used to run unit batches, b = 2.5 to raise a bare
+        TypeError, and a negative seed numpy's message, naming no field."""
+        pb = gen_random_lls(10, 3, 0.0, 0)
+        with pytest.raises(ValueError, match=message):
+            partition(pb, b, seed)
 
     def test_rank_deficient_batch_propagates(self):
         x = np.ones((6, 3))  # every batch has repeated rows

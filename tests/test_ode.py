@@ -10,7 +10,15 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from splitopt import IntegratorConfig, gen_random_lls, lls_local_exact, partition, rk45_integrate
+from splitopt import (
+    IntegratorConfig,
+    gen_gaussian_blobs,
+    gen_random_lls,
+    lls_local_exact,
+    local_step_rk,
+    partition,
+    rk45_integrate,
+)
 from splitopt.errors import NonFiniteState, StepBudgetExceeded
 
 # Dormand & Prince (1980) 5(4): a_ij of stages 1..6 and the 5th-order b_j (b_7 = 0).
@@ -61,8 +69,8 @@ class TestBasics:
         spends the initial f(y0), one start-step probe when h_init = 0, and
         six evaluations per attempted step.  The sequences are pinned at
         rtol 1e-6 / atol 1e-9, set here rather than taken from the default."""
-        cfg = IntegratorConfig(rtol=1e-6, atol=1e-9, h_init=h_init)
-        sol = rk45_integrate(rhs, np.array(y0), (0.0, t1), cfg)
+        cfg = IntegratorConfig(rtol=1e-6, atol=1e-9)
+        sol = rk45_integrate(rhs, np.array(y0), (0.0, t1), cfg, h_init=h_init)
         assert (sol.steps_taken, sol.rejected_steps) == (accepted, rejected)
         start_evals = 1 if h_init > 0 else 2
         assert sol.rhs_evals == start_evals + 6 * (sol.steps_taken + sol.rejected_steps)
@@ -76,7 +84,7 @@ class TestBasics:
             return np.array([np.sin(y[1]) - y[0] ** 2, y[0] * y[2], np.cos(y[0]) - y[1]])
 
         y0, h = np.array([0.3, -0.7, 1.1]), 0.05
-        sol = rk45_integrate(rhs, y0, (0.0, h), IntegratorConfig(rtol=1e-2, atol=1e-2, h_init=h))
+        sol = rk45_integrate(rhs, y0, (0.0, h), IntegratorConfig(rtol=1e-2, atol=1e-2), h_init=h)
         assert (sol.steps_taken, sol.rejected_steps, sol.rhs_evals) == (1, 0, 7)
         k = []
         for row in DP_A:
@@ -96,7 +104,7 @@ class TestBasics:
 
         y0 = np.random.default_rng(d).standard_normal(d)
         h, rtol, atol = 0.05, 1e-2, 1e-2
-        sol = rk45_integrate(rhs, y0, (0.0, h), IntegratorConfig(rtol=rtol, atol=atol, h_init=h))
+        sol = rk45_integrate(rhs, y0, (0.0, h), IntegratorConfig(rtol=rtol, atol=atol), h_init=h)
         assert (sol.steps_taken, sol.rejected_steps, sol.rhs_evals) == (1, 0, 7)
         ks = [y0, rhs(y0)]
         for row in DP_A[1:] + [DP_B]:
@@ -116,8 +124,14 @@ class TestBasics:
     # An infinite h_init used to mean "try the whole span first".
     @pytest.mark.parametrize("h_init", [-1.0, float("nan"), math.inf])
     def test_bad_h_init_rejected(self, h_init):
+        """Checked on every call, before anything is integrated; the local
+        step passes it through."""
         with pytest.raises(ValueError, match="h_init"):
-            IntegratorConfig(h_init=h_init)
+            rk45_integrate(lambda y: -y, np.array([1.0]), (0.0, 1.0), h_init=h_init)
+        pb = gen_gaussian_blobs(40, 4, 2, 4.0, 0)
+        _, batches = partition(pb, 10, 0)
+        with pytest.raises(ValueError, match="h_init"):
+            local_step_rk(pb, batches[0], np.zeros(4), 1.0, None, h_init)
 
     @pytest.mark.parametrize("steps", [math.nan, 2.5, True, 0],
                              ids=["nan", "fraction", "bool", "zero"])
@@ -171,8 +185,7 @@ class TestStepProposal:
         assert sol.h_next == pytest.approx(long_sizes[40], rel=1e-12)
 
     def test_span_covered_by_one_clipped_step_proposes_nothing(self):
-        sol = rk45_integrate(lambda y: -y, np.array([1.0]), (0.0, 0.01),
-                             IntegratorConfig(h_init=1.0))
+        sol = rk45_integrate(lambda y: -y, np.array([1.0]), (0.0, 0.01), h_init=1.0)
         assert (sol.steps_taken, sol.rejected_steps, sol.h_next) == (1, 0, 0.0)
         empty = rk45_integrate(lambda y: -y, np.array([1.0]), (0.0, 0.0))
         assert empty.h_next == 0.0
@@ -182,7 +195,7 @@ class TestStepProposal:
                                IntegratorConfig(rtol=1e-6, atol=1e-9))
         assert first.h_next > 0
         again = rk45_integrate(lambda y: -y, np.array([1.0]), (0.0, 10.0),
-                               IntegratorConfig(rtol=1e-6, atol=1e-9, h_init=first.h_next))
+                               IntegratorConfig(rtol=1e-6, atol=1e-9), first.h_next)
         assert again.rhs_evals == 1 + 6 * (again.steps_taken + again.rejected_steps)
         assert abs(again.y_end[0] - np.exp(-10.0)) <= 1e-6 * np.exp(-10.0) + 1e-9
 
@@ -290,10 +303,10 @@ class TestWorkspace:
 
         y0 = np.random.default_rng(d).standard_normal(d)
         for h in (0.05, 0.03, 0.05):
-            cfg = IntegratorConfig(rtol=1e-2, atol=1e-2, h_init=h)
-            got = rk45_integrate(rhs, y0, (0.0, h), cfg)
+            cfg = IntegratorConfig(rtol=1e-2, atol=1e-2)
+            got = rk45_integrate(rhs, y0, (0.0, h), cfg, h)
             assert got.steps_taken == 1 and got.rejected_steps == 0
-            assert same(got, fresh(rk45_integrate, rhs, y0, (0.0, h), cfg))
+            assert same(got, fresh(rk45_integrate, rhs, y0, (0.0, h), cfg, h))
 
 
 class TestFailureModes:
@@ -301,14 +314,14 @@ class TestFailureModes:
         """The failed call leaves no trace in the workspaces: a one-step
         call of its state size before it and after it agree bit for bit,
         and with a fresh call."""
-        one_step = IntegratorConfig(rtol=1e-2, atol=1e-2, h_init=0.05)
-        before = rk45_integrate(np.sin, np.array([0.3]), (0.0, 0.05), one_step)
+        one_step = (IntegratorConfig(rtol=1e-2, atol=1e-2), 0.05)  # cfg, h_init
+        before = rk45_integrate(np.sin, np.array([0.3]), (0.0, 0.05), *one_step)
         cfg = IntegratorConfig(rtol=1e-10, atol=1e-13, max_steps=3)
         with pytest.raises(StepBudgetExceeded):
             rk45_integrate(lambda y: np.cos(50 * y) * 50, np.array([0.1]), (0.0, 10.0), cfg)
-        after = rk45_integrate(np.sin, np.array([0.3]), (0.0, 0.05), one_step)
+        after = rk45_integrate(np.sin, np.array([0.3]), (0.0, 0.05), *one_step)
         assert same(after, before)
-        assert same(after, fresh(rk45_integrate, np.sin, np.array([0.3]), (0.0, 0.05), one_step))
+        assert same(after, fresh(rk45_integrate, np.sin, np.array([0.3]), (0.0, 0.05), *one_step))
 
     def test_state_overflow_is_rejected(self):
         """A constant RHS makes the error estimate 0, so only the finiteness
@@ -316,7 +329,7 @@ class TestFailureModes:
         past t = 17.98 are rejected until h underflows."""
         with np.errstate(over="ignore"), pytest.raises(StepBudgetExceeded, match="underflow"):
             rk45_integrate(lambda y: np.full_like(y, 1e307), np.array([0.0]), (0.0, 100.0),
-                           IntegratorConfig(h_init=1.0))
+                           h_init=1.0)
 
     def test_non_finite_rhs(self):
         with pytest.raises(NonFiniteState):

@@ -234,31 +234,34 @@ class TestRunBasics:
     def test_rk_steps_start_from_the_runs_last_proposal(self, monkeypatch):
         """Each RK local step starts from the last positive proposal any
         earlier step of the run reported, a batch's first visit included;
-        ``h_init`` serves the run's first step only, a step that proposes
-        nothing leaves the start as it was, and a second run starts afresh."""
+        the run's first step gets h_init = 0 (the start-step probe), every
+        step the run's integrator config, a step that proposes nothing
+        leaves the start as it was, and a second run starts afresh."""
         import splitopt.optimizers
 
         real = splitopt.optimizers.local_step_rk
         visits = []
 
-        def proposing_nothing_every_third(pb, bf, theta, h, cfg):
-            rep = real(pb, bf, theta, h, cfg)
+        def proposing_nothing_every_third(pb, bf, theta, h, cfg, h_init):
+            rep = real(pb, bf, theta, h, cfg, h_init)
             if len(visits) % 3 == 2:
                 rep = dataclasses.replace(rep, h_next=0.0)
-            visits.append((cfg.h_init, rep.h_next))
+            visits.append((cfg, h_init, rep.h_next))
             return rep
 
         monkeypatch.setattr(splitopt.optimizers, "local_step_rk", proposing_nothing_every_third)
         blobs = gen_gaussian_blobs(60, 4, 3, 3.0, 2)
+        integrator = IntegratorConfig()
         cfg = RunConfig(method="splitting", alpha=1.0, batch_size=10, seed=0, max_epochs=4,
-                        integrator=IntegratorConfig(h_init=1e-3))
+                        integrator=integrator)
         for _ in range(2):  # a second run over the same batches starts afresh
             visits.clear()
             run(blobs, None, cfg)
             assert len(visits) == 24
-            assert visits[0][0] == 1e-3 and all(h_init != 1e-3 for h_init, _ in visits[1:])
-            start, kept = 1e-3, 0
-            for h_init, h_next in visits:
+            assert all(c is integrator for c, _, _ in visits)
+            assert visits[0][1] == 0.0 and all(h_init > 0 for _, h_init, _ in visits[1:])
+            start, kept = 0.0, 0
+            for _, h_init, h_next in visits:
                 assert h_init == start
                 kept += h_next == 0.0
                 if h_next > 0:
@@ -274,8 +277,8 @@ class TestRunBasics:
         real = splitopt.solvers.rk45_integrate
         sols = []
 
-        def counted(rhs, y0, t_span, cfg):
-            sols.append(real(rhs, y0, t_span, cfg))
+        def counted(rhs, y0, t_span, cfg, h_init):
+            sols.append(real(rhs, y0, t_span, cfg, h_init))
             return sols[-1]
 
         monkeypatch.setattr(splitopt.solvers, "rk45_integrate", counted)

@@ -134,13 +134,13 @@ class TestRkLocalStep:
         """u^T theta_0 and the lift around the integration."""
         pb, batches, _ = blobs(b, k)
         theta0 = theta_of(pb)
-        cfg = IntegratorConfig(h_init=0.5)
+        cfg = IntegratorConfig()
         for bf in batches:
             u = bf.svd.u
             eta0 = u.T @ theta0
-            sol = rk45_integrate(reduced_flow(pb, bf), eta0.ravel(), (0.0, 2.0), cfg)
+            sol = rk45_integrate(reduced_flow(pb, bf), eta0.ravel(), (0.0, 2.0), cfg, 0.5)
             want = theta0 + u @ (sol.y_end.reshape(eta0.shape) - eta0)
-            assert np.array_equal(local_step_rk(pb, bf, theta0, 2.0, cfg).theta_next, want)
+            assert np.array_equal(local_step_rk(pb, bf, theta0, 2.0, cfg, 0.5).theta_next, want)
 
 
 class TestEvaluation:

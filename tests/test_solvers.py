@@ -8,7 +8,6 @@ import copy
 import math
 import sys
 import threading
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -428,7 +427,7 @@ class TestLocalStepRK:
         first = local_step_rk(pb, bf, theta, h, cfg)
         assert first.h_next > 0
         theta = local_step_rk(pb, batches[1], first.theta_next, h, cfg).theta_next
-        warm = local_step_rk(pb, bf, theta, h, replace(cfg, h_init=first.h_next))
+        warm = local_step_rk(pb, bf, theta, h, cfg, h_init=first.h_next)
         cold = local_step_rk(pb, bf, theta, h, cfg)
         assert warm.rhs_evals < cold.rhs_evals
         scale = 1 + np.linalg.norm(cold.theta_next)
@@ -441,8 +440,8 @@ class TestLocalStepRK:
         bf = batches[0]
         before = copy.deepcopy(bf)
         theta = np.zeros(6)
-        for cfg in (IntegratorConfig(), IntegratorConfig(h_init=1e-3)):
-            rep = local_step_rk(pb, bf, theta, 2.0, cfg)
+        for h_init in (0.0, 1e-3):
+            rep = local_step_rk(pb, bf, theta, 2.0, IntegratorConfig(), h_init)
             assert rep.h_next > 0
             theta = rep.theta_next
         assert vars(bf).keys() == vars(before).keys() | {"svd"} and bf.lls_gain is None
@@ -455,7 +454,7 @@ class TestLocalStepRK:
         no proposal."""
         pb = gen_gaussian_blobs(40, 6, 2, 2.0, 3)
         _, batches = partition(pb, 5, 3)
-        rep = local_step_rk(pb, batches[0], np.zeros(6), 1e-3, IntegratorConfig(h_init=50.0))
+        rep = local_step_rk(pb, batches[0], np.zeros(6), 1e-3, h_init=50.0)
         assert rep.rhs_evals == 7 and rep.h_next == 0.0
 
 

@@ -65,6 +65,7 @@ def random_full_rank(
     sigma_min away from zero bounds every decay rate in the error sweep
     below by -sigma_min^2, so the sweep visibly reaches its limit.
     """
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     u, _ = np.linalg.qr(rng.standard_normal((n, n)))
     v, _ = np.linalg.qr(rng.standard_normal((n, n)))

@@ -94,6 +94,7 @@ def gen_random_lls(n: int, p: int, noise_sigma: float, seed: int) -> Problem:
     """
     if n < p:
         raise ValueError("gen_random_lls expects n >= p")
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, p))
     theta_star = rng.standard_normal(p)
@@ -163,6 +164,7 @@ def gen_tomo_like(image_side: int, rays: int, seed: int) -> Problem:
     """
     if image_side < 2:
         raise ValueError("image_side must be at least 2")
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     img = _phantom(image_side, rng)
     s = image_side
@@ -187,10 +189,11 @@ def _read_exact(f, count, path):
 def load_idx(images_path, labels_path, class_filter=None) -> Problem:
     """Load an IDX image/label pair as a classification problem.
 
-    Pixels are scaled to [0, 1] and flattened row-major.  With a two-class
-    filter the result is a logistic problem ({0, 1} targets, smaller label
-    mapped to 0); otherwise labels are one-hot encoded over the classes
-    kept.  Labels above 9 and fewer than two classes kept are rejected.
+    Pixels are scaled to [0, 1] and flattened row-major.  ``class_filter``
+    keeps the rows whose label it names; the classes are the labels those
+    rows hold.  Two classes give a logistic problem ({0, 1} targets, the
+    smaller label mapped to 0), more give one-hot targets over them.
+    Labels above 9 and fewer than two classes kept are rejected.
     """
     with open(images_path, "rb") as f:
         magic, count, rows, cols = struct.unpack(">iiii", _read_exact(f, 16, images_path))
@@ -214,19 +217,16 @@ def load_idx(images_path, labels_path, class_filter=None) -> Problem:
     x = pixels.reshape(count, rows * cols).astype(float) / 255.0
     labels = labels.astype(int)
     if class_filter:
-        classes = sorted(set(int(c) for c in class_filter))
-        keep = np.isin(labels, classes)
+        keep = np.isin(labels, [int(c) for c in class_filter])
         x, labels = x[keep], labels[keep]
-    else:
-        classes = sorted(set(labels.tolist()))
-    found = np.unique(labels).size  # 0 when no row is left
-    if found < 2:
+    classes = np.unique(labels)  # empty when no row is left
+    if classes.size < 2:
         raise ValueError(f"{labels_path}: class_filter {class_filter!r} leaves {labels.size} "
-                         f"rows of {found} class(es); a problem needs two")
-    if len(classes) == 2:
+                         f"rows of {classes.size} class(es); a problem needs two")
+    if classes.size == 2:
         y = (labels == classes[1]).astype(float)
         return Problem(kind="logistic", x=x, targets=y)
-    onehot = (labels[:, None] == np.array(classes)).astype(float)
+    onehot = (labels[:, None] == classes).astype(float)
     return Problem(kind="softmax", x=x, targets=onehot)
 
 
@@ -278,6 +278,7 @@ def gen_gaussian_blobs(n: int, p: int, k: int, separation: float, seed: int) -> 
     problem, more give one-hot softmax targets."""
     if k < 2:
         raise ValueError("gen_gaussian_blobs needs at least 2 classes")
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((k, p))
     means *= separation / np.linalg.norm(means, axis=1, keepdims=True)

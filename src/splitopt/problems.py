@@ -23,15 +23,16 @@ one batch with its batch-only factors folded in:
     least squares   a (B eta) + c         a = -r/n, B = r^T, c = r y_i / n
     logistic        a tanh(B eta) + c     a = -(0.5/n) r, B = 0.5 r^T,
                                           c = r (y_i - 0.5) / n
-    softmax         (a e^T + c).ravel()   a = -r/n, c = r y_i / n
+    softmax         (r e^T + c).ravel()   c = r y_i / n
 
 The logistic form is sigmoid(s) = 0.5 + 0.5 tanh(s/2).  Softmax keeps its
 k x K state row-major and lays the scores out K x b, z = eta^T r; e is z
-exponentiated and divided by its column sums 1_K^T z, all in z's own
-buffer, and c is added into the product's output.  z is shifted by its
-column maxima first only where the state does not prove exp safe.  For v
-the flattened state, |z_cj| = |eta_c^T r_j| <= ||v|| ||x_j|| <= ||v|| s_max,
-so v^T v < T^2 / max(w), one inner product against a limit fixed per flow,
+exponentiated and divided by -n times its column sums, (-n 1_K)^T z, all
+in z's own buffer, so the flow's -1/n rides on the b divisors and r is
+read as the SVD keeps it; c is added into the product's output.  z is
+shifted by its column maxima first only where the state does not prove
+exp safe.  For v the flattened state,
+|z_cj| = |eta_c^T r_j| <= ||v|| ||x_j|| <= ||v|| s_max, so v^T v < T^2 / max(w), one inner product against a limit fixed per flow,
 puts every score below T = ``EXP_SAFE_SCORE`` = 600 in magnitude.  Then
 each e^z lies in [e^-T, e^T], normal floats, and a column sum of K of them
 stays finite for any K below 4e47: nothing overflows or underflows, so the
@@ -40,10 +41,19 @@ Higham & Higham, IMA J. Numer. Anal. 41, 2021) without the shift's column
 reduction and broadcast subtract.  At K = 10, b = 64 an evaluation takes
 6.9 us against 9.3 us shifted (medians of 15, numpy 2.4, OpenBLAS at one
 thread, 2-vCPU Xeon VM).  A larger, infinite or NaN state takes the
-shifted form, bit for bit as before.  Every softmax evaluation of the
-benchmark's ``classify`` workload is unshifted (||v|| s_max stays under
-300 there); ten-class blobs with columns scaled by geomspace(1, 100, 20)
-shift 97-99.6% of their evaluations.
+shifted form.  Every softmax evaluation of the benchmark's ``classify``
+workload is unshifted (||v|| s_max stays under 300 there); ten-class
+blobs with columns scaled by geomspace(1, 100, 20) shift 97-99.6% of
+their evaluations.
+
+The offset c, and for softmax the limit T^2 / max(w) and -n 1_K, depend
+only on the batch, the kind and n, so the batch keeps them
+(``BatchFactorization.flow_consts``) for every later flow at that
+(kind, n).  Building a step's flow then takes about 3 us instead of 6
+(logistic, b = 50) and 1 us instead of 9 (softmax, b = 64, K = 10; best
+of 5, OpenBLAS at one thread, 2-vCPU Xeon VM).  The logistic a and B,
+scalar multiples of r, are built per flow: keeping them too gained no
+speed for more peak RSS.
 ``reduced_rhs`` evaluates the flow at one state, with a shape check.
 
 A record costs one pass over the rows it measures.  The softmax loss
@@ -165,12 +175,15 @@ class BatchFactorization:
     included), whatever the kind.  ``optimizers.check_run`` reads it for a
     splitting or Kaczmarz config, else the first step does; SGD never does,
     and every run shares it (threads at worst compute it twice, equally).
-    ``lls_gain`` keeps the last least-squares step's (h/n, gain) pair,
-    replaced whole, so no thread reads a gain made for another h/n.
+    ``lls_gain`` keeps the last least-squares step's (h/n, gain) pair and
+    ``flow_consts`` the last ``reduced_flow``'s constants, tagged with the
+    (kind, n) they were made for; each is replaced whole, so no thread
+    reads a gain made for another h/n or constants for another (kind, n).
     """
 
     def __init__(self, x_i: np.ndarray, y_i: np.ndarray):
-        self.x_i, self.y_i, self.b, self.lls_gain = x_i, y_i, x_i.shape[0], None
+        self.x_i, self.y_i, self.b = x_i, y_i, x_i.shape[0]
+        self.lls_gain = self.flow_consts = None
 
     @cached_property
     def svd(self) -> BatchSVD:
@@ -296,31 +309,41 @@ def local_rhs(pb: Problem, bf: BatchFactorization, theta: np.ndarray) -> np.ndar
 def reduced_flow(pb: Problem, bf: BatchFactorization):
     """The batch's reduced flow in folded form (see the module docstring),
     as one callable on the flattened state.  Build it once per local step;
-    nothing is checked per call.  The softmax flow skips the column-max
-    shift at a state v with v^T v < T^2 / max(w), which bounds every score
-    below T = ``EXP_SAFE_SCORE`` in magnitude, so exp neither overflows nor
+    nothing is checked per call.  The offset c (and for softmax the limit
+    T^2 / max(w) and the normalizer -n 1_K) is read from ``bf.flow_consts``
+    and built only when that tuple is missing or tagged with another
+    (kind, n); it is replaced whole, so threads racing on a batch at worst
+    build equal tuples.  The softmax flow skips the column-max shift at a
+    state v with v^T v < T^2 / max(w), which bounds every score below
+    T = ``EXP_SAFE_SCORE`` in magnitude, so exp neither overflows nor
     underflows; at any other state (NaN and inf included) it shifts."""
-    r, n = bf.svd.r, pb.n
-    if pb.kind == "softmax":
-        a, c = -r / n, r.dot(bf.y_i) / n
-        shape, ones = (r.shape[0], pb.k), np.ones(pb.k)
-        limit = EXP_SAFE_SCORE**2 / bf.svd.w.max()  # ||v|| s_max < T iff v.v < limit
+    kind, n, r = pb.kind, pb.n, bf.svd.r
+    kept = bf.flow_consts
+    if kept is None or kept[0] != (kind, n):
+        kept = ((kind, n), r.dot(bf.y_i - 0.5 if kind == "logistic" else bf.y_i) / n)
+        if kind == "softmax":  # ||v|| s_max < T iff v.v < limit
+            kept += (EXP_SAFE_SCORE**2 / bf.svd.w.max(), np.full(pb.k, -float(n)))
+        bf.flow_consts = kept
+    c = kept[1]
+    if kind == "softmax":
+        limit, minus_n = kept[2:]
+        shape = (r.shape[0], pb.k)
 
         def rhs(v):
             z = v.reshape(shape).T.dot(r)
             if not v.dot(v) < limit:  # a NaN or inf state shifts too
                 z -= np.maximum.reduce(z)
             np.exp(z, out=z)
-            z /= ones.dot(z)
-            out = a.dot(z.T)
+            z /= minus_n.dot(z)
+            out = r.dot(z.T)
             out += c
             return out.ravel()
 
         return rhs
-    if pb.kind == "logistic":
-        a, bt, c = -(0.5 / n) * r, 0.5 * r.T, r.dot(bf.y_i - 0.5) / n
+    if kind == "logistic":
+        a, bt = -(0.5 / n) * r, 0.5 * r.T
         return lambda v: a.dot(np.tanh(bt.dot(v))) + c
-    a, bt, c = -r / n, r.T, r.dot(bf.y_i) / n
+    a, bt = -r / n, r.T
     return lambda v: a.dot(bt.dot(v)) + c
 
 

@@ -17,10 +17,10 @@ Logistic and softmax local flows have no closed form.  They are integrated
 with the adaptive Runge-Kutta pair in the reduced coordinates
 eta = u^T theta, with r = diag(s) g^T so that x_i^T = u r, then lifted back
 by theta(h) = u (eta(h) - eta(0)) + theta_0.  The right-hand side is built
-once per local step in the folded form ``problems.reduced_flow`` gives and
-called by the integrator directly.  The step reports the integrator's last
-step-size proposal so a caller can start its next step, on any batch over
-a like span, there.
+once per local step in the folded form ``problems.reduced_flow`` gives,
+from constants the batch keeps, and called by the integrator directly.
+The step reports the integrator's last step-size proposal so a caller
+can start its next step, on any batch over a like span, there.
 
 An explicit Euler step of the local flow at step h = alpha * m is exactly
 one SGD step at learning rate alpha; ``euler_step`` is that baseline.
@@ -117,8 +117,9 @@ def local_step_rk(
     Its first attempt is at ``h_init`` (0: a probed step); the report's
     ``h_next`` is the integrator's proposal, which a caller passes back as
     ``h_init`` to start its next step over the same span warm.
-    Only the batch's SVD, if not yet computed, is written to ``bf``.  No
-    loss is evaluated: callers that want the batch loss call
+    Only the batch's SVD and its flow's constants (``bf.flow_consts``), if
+    not yet made for this (kind, n), are written to ``bf``.  No loss is
+    evaluated: callers that want the batch loss call
     ``batch_loss`` on ``theta_next``.
     """
     if pb.kind == "least-squares":

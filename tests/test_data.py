@@ -20,6 +20,7 @@ from splitopt import (
     split_holdout,
     trace_ray,
 )
+from splitopt.bounds import random_full_rank
 from splitopt.errors import (
     BadMagic,
     LabelOutOfRange,
@@ -55,6 +56,25 @@ class TestDatasetSpec:
         message = f"{name} must be an integer >= {least}, got {value!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             DatasetSpec(kind=kind, **{name: value})
+
+
+class TestGeneratorSeeds:
+    GENERATORS = {
+        "random-lls": lambda seed: gen_random_lls(20, 3, 0.0, seed),
+        "tomo-like": lambda seed: gen_tomo_like(4, 10, seed),
+        "gaussian-blobs": lambda seed: gen_gaussian_blobs(40, 3, 2, 2.0, seed),
+        "random-full-rank": lambda seed: random_full_rank(6, seed),
+    }
+
+    @pytest.mark.parametrize("seed", [True, -1, 1.5, "1"],
+                             ids=["bool", "negative", "fraction", "str"])
+    @pytest.mark.parametrize("name", list(GENERATORS))
+    def test_bad_seed_rejected(self, name, seed):
+        """True used to give the seed-1 data, -1 numpy's message naming no
+        field, and 1.5 a TypeError."""
+        message = f"seed must be an integer >= 0, got {seed!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.GENERATORS[name](seed)
 
 
 class TestRandomLLS:
@@ -142,6 +162,24 @@ class TestIdx:
         assert pb.n == 4
         assert pb.kind == "softmax"
         assert pb.k == 3
+
+    @pytest.mark.parametrize(
+        "labels, class_filter, kind, k",
+        [([0, 1, 1], (0, 1, 2), "logistic", 1),
+         ([0, 1, 2, 2, 1], (0, 1, 2, 3), "softmax", 3)],
+        ids=["two-of-three", "three-of-four"],
+    )
+    def test_classes_are_the_labels_kept(self, tmp_path, labels, class_filter, kind, k):
+        """A filter naming a label no row holds used to add a class with an
+        all-zero target column: labels [0, 1, 1] under (0, 1, 2) gave K = 3."""
+        images = np.zeros((len(labels), 2, 2), dtype=np.uint8)
+        img, lab = write_idx_pair(tmp_path, images, labels)
+        pb = load_idx(img, lab, class_filter)
+        assert (pb.kind, pb.k) == (kind, k)
+        if kind == "logistic":
+            assert pb.targets.tolist() == [0.0, 1.0, 1.0]
+        else:
+            assert pb.targets.sum(axis=0).tolist() == [1.0, 2.0, 2.0]
 
     def test_bad_magic(self, tmp_path):
         images = np.zeros((1, 2, 2), dtype=np.uint8)

@@ -23,7 +23,7 @@ from splitopt import (
 )
 from splitopt import test_error as misclassification
 from splitopt.errors import DimensionMismatch
-from splitopt.problems import EXP_SAFE_SCORE, reduced_flow
+from splitopt.problems import EXP_SAFE_SCORE, BatchFactorization, reduced_flow
 
 
 def finite_diff_gradient(f, theta, step=1e-6):
@@ -224,6 +224,34 @@ class TestReducedRhs:
         with np.errstate(over="raise"):
             assert np.isnan(flow(v)).all()
         assert np.isnan(shifted(v)).all()
+
+    @pytest.mark.parametrize("kind", ["least-squares", "logistic", "softmax"])
+    def test_batch_keeps_flow_constants_per_kind_and_n(self, kind):
+        """A second flow reuses the batch's constants; a problem with
+        another n or kind replaces them whole; a flow on reused constants
+        equals one built on a fresh batch, bit for bit."""
+        data = make_problem("softmax" if kind == "softmax" else "logistic", 24, 7, 3, 5)
+        pb = Problem(kind, data.x, data.targets)
+        bf = partition(pb, 6, 5)[1][1]
+        v = np.random.default_rng(5).standard_normal(bf.svd.r.shape[0] * pb.k)
+
+        def fresh(problem):
+            return reduced_flow(problem, BatchFactorization(bf.x_i, bf.y_i))(v)
+
+        got = reduced_flow(pb, bf)(v)
+        kept = bf.flow_consts
+        assert kept[0] == (kind, 24)
+        assert np.array_equal(reduced_flow(pb, bf)(v), got) and bf.flow_consts is kept
+        assert np.array_equal(got, fresh(pb))
+        others = [Problem(kind, data.x[:12], data.targets[:12])]
+        if kind != "softmax":  # 0/1 targets serve either kind
+            other = "logistic" if kind == "least-squares" else "least-squares"
+            others.append(Problem(other, data.x, data.targets))
+        for other in others:
+            flow = reduced_flow(other, bf)
+            assert bf.flow_consts[0] == (other.kind, other.n) and bf.flow_consts is not kept
+            assert np.array_equal(flow(v), fresh(other))
+        assert np.array_equal(reduced_flow(pb, bf)(v), got)
 
 
 class TestScalarOps:

@@ -101,8 +101,8 @@ class TestReducedFlow:
             if shift or not v @ v < EXP_SAFE_SCORE**2 / bf.svd.w.max():
                 z -= z.max(axis=0)
             z = np.exp(z)
-            z /= np.ones(pb.k) @ z
-            return ((-r / n) @ z.T + r @ y / n).ravel()
+            z /= np.full(pb.k, -float(n)) @ z
+            return (r @ z.T + r @ y / n).ravel()
 
         return rhs
 

@@ -444,7 +444,9 @@ class TestLocalStepRK:
             rep = local_step_rk(pb, bf, theta, 2.0, IntegratorConfig(), h_init)
             assert rep.h_next > 0
             theta = rep.theta_next
+        # The SVD and the flow's constants, tagged with (kind, n), are all it keeps.
         assert vars(bf).keys() == vars(before).keys() | {"svd"} and bf.lls_gain is None
+        assert before.flow_consts is None and bf.flow_consts[0] == ("logistic", pb.n)
         for got, want in ((bf.x_i, before.x_i), (bf.y_i, before.y_i),
                           (bf.svd.u, before.svd.u), (bf.svd.r, before.svd.r)):
             assert np.array_equal(got, want)
@@ -511,6 +513,35 @@ class TestFoldedFlow:
         assert got.steps_taken > 3
         assert ((got.rhs_evals, got.steps_taken, got.rejected_steps)
                 == (want.rhs_evals, want.steps_taken, want.rejected_steps))
+
+    def test_shared_flow_constants_across_threads(self):
+        """Threads building flows on one batch for problems of two sizes
+        replace its kept constants under each other; every flow still
+        equals the one a fresh batch gives, bit for bit."""
+        pb = gen_gaussian_blobs(640, 20, 10, 4.0, 42)
+        bf = partition(pb, 64, 1)[1][0]
+        problems = (pb, Problem("softmax", pb.x[:320], pb.targets[:320]))
+        v = 0.01 * np.random.default_rng(3).standard_normal(bf.svd.r.shape[0] * 10)
+        want = {q.n: reduced_flow(q, fresh(bf))(v) for q in problems}
+        mismatches = []
+
+        def work(q):
+            for _ in range(200):
+                if not np.array_equal(reduced_flow(q, bf)(v), want[q.n]):
+                    mismatches.append(q.n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=work, args=(q,)) for q in problems * 4]
+            for t in pool:
+                t.start()
+            for t in pool:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in pool)
+        finally:
+            sys.setswitchinterval(interval)
+        assert mismatches == []
 
     def test_softmax_scores_near_1e3_stay_finite(self):
         """Scores of +-1e3 overflow exp unless each column is shifted by its

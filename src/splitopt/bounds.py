@@ -19,13 +19,25 @@ side, and ``error_sweep`` tabulates both over a time grid, all from one
 eigendecomposition A = U diag(w) U^T and orthonormal Q_i (as ``build_split``
 makes them).  The error is carried in A's eigenbasis: U is orthogonal, so
 
-    err(t) = || P(t) U - U diag(e^{t w}) ||_2,   P(t) = e^{A_k t} ... e^{A_1 t},
+    err(t) = || U^T P(t) U - diag(e^{t w}) ||_2,   P(t) = e^{A_k t} ... e^{A_1 t},
 
-where the product starts from U and the exact flow is a column scaling,
-never an N x N exponential.  Part 1 acts first: part i moves the product
-P by the rank-r_i update P + Q_i diag(expm1(t w_i)) Q_i^T P, which at
-t = inf is Pi_i P.  At t = 0 every update is zero and the scaling is by
-ones, so err(0) is exactly 0.
+and the exact flow is a diagonal, never an N x N exponential.  Part 1
+acts first, and part j maps P to P + Q_j C_j Q_j^T P, C_j = diag(expm1(t w_j))
+(C_j = -I at t = inf, where the map is Pi_j).  So P(t) U = U + Q M, with
+Q = [Q_1 ... Q_k] (N x R) and the coefficient block M (R x N) filled part
+by part from S = Q^T Q and W = Q^T U, both formed once per sweep:
+
+    M_j = C_j (W_j + S_{j,<j} M_{<j}),
+
+and the error matrix is W^T M + diag(-expm1(t w)): small products, one
+N x R x N product and one norm per t, where updating P part by part
+would read and write all of it k times.  Each M_j = C_j Q_j^T P_{j-1} U
+has norm <= 1, so the recursion sums bounded terms.  To keep S within
+N x N, the recursion runs over consecutive parts whose ranks sum to at
+most N (a ``build_split`` split is one such run).  The runs before a
+run fold into P, so it starts from its Q^T P U = W + W E, E the sum of
+their W^T M.  At t = 0 every C_j is 0, so M and the diagonal are exactly
+0 and so is err(0).
 
 The approach to the limit goes as exp(t * mu), mu the largest of max(w_i)
 and A's logarithmic norm; an iid Gaussian X can make that rate impractically
@@ -39,7 +51,7 @@ import numpy as np
 
 from .errors import RankDeficient
 from .linalg import spectral_norm
-from .ode import _check_count
+from .ode import _check_count, _check_real
 from .problems import BatchFactorization
 
 
@@ -63,9 +75,14 @@ def random_full_rank(
 
     Random orthogonal factors around a uniform spectrum; keeping
     sigma_min away from zero bounds every decay rate in the error sweep
-    below by -sigma_min^2, so the sweep visibly reaches its limit.
+    below by -sigma_min^2, so the sweep visibly reaches its limit.  Both
+    bounds must be finite and positive, with sigma_min <= sigma_max.
     """
     _check_count("seed", seed, 0)
+    _check_real("sigma_min", sigma_min)
+    _check_real("sigma_max", sigma_max)
+    if sigma_min > sigma_max:
+        raise ValueError(f"sigma_min {sigma_min!r} exceeds sigma_max {sigma_max!r}")
     rng = np.random.default_rng(seed)
     u, _ = np.linalg.qr(rng.standard_normal((n, n)))
     v, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -104,19 +121,43 @@ def build_split(x: np.ndarray, blocks: int, seed: int | None = None) -> SplitOpe
     return SplitOperators(parts=parts, a_full=a_full, ranks=ranks)
 
 
+def _runs(parts, u: np.ndarray):
+    """The parts as runs of consecutive parts whose ranks sum to at most N
+    (a part of larger rank runs alone).  A run is kept as its stacked
+    weights w (R), the row span in Q = [Q_j ...] (N x R) of each part but
+    the first, S = Q^T Q and W = Q^T U."""
+    runs = [[]]
+    for part in parts:
+        if runs[-1] and sum(len(p.w) for p in runs[-1]) + len(part.w) > len(u):
+            runs.append([])
+        runs[-1].append(part)
+    out = []
+    for run in runs:
+        q = np.hstack([p.q for p in run])
+        ends = np.cumsum([len(p.w) for p in run]).tolist()
+        out.append((np.concatenate([p.w for p in run]), list(zip(ends[:-1], ends[1:])),
+                    q.T @ q, q.T @ u))
+    return out
+
+
 def _errors(ops: SplitOperators, t_grid):
-    """err(t) = ||P(t) U - U diag(e^{t w})|| for each t in t_grid.  t = inf
-    gives the limit ||Pi_k ... Pi_1 U|| = ||Pi_k ... Pi_1||: each part flow
-    is then its projector and the exact flow is 0."""
+    """err(t) = ||U^T P(t) U - diag(e^{t w})|| for each t in t_grid.  t = inf
+    gives the limit ||Pi_k ... Pi_1||: each part flow is then its projector
+    (C_j = -I) and the exact flow is 0."""
     w_full, u_full = np.linalg.eigh(ops.a_full)
+    n = len(w_full)
+    runs = _runs(ops.parts, u_full)
     for t in t_grid:
-        prod = u_full.copy()
-        for part in ops.parts:
-            c = np.full(len(part.w), -1.0) if t == np.inf else np.expm1(t * part.w)
-            prod += part.q @ (c[:, None] * (part.q.T @ prod))
-        if t != np.inf:
-            prod -= u_full * np.exp(t * w_full)
-        yield spectral_norm(prod)
+        e = None  # U^T P U - I, the runs so far folded into P
+        for w, spans, s, qtu in runs:
+            c = np.full(len(w), -1.0) if t == np.inf else np.expm1(t * w)
+            m = c[:, None] * (qtu if e is None else qtu + qtu @ e)
+            cs = c[:, None] * s
+            for a, b in spans:
+                m[a:b] += cs[a:b, :a] @ m[:a]
+            e = qtu.T @ m if e is None else e + qtu.T @ m
+        e.ravel()[:: n + 1] += 1.0 if t == np.inf else -np.expm1(t * w_full)
+        yield spectral_norm(e)
 
 
 def splitting_error(ops: SplitOperators, t: float) -> float:

@@ -66,6 +66,8 @@ class DatasetSpec:
             _check_count(name, getattr(self, name), least)
         for name in ("noise_sigma", "separation"):
             _check_real(name, getattr(self, name), positive=False)
+        for c in self.class_filter or ():
+            _check_count("class_filter", c, 0)
         if self.kind == "linear-system-file" and self.path is None:
             raise ValueError("linear-system-file needs a path")
         if self.kind == "idx-images" and None in (self.images_path, self.labels_path):
@@ -193,8 +195,11 @@ def load_idx(images_path, labels_path, class_filter=None) -> Problem:
     keeps the rows whose label it names; the classes are the labels those
     rows hold.  Two classes give a logistic problem ({0, 1} targets, the
     smaller label mapped to 0), more give one-hot targets over them.
-    Labels above 9 and fewer than two classes kept are rejected.
+    Labels above 9, fewer than two classes kept and a filter entry that is
+    not an integer >= 0 are rejected.
     """
+    for c in class_filter or ():
+        _check_count("class_filter", c, 0)
     with open(images_path, "rb") as f:
         magic, count, rows, cols = struct.unpack(">iiii", _read_exact(f, 16, images_path))
         if magic != IDX_IMAGE_MAGIC:
@@ -217,7 +222,7 @@ def load_idx(images_path, labels_path, class_filter=None) -> Problem:
     x = pixels.reshape(count, rows * cols).astype(float) / 255.0
     labels = labels.astype(int)
     if class_filter:
-        keep = np.isin(labels, [int(c) for c in class_filter])
+        keep = np.isin(labels, list(class_filter))
         x, labels = x[keep], labels[keep]
     classes = np.unique(labels)  # empty when no row is left
     if classes.size < 2:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splitopt import (
     SplitOperators,
@@ -110,6 +111,29 @@ class TestBuildSplit:
         np.testing.assert_allclose(a.parts[0].q, b.parts[0].q)
         np.testing.assert_allclose(a.a_full, b.a_full)  # A ignores row order
 
+
+
+class TestRandomFullRank:
+    def test_singular_values_in_range(self):
+        s = np.linalg.svd(random_full_rank(12, 3, 0.5, 2.0), compute_uv=False)
+        assert 0.5 - 1e-12 <= s.min() and s.max() <= 2.0 + 1e-12
+
+    @pytest.mark.parametrize("name", ["sigma_min", "sigma_max"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_bound_rejected(self, name, bad):
+        """Both used to raise numpy's OverflowError, naming neither bound."""
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            random_full_rank(6, 0, **{name: bad})
+
+    def test_reversed_bounds_rejected(self):
+        """A reversed pair used to raise numpy's "high - low < 0"."""
+        with pytest.raises(ValueError, match="sigma_min 3.0 exceeds sigma_max 2.0"):
+            random_full_rank(6, 0, sigma_min=3.0, sigma_max=2.0)
+
+    def test_negative_sigma_min_rejected(self):
+        """sigma_min = -1 used to return singular values below it."""
+        with pytest.raises(ValueError, match="sigma_min must be finite and positive, got -1"):
+            random_full_rank(6, 0, sigma_min=-1)
 
 class TestSplittingError:
     def test_zero_at_t_zero(self):
@@ -228,6 +252,15 @@ def per_t_error(ops, t):
     return spectral_norm(prod - expm_sym(ops.a_full, t))
 
 
+def projector_product_norm(ops):
+    """||Pi_k ... Pi_1||, the limit rebuilt from dense projectors."""
+    n = ops.a_full.shape[0]
+    prod = np.eye(n)
+    for part in ops.parts:
+        prod = (np.eye(n) - part.q @ part.q.T) @ prod
+    return spectral_norm(prod)
+
+
 class TestEvaluator:
     """The shared evaluator against the formulas it replaces."""
 
@@ -246,12 +279,42 @@ class TestEvaluator:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_limit_is_projector_product(self, seed, blocks):
         ops = build_split(random_full_rank(20, seed), blocks)
-        prod = np.eye(20)
-        for part in ops.parts:
-            prod = (np.eye(20) - part.q @ part.q.T) @ prod
-        want = spectral_norm(prod)
+        want = projector_product_norm(ops)
         assert error_limit(ops) == pytest.approx(want, abs=1e-12)
         assert error_sweep(ops, [0.0, 1.0])[:, 2] == pytest.approx(want, abs=1e-12)
+
+    def test_forty_blocks_of_a_hundred(self):
+        """The benchmark's shape: 40 parts of rank 2 or 3, one run of rank N."""
+        ops = build_split(random_full_rank(100, 0), 40)
+        t_grid = [0.0, 0.5, 5.0, 50.0]
+        rows = error_sweep(ops, t_grid)
+        for t, row in zip(t_grid, rows):
+            assert row[1] == pytest.approx(per_t_error(ops, t), abs=1e-12)
+        assert rows[0, 2] == pytest.approx(projector_product_norm(ops), abs=1e-12)
+
+    def test_parts_past_rank_n_fold(self):
+        """Two splits of one matrix, 2 and 3 blocks: ranks 10+10 | 6+7+7 sum
+        to 2N, so the first run's coefficients fold into the product before
+        the second run starts."""
+        x = random_full_rank(20, 4)
+        parts = build_split(x, 2).parts + build_split(x, 3, seed=1).parts
+        ops = SplitOperators(parts=parts, a_full=sum((p.q * p.w) @ p.q.T for p in parts),
+                             ranks=[len(p.w) for p in parts])
+        t_grid = [0.0, 0.5, 5.0, 50.0]
+        rows = error_sweep(ops, t_grid)
+        assert rows[0, 1] == 0.0
+        for t, row in zip(t_grid, rows):
+            assert row[1] == pytest.approx(per_t_error(ops, t), abs=1e-12)
+        assert rows[0, 2] == pytest.approx(projector_product_norm(ops), abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 12), data=st.data(), seed=st.integers(0, 2**16),
+           t=st.floats(0.0, 100.0))
+    def test_sweep_rows_match_per_t_formula(self, n, data, seed, t):
+        blocks = data.draw(st.integers(1, n), label="blocks")
+        ops = build_split(random_full_rank(n, seed), blocks)
+        err = error_sweep(ops, [t])[0, 1]
+        assert abs(err - per_t_error(ops, t)) <= 1e-12
 
     def test_sweep_decomposes_each_operator_once(self, monkeypatch):
         """One eigh, of A, per sweep; the parts are diagonal already."""

@@ -363,6 +363,10 @@ class TestRun:
             ({"seed": -1}, None, "config: seed must be an integer >= 0, got -1"),
             ({"dataset": {"kind": "random-lls", "n": 60, "p": 6, "seed": -1}}, None,
              "config.dataset: seed must be an integer >= 0, got -1"),
+            # A fractional filter entry used to keep a label silently.
+            ({"dataset": {"kind": "idx-images", "images_path": "a", "labels_path": "b",
+                          "class_filter": [0.7, 1.2]}}, None,
+             "config.dataset: class_filter must be an integer >= 0, got 0.7"),
         ],
         ids=["bool-batch-size", "str-init-scale", "missing-batch-size", "negative-alpha",
              "empty-alphas", "empty-methods", "nan-noise-sigma", "nan-separation",
@@ -372,7 +376,8 @@ class TestRun:
              "alphas-same-trace-name", "methods-repeated", "alphas-repeated",
              "negative-holdout-size", "holdout-size-over-n", "holdout-and-holdout-size",
              "infinite-rtol", "infinite-threshold", "one-class-blobs", "negative-rays",
-             "unit-image-side", "negative-seed", "negative-dataset-seed"],
+             "unit-image-side", "negative-seed", "negative-dataset-seed",
+             "fractional-class-filter"],
     )
     def test_bad_field_reports_path(self, tmp_path, capsys, overrides, drop, message):
         cfg = base_config(**overrides)

@@ -15,6 +15,7 @@ from splitopt import (
     load_idx,
     load_linear_system,
     loss,
+    make_problem,
     partition,
     save_linear_system,
     split_holdout,
@@ -180,6 +181,29 @@ class TestIdx:
             assert pb.targets.tolist() == [0.0, 1.0, 1.0]
         else:
             assert pb.targets.sum(axis=0).tolist() == [1.0, 2.0, 2.0]
+
+    @pytest.mark.parametrize("class_filter", [(0.7, 1.2), (True, False), ("x", 1)],
+                             ids=["fractions", "bools", "str"])
+    def test_non_integer_filter_entry_rejected(self, tmp_path, class_filter):
+        """The first two used to keep labels 0 and 1 silently, through
+        int(), and "x" to raise int()'s message, which named no field."""
+        images = np.zeros((3, 2, 2), dtype=np.uint8)
+        img, lab = write_idx_pair(tmp_path, images, [0, 1, 1])
+        message = f"class_filter must be an integer >= 0, got {class_filter[0]!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_idx(img, lab, class_filter)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DatasetSpec(kind="idx-images", images_path=str(img), labels_path=str(lab),
+                        class_filter=class_filter)
+
+    def test_integer_filter_spec_loads(self, tmp_path):
+        images = np.zeros((3, 2, 2), dtype=np.uint8)
+        img, lab = write_idx_pair(tmp_path, images, [0, 1, 2])
+        spec = DatasetSpec(kind="idx-images", images_path=str(img), labels_path=str(lab),
+                           class_filter=(0, 1))
+        pb = make_problem(spec)
+        assert (pb.kind, pb.n) == ("logistic", 2)
+        assert pb.targets.tolist() == [0.0, 1.0]
 
     def test_bad_magic(self, tmp_path):
         images = np.zeros((1, 2, 2), dtype=np.uint8)

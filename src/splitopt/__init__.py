@@ -64,7 +64,6 @@ from .problems import (
     theta_shape,
 )
 from .solvers import (
-    LocalStepReport,
     euler_step,
     kaczmarz_step,
     lls_local_exact,
@@ -78,7 +77,6 @@ __all__ = [
     "BatchFactorization",
     "DatasetSpec",
     "IntegratorConfig",
-    "LocalStepReport",
     "OdeSolution",
     "Partition",
     "Problem",

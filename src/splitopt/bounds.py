@@ -2,36 +2,38 @@
 
 Splitting a full-rank matrix X into row blocks X_1..X_k turns the linear
 flow matrix A = -X^T X into a sum of negative semidefinite low-rank parts
-A_i = -X_i^T X_i = Q_i B_i Q_i^T, with B_i = diag(w_i), w_i = -s_i^2, from
-the thin SVD X_i^T = Q_i diag(s_i) G_i^T and rank rule of every minibatch
-(``problems.BatchFactorization``).  The one-step (time t) composition of
-the part flows differs from the exact flow by
+A_i = -X_i^T X_i = -u_i diag(w_i) u_i^T, w_i = s_i^2 > 0: each part is
+its block's ``problems.BatchSVD`` (thin SVD X_i^T = u_i diag(s_i) g_i^T
+and rank rule), the one the least-squares step reads.  The one-step
+(time t) composition of the part flows differs from the exact flow by
 
     err(t) = || e^{A_k t} ... e^{A_1 t} - e^{A t} ||_2,
 
 which, because every exponential decays on its range, tends for t -> inf
 to the norm of the product of the orthogonal complements
 
-    lim err(t) = || Pi_k ... Pi_1 ||_2,   Pi_i = I - Q_i Q_i^T.
+    lim err(t) = || Pi_k ... Pi_1 ||_2,   Pi_i = I - u_i u_i^T.
 
 ``splitting_error`` evaluates the left side, ``error_limit`` the right
 side, and ``error_sweep`` tabulates both over a time grid, all from one
-eigendecomposition A = U diag(w) U^T and orthonormal Q_i (as ``build_split``
-makes them).  The error is carried in A's eigenbasis: U is orthogonal, so
+eigendecomposition A = U diag(lam) U^T and the parts' orthonormal u_i.
+The error is carried in A's eigenbasis: U is orthogonal, so
 
-    err(t) = || U^T P(t) U - diag(e^{t w}) ||_2,   P(t) = e^{A_k t} ... e^{A_1 t},
+    err(t) = || U^T P(t) U - diag(e^{t lam}) ||_2,   P(t) = e^{A_k t} ... e^{A_1 t},
 
 and the exact flow is a diagonal, never an N x N exponential.  Part 1
-acts first, and part j maps P to P + Q_j C_j Q_j^T P, C_j = diag(expm1(t w_j))
-(C_j = -I at t = inf, where the map is Pi_j).  So P(t) U = U + Q M, with
-Q = [Q_1 ... Q_k] (N x R) and the coefficient block M (R x N) filled part
-by part from S = Q^T Q and W = Q^T U, both formed once per sweep:
+acts first, and part j maps P to P + u_j C_j u_j^T P by the least-squares
+step's gain C_j = diag(expm1(-t w_j)) at t = h/n: P(t) is one splitting
+epoch with zero targets.  At t = inf, C_j = -I (w_j > 0 by the rank rule)
+and the map is Pi_j, the Kaczmarz projection.  So P(t) U = U + Q M,
+with Q = [u_1 ... u_k] (N x R) and the coefficient block M (R x N) filled
+part by part from S = Q^T Q and W = Q^T U, both formed once per sweep:
 
     M_j = C_j (W_j + S_{j,<j} M_{<j}),
 
-and the error matrix is W^T M + diag(-expm1(t w)): small products, one
+and the error matrix is W^T M + diag(-expm1(t lam)): small products, one
 N x R x N product and one norm per t, where updating P part by part
-would read and write all of it k times.  Each M_j = C_j Q_j^T P_{j-1} U
+would read and write all of it k times.  Each M_j = C_j u_j^T P_{j-1} U
 has norm <= 1, so the recursion sums bounded terms.  To keep S within
 N x N, the recursion runs over consecutive parts whose ranks sum to at
 most N (a ``build_split`` split is one such run).  The runs before a
@@ -39,7 +41,7 @@ run fold into P, so it starts from its Q^T P U = W + W E, E the sum of
 their W^T M.  At t = 0 every C_j is 0, so M and the diagonal are exactly
 0 and so is err(0).
 
-The approach to the limit goes as exp(t * mu), mu the largest of max(w_i)
+The approach to the limit goes as exp(t * mu), mu the largest of -min(w_i)
 and A's logarithmic norm; an iid Gaussian X can make that rate impractically
 slow, so ``random_full_rank`` keeps singular values away from zero.
 """
@@ -56,16 +58,16 @@ from .problems import BatchFactorization
 
 
 @dataclass
-class LowRankPart:
-    q: np.ndarray  # N x r_i, orthonormal columns
-    w: np.ndarray  # r_i, negative: the part is q diag(w) q^T
-
-
-@dataclass
 class SplitOperators:
+    """A's parts, each a row block's ``BatchSVD`` (A_i = -u diag(w) u^T),
+    in the order their flows act, and A itself."""
+
     parts: list
     a_full: np.ndarray
-    ranks: list
+
+    def __post_init__(self):
+        if not self.parts:
+            raise ValueError("a split needs at least one part")
 
 
 def random_full_rank(
@@ -75,9 +77,10 @@ def random_full_rank(
 
     Random orthogonal factors around a uniform spectrum; keeping
     sigma_min away from zero bounds every decay rate in the error sweep
-    below by -sigma_min^2, so the sweep visibly reaches its limit.  Both
-    bounds must be finite and positive, with sigma_min <= sigma_max.
+    below by -sigma_min^2, so the sweep visibly reaches its limit.  n >= 1;
+    both bounds must be finite and positive, with sigma_min <= sigma_max.
     """
+    _check_count("n", n)
     _check_count("seed", seed, 0)
     _check_real("sigma_min", sigma_min)
     _check_real("sigma_max", sigma_max)
@@ -108,23 +111,19 @@ def build_split(x: np.ndarray, blocks: int, seed: int | None = None) -> SplitOpe
         _check_count("seed", seed, 0)
         x = x[np.random.default_rng(seed).permutation(n)]
     edges = np.linspace(0, n, blocks + 1).astype(int)
-    parts, ranks = [], []
-    for i in range(blocks):
-        xi = x[edges[i] : edges[i + 1]]
-        svd = BatchFactorization(xi, np.zeros(len(xi))).svd
-        parts.append(LowRankPart(q=svd.u, w=-svd.w))
-        ranks.append(xi.shape[0])
+    parts = [BatchFactorization(x[a:b], np.zeros(b - a)).svd
+             for a, b in zip(edges[:-1], edges[1:])]
     a_full = -(x.T @ x)
     w = np.linalg.eigvalsh(a_full)
     if not (w[-1] < -1e-10 * abs(w[0])):
         raise RankDeficient("sum of the parts is not negative definite (x is singular)")
-    return SplitOperators(parts=parts, a_full=a_full, ranks=ranks)
+    return SplitOperators(parts=parts, a_full=a_full)
 
 
 def _runs(parts, u: np.ndarray):
     """The parts as runs of consecutive parts whose ranks sum to at most N
     (a part of larger rank runs alone).  A run is kept as its stacked
-    weights w (R), the row span in Q = [Q_j ...] (N x R) of each part but
+    weights w (R), the row span in Q = [u_j ...] (N x R) of each part but
     the first, S = Q^T Q and W = Q^T U."""
     runs = [[]]
     for part in parts:
@@ -133,7 +132,7 @@ def _runs(parts, u: np.ndarray):
         runs[-1].append(part)
     out = []
     for run in runs:
-        q = np.hstack([p.q for p in run])
+        q = np.hstack([p.u for p in run])
         ends = np.cumsum([len(p.w) for p in run]).tolist()
         out.append((np.concatenate([p.w for p in run]), list(zip(ends[:-1], ends[1:])),
                     q.T @ q, q.T @ u))
@@ -141,22 +140,22 @@ def _runs(parts, u: np.ndarray):
 
 
 def _errors(ops: SplitOperators, t_grid):
-    """err(t) = ||U^T P(t) U - diag(e^{t w})|| for each t in t_grid.  t = inf
+    """err(t) = ||U^T P(t) U - diag(e^{t lam})|| for each t in t_grid.  t = inf
     gives the limit ||Pi_k ... Pi_1||: each part flow is then its projector
-    (C_j = -I) and the exact flow is 0."""
-    w_full, u_full = np.linalg.eigh(ops.a_full)
-    n = len(w_full)
+    (C_j = expm1(-inf) = -I) and the exact flow is 0."""
+    lam, u_full = np.linalg.eigh(ops.a_full)
+    n = len(lam)
     runs = _runs(ops.parts, u_full)
     for t in t_grid:
         e = None  # U^T P U - I, the runs so far folded into P
         for w, spans, s, qtu in runs:
-            c = np.full(len(w), -1.0) if t == np.inf else np.expm1(t * w)
+            c = np.expm1(-t * w)
             m = c[:, None] * (qtu if e is None else qtu + qtu @ e)
             cs = c[:, None] * s
             for a, b in spans:
                 m[a:b] += cs[a:b, :a] @ m[:a]
             e = qtu.T @ m if e is None else e + qtu.T @ m
-        e.ravel()[:: n + 1] += 1.0 if t == np.inf else -np.expm1(t * w_full)
+        e.ravel()[:: n + 1] += 1.0 if t == np.inf else -np.expm1(t * lam)
         yield spectral_norm(e)
 
 

@@ -1,6 +1,7 @@
 """Dataset generation, file ingestion, and batch partitioning.
 
-Generators are pure functions of their seed.  Partitioning fixes the
+Generators are pure functions of their seed, and check their arguments
+with a ``DatasetSpec``'s checks and wording.  Partitioning fixes the
 batches once (contiguous slices after a single seeded shuffle) and keeps
 them on the problem for every run over it; only the per-epoch visit order
 is re-randomized, through ``Partition.epoch_order``.
@@ -94,9 +95,12 @@ def gen_random_lls(n: int, p: int, noise_sigma: float, seed: int) -> Problem:
     normal, and y = X theta* plus Gaussian noise with standard deviation
     ``noise_sigma``.  theta* is retained on the problem for error metrics.
     """
+    _check_count("n", n)
+    _check_count("p", p)
+    _check_real("noise_sigma", noise_sigma, positive=False)
+    _check_count("seed", seed, 0)
     if n < p:
         raise ValueError("gen_random_lls expects n >= p")
-    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, p))
     theta_star = rng.standard_normal(p)
@@ -164,8 +168,8 @@ def gen_tomo_like(image_side: int, rays: int, seed: int) -> Problem:
     the grid); y = X vec(phantom), noise-free.  The phantom is retained as
     theta_ref.
     """
-    if image_side < 2:
-        raise ValueError("image_side must be at least 2")
+    _check_count("image_side", image_side, 2)
+    _check_count("rays", rays)
     _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     img = _phantom(image_side, rng)
@@ -281,8 +285,10 @@ def gen_gaussian_blobs(n: int, p: int, k: int, separation: float, seed: int) -> 
     """Balanced Gaussian clusters: unit covariance, means at
     separation * (random unit vectors).  Two classes give a logistic
     problem, more give one-hot softmax targets."""
-    if k < 2:
-        raise ValueError("gen_gaussian_blobs needs at least 2 classes")
+    _check_count("n", n)
+    _check_count("p", p)
+    _check_count("k", k, 2)
+    _check_real("separation", separation, positive=False)
     _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((k, p))

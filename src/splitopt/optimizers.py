@@ -294,10 +294,10 @@ def _batch_step(pb: Problem, cfg: RunConfig, h: float, batches: list, trace: Tra
 
     def rk_step(i, theta):
         nonlocal start
-        rep = rk(pb, batches[i], theta, h, integrator, start)
-        trace.rhs_evals += rep.rhs_evals
-        if rep.h_next > 0:
-            start = rep.h_next
-        return rep.theta_next
+        sol = rk(pb, batches[i], theta, h, integrator, start)
+        trace.rhs_evals += sol.rhs_evals
+        if sol.h_next > 0:
+            start = sol.h_next
+        return sol.y_end
 
     return rk_step

@@ -2,14 +2,16 @@
 
 Every step reads the batch's one thin SVD x_i^T = u diag(s) g^T, kept on
 the batch (``problems.BatchSVD``).  For least squares the flow
-dtheta/dt = -(1/n) x_i^T (x_i theta - y_i) has a closed form through it and
-z* = (g^T y_i) / s:
+dtheta/dt = -(1/n) x_i^T (x_i theta - y_i) has a closed form through it,
+w = s^2 and z* = (g^T y_i) / s:
 
-    theta(h) = theta_0 + u diag(expm1(-(h/n) s^2)) (u^T theta_0 - z*),
+    theta(h) = theta_0 + u diag(expm1(-(h/n) w)) (u^T theta_0 - z*),
 
 the flow of each spectral component of u^T theta toward its value z* at the
 batch's stationary point; the component of theta_0 orthogonal to range(u)
-is preserved exactly and no p x p matrix is ever formed.  Beside the SVD
+is preserved exactly and no p x p matrix is ever formed.  The gain
+expm1(-t w) at t = h/n is the one ``bounds`` composes over a split's
+parts, which are the same ``BatchSVD``s.  Beside the SVD
 the batch keeps only its last (h/n, gain) pair, since a run steps at one
 h/n.  At h = inf the step is the projection onto the batch's solution set,
 the (block) Kaczmarz step that ``method="kaczmarz"`` runs.
@@ -19,8 +21,10 @@ eta = u^T theta, with r = diag(s) g^T so that x_i^T = u r, then lifted back
 by theta(h) = u (eta(h) - eta(0)) + theta_0.  The right-hand side is built
 once per local step in the folded form ``problems.reduced_flow`` gives,
 from constants the batch keeps, and called by the integrator directly.
-The step reports the integrator's last step-size proposal so a caller
-can start its next step, on any batch over a like span, there.
+The step returns the integrator's solution, its end state lifted to
+theta(h), so a caller reads the step's work and the integrator's last
+step-size proposal, to start its next step there on any batch over a
+like span.
 
 An explicit Euler step of the local flow at step h = alpha * m is exactly
 one SGD step at learning rate alpha; ``euler_step`` is that baseline.
@@ -32,23 +36,11 @@ than the arithmetic.  u^T theta_0 at (20, 100)-by-(100) takes 0.59 us with
 ``.dot`` against 1.08 us with ``@`` (numpy 2.4, OpenBLAS at one thread).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ZeroRow
-from .ode import IntegratorConfig, rk45_integrate
+from .ode import IntegratorConfig, OdeSolution, rk45_integrate
 from .problems import BatchFactorization, Problem, _check_theta, _residual, reduced_flow
-
-
-@dataclass
-class LocalStepReport:
-    """An RK local step's result, the right-hand-side evaluations it spent
-    and the integrator's last step-size proposal (0: none)."""
-
-    theta_next: np.ndarray
-    rhs_evals: int
-    h_next: float
 
 
 def lls_local_exact(bf: BatchFactorization, theta0: np.ndarray, h: float, n: int) -> np.ndarray:
@@ -106,7 +98,7 @@ def local_step_rk(
     h: float,
     cfg: IntegratorConfig | None = None,
     h_init: float = 0.0,
-) -> LocalStepReport:
+) -> OdeSolution:
     """One local step for logistic/softmax: integrate the reduced flow.
 
     The state u^T theta (size min(b, p), times K for softmax) is integrated
@@ -114,13 +106,15 @@ def local_step_rk(
     side is the batch's folded ``reduced_flow``, built once for the step
     and called by the integrator directly; least-squares
     batches are served by the closed form instead and are rejected here.
-    Its first attempt is at ``h_init`` (0: a probed step); the report's
-    ``h_next`` is the integrator's proposal, which a caller passes back as
-    ``h_init`` to start its next step over the same span warm.
-    Only the batch's SVD and its flow's constants (``bf.flow_consts``), if
-    not yet made for this (kind, n), are written to ``bf``.  No loss is
-    evaluated: callers that want the batch loss call
-    ``batch_loss`` on ``theta_next``.
+    It returns the integrator's ``OdeSolution`` with ``y_end`` set to the
+    lifted theta(h), beside the step's ``rhs_evals`` and accepted and
+    rejected step counts.  Its first attempt is at ``h_init`` (0: a probed
+    step); the solution's ``h_next`` is the integrator's proposal, which a
+    caller passes back as ``h_init`` to start its next step over the same
+    span warm.  Only the batch's SVD and its flow's constants
+    (``bf.flow_consts``), if not yet made for this (kind, n), are written
+    to ``bf``.  No loss is evaluated: callers that want the batch loss
+    call ``batch_loss`` on ``y_end``.
     """
     if pb.kind == "least-squares":
         raise ValueError("least-squares local steps use lls_local_exact")
@@ -130,8 +124,8 @@ def local_step_rk(
     u = bf.svd.u
     eta0 = u.T.dot(theta0)
     sol = rk45_integrate(reduced_flow(pb, bf), eta0.ravel(), (0.0, h), cfg, h_init)
-    theta = theta0 + u.dot(sol.y_end.reshape(eta0.shape) - eta0)
-    return LocalStepReport(theta_next=theta, rhs_evals=sol.rhs_evals, h_next=sol.h_next)
+    sol.y_end = theta0 + u.dot(sol.y_end.reshape(eta0.shape) - eta0)
+    return sol
 
 
 def euler_step(pb: Problem, bf: BatchFactorization, theta0: np.ndarray, alpha: float) -> np.ndarray:

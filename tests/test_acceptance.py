@@ -353,7 +353,7 @@ def test_criterion_9_invariant_suites():
             bf = batches[int(rng.integers(len(batches)))]
             theta0 = rng.standard_normal(8)
             h = float(rng.uniform(0.1, 5.0))
-            theta1 = local_step_rk(pb, bf, theta0, h).theta_next
+            theta1 = local_step_rk(pb, bf, theta0, h).y_end
         before, after = batch_loss(pb, bf, theta0), batch_loss(pb, bf, theta1)
         delta = theta1 - theta0
         perp = delta - bf.svd.u @ (bf.svd.u.T @ delta)

@@ -5,18 +5,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from splitopt import (
+    BatchFactorization,
     SplitOperators,
     build_split,
     error_limit,
     error_sweep,
     expm_lowrank,
     expm_sym,
+    lls_local_exact,
     log_norm,
     random_full_rank,
     spectral_norm,
     splitting_error,
 )
-from splitopt.bounds import LowRankPart, write_sweep_csv
+from splitopt.bounds import write_sweep_csv
 from splitopt.errors import RankDeficient
 
 
@@ -39,35 +41,37 @@ class TestBuildSplit:
         assert len(ops.parts) == 1
         part = ops.parts[0]
         np.testing.assert_allclose(
-            (part.q * part.w) @ part.q.T, ops.a_full, atol=1e-10
+            -(part.u * part.w) @ part.u.T, ops.a_full, atol=1e-10
         )
 
     def test_parts_sum_to_full_operator(self):
         x = random_full_rank(30, 1)
         for k in (2, 3, 7):
             ops = build_split(x, k)
-            total = sum((p.q * p.w) @ p.q.T for p in ops.parts)
+            total = -sum((p.u * p.w) @ p.u.T for p in ops.parts)
             assert np.max(np.abs(total - ops.a_full)) <= 1e-10 * np.max(np.abs(ops.a_full))
 
     def test_hundred_dim_two_block_shapes(self):
         x = random_full_rank(100, 2)
         ops = build_split(x, 2)
-        assert ops.ranks == [50, 50]
-        assert ops.parts[0].q.shape == (100, 50)
+        assert [len(p.w) for p in ops.parts] == [50, 50]
+        assert ops.parts[0].u.shape == (100, 50)
         assert ops.parts[0].w.shape == (50,)
 
     def test_forty_blocks_near_equal(self):
         x = random_full_rank(100, 3)
         ops = build_split(x, 40)
         assert len(ops.parts) == 40
-        assert sum(ops.ranks) == 100
-        assert set(ops.ranks) <= {2, 3}
+        ranks = [len(p.w) for p in ops.parts]
+        assert sum(ranks) == 100
+        assert set(ranks) <= {2, 3}
 
     def test_parts_negative_semidefinite(self):
+        """Each part is -u diag(w) u^T with w = s^2 > 0."""
         x = random_full_rank(20, 4)
         ops = build_split(x, 4)
         for part in ops.parts:
-            assert np.all(part.w < 0)
+            assert np.all(part.w > 0)
 
     def test_singular_matrix_rejected(self):
         rng = np.random.default_rng(5)
@@ -82,7 +86,7 @@ class TestBuildSplit:
         calls = count_calls(monkeypatch, "svd", "qr")
         ops = build_split(x, 3)
         assert calls == {"svd": [(20, 6), (20, 7), (20, 7)], "qr": []}
-        assert ops.ranks == [6, 7, 7]
+        assert [len(p.w) for p in ops.parts] == [6, 7, 7]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entry_rejected(self, bad):
@@ -108,7 +112,7 @@ class TestBuildSplit:
         x = random_full_rank(12, 6)
         a = build_split(x, 3, seed=1)
         b = build_split(x, 3, seed=1)
-        np.testing.assert_allclose(a.parts[0].q, b.parts[0].q)
+        np.testing.assert_allclose(a.parts[0].u, b.parts[0].u)
         np.testing.assert_allclose(a.a_full, b.a_full)  # A ignores row order
 
 
@@ -163,16 +167,22 @@ class TestErrorLimit:
         assert error_limit(ops) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_two_projector_value(self):
-        """q1 = e1, q2 = (e1+e2)/sqrt(2): ||Pi2 Pi1|| = 1/sqrt(2)."""
+        """Rows e1 and (e1+e2)/sqrt(2): parts of rank 1 and weight 1 with
+        u1 = e1, u2 = (e1+e2)/sqrt(2), up to sign, so ||Pi2 Pi1|| = 1/sqrt(2)."""
+        r = np.sqrt(0.5)
+        ops = build_split(np.array([[1.0, 0.0], [r, r]]), 2)
         q1 = np.array([[1.0], [0.0]])
-        q2 = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
-        a_full = -(q1 @ q1.T) - (q2 @ q2.T)
-        ops = SplitOperators(
-            parts=[LowRankPart(q1, -np.ones(1)), LowRankPart(q2, -np.ones(1))],
-            a_full=a_full,
-            ranks=[1, 1],
-        )
+        q2 = np.array([[r], [r]])
+        np.testing.assert_allclose(ops.a_full, -(q1 @ q1.T) - (q2 @ q2.T), atol=1e-15)
+        for part in ops.parts:
+            assert part.w == pytest.approx([1.0])
         assert error_limit(ops) == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-10)
+
+    def test_empty_split_rejected(self):
+        """No parts used to reach numpy's "need at least one array to
+        concatenate" in the first error evaluation."""
+        with pytest.raises(ValueError, match="a split needs at least one part"):
+            SplitOperators(parts=[], a_full=-np.eye(2))
 
     def test_limit_is_in_unit_interval(self):
         for seed in range(5):
@@ -189,7 +199,7 @@ class TestSweepConvergence:
         ops = build_split(x, 2)
         lim = error_limit(ops)
         mu = max(
-            max(p.w.max() for p in ops.parts), log_norm(ops.a_full)
+            max(-p.w.min() for p in ops.parts), log_norm(ops.a_full)
         )
         assert mu < 0
         for t in (30.0, 45.0):
@@ -248,7 +258,7 @@ def per_t_error(ops, t):
     """err(t) rebuilt from scratch: every part flow and the exact flow."""
     prod = np.eye(ops.a_full.shape[0])
     for part in ops.parts:
-        prod = expm_lowrank(part.q, np.diag(part.w), t) @ prod
+        prod = expm_lowrank(part.u, -np.diag(part.w), t) @ prod
     return spectral_norm(prod - expm_sym(ops.a_full, t))
 
 
@@ -257,7 +267,7 @@ def projector_product_norm(ops):
     n = ops.a_full.shape[0]
     prod = np.eye(n)
     for part in ops.parts:
-        prod = (np.eye(n) - part.q @ part.q.T) @ prod
+        prod = (np.eye(n) - part.u @ part.u.T) @ prod
     return spectral_norm(prod)
 
 
@@ -298,8 +308,7 @@ class TestEvaluator:
         the second run starts."""
         x = random_full_rank(20, 4)
         parts = build_split(x, 2).parts + build_split(x, 3, seed=1).parts
-        ops = SplitOperators(parts=parts, a_full=sum((p.q * p.w) @ p.q.T for p in parts),
-                             ranks=[len(p.w) for p in parts])
+        ops = SplitOperators(parts=parts, a_full=-sum((p.u * p.w) @ p.u.T for p in parts))
         t_grid = [0.0, 0.5, 5.0, 50.0]
         rows = error_sweep(ops, t_grid)
         assert rows[0, 1] == 0.0
@@ -323,6 +332,28 @@ class TestEvaluator:
         rows = error_sweep(ops, np.linspace(0.0, 50.0, 51))
         assert rows.shape == (51, 3)
         assert calls == {"eigh": [(30, 30)], "svd": []}
+
+
+class TestSplittingEpoch:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 12), data=st.data(), seed=st.integers(0, 2**16),
+           t=st.one_of(st.floats(0.0, 100.0), st.just(np.inf)))
+    def test_error_is_the_least_squares_epoch(self, n, data, seed, t):
+        """err(t) is the distance of one least-squares splitting epoch
+        (zero targets, n = 1, h = t) from the exact flow: the sweep's part
+        gains are the local step's, and at t = inf its Kaczmarz projections."""
+        blocks = data.draw(st.integers(1, n), label="blocks")
+        x = random_full_rank(n, seed)
+        edges = np.linspace(0, n, blocks + 1).astype(int)
+        batches = [BatchFactorization(x[a:b], np.zeros(b - a)) for a, b in zip(edges[:-1], edges[1:])]
+        epoch = np.eye(n)
+        for j in range(n):
+            for bf in batches:
+                epoch[:, j] = lls_local_exact(bf, epoch[:, j], t, 1)
+        ops = build_split(x, blocks)
+        exact = np.zeros((n, n)) if t == np.inf else expm_sym(ops.a_full, t)
+        want = error_limit(ops) if t == np.inf else splitting_error(ops, t)
+        assert abs(spectral_norm(epoch - exact) - want) <= 1e-12
 
 
 class TestDecayProperty:

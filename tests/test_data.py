@@ -78,6 +78,41 @@ class TestGeneratorSeeds:
             self.GENERATORS[name](seed)
 
 
+class TestGeneratorArguments:
+    CASES = {
+        "lls-fractional-n": (lambda: gen_random_lls(2.5, 2, 0.0, 0),
+                             "n must be an integer >= 1, got 2.5"),
+        "lls-zero-p": (lambda: gen_random_lls(5, 0, 0.0, 0), "p must be an integer >= 1, got 0"),
+        "lls-negative-noise": (lambda: gen_random_lls(5, 2, -1.0, 0),
+                               "noise_sigma must be finite and nonnegative, got -1.0"),
+        "blobs-fractional-k": (lambda: gen_gaussian_blobs(10, 2, 2.5, 1.0, 0),
+                               "k must be an integer >= 2, got 2.5"),
+        "blobs-one-class": (lambda: gen_gaussian_blobs(10, 2, 1, 1.0, 0),
+                            "k must be an integer >= 2, got 1"),
+        "blobs-zero-n": (lambda: gen_gaussian_blobs(0, 2, 2, 1.0, 0),
+                         "n must be an integer >= 1, got 0"),
+        "blobs-nan-separation": (lambda: gen_gaussian_blobs(10, 2, 2, float("nan"), 0),
+                                 "separation must be finite and nonnegative, got nan"),
+        "tomo-fractional-side": (lambda: gen_tomo_like(2.5, 10, 0),
+                                 "image_side must be an integer >= 2, got 2.5"),
+        "tomo-side-one": (lambda: gen_tomo_like(1, 10, 0), "image_side must be an integer >= 2, got 1"),
+        "tomo-fractional-rays": (lambda: gen_tomo_like(4, 2.5, 0),
+                                 "rays must be an integer >= 1, got 2.5"),
+        "full-rank-fractional-n": (lambda: random_full_rank(2.5, 0),
+                                   "n must be an integer >= 1, got 2.5"),
+        "full-rank-zero-n": (lambda: random_full_rank(0, 0), "n must be an integer >= 1, got 0"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bad_argument_rejected(self, case):
+        """Checked with a DatasetSpec's wording.  The fractions used to raise
+        numpy's TypeError, random_full_rank(0, 0) returned a 0 x 0 matrix
+        and a noise_sigma of -1 was accepted."""
+        call, message = self.CASES[case]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+
 class TestRandomLLS:
     def test_consistent_when_noise_free(self):
         pb = gen_random_lls(60, 10, 0.0, 4)

@@ -357,7 +357,7 @@ class TestLocalStepRK:
         _, batches = partition(pb, 5, 3)
         theta0 = np.random.default_rng(0).standard_normal(6)
         rep = local_step_rk(pb, batches[0], theta0, 0.0)
-        np.testing.assert_allclose(rep.theta_next, theta0, atol=1e-14)
+        np.testing.assert_allclose(rep.y_end, theta0, atol=1e-14)
         assert rep.rhs_evals == 0
 
     def test_logistic_unit_batch_matches_full_space(self):
@@ -368,7 +368,7 @@ class TestLocalStepRK:
         cfg = IntegratorConfig(rtol=1e-9, atol=1e-12)
         rep = local_step_rk(pb, bf, theta0, 4.0, cfg)
         want = integrate_full_space(pb, bf, theta0, 4.0, rtol=1e-11)
-        assert np.linalg.norm(rep.theta_next - want) <= 1e-6 * (1 + np.linalg.norm(want))
+        assert np.linalg.norm(rep.y_end - want) <= 1e-6 * (1 + np.linalg.norm(want))
 
     def test_softmax_matches_full_space(self):
         pb = gen_gaussian_blobs(30, 6, 3, 1.5, 5)
@@ -378,7 +378,7 @@ class TestLocalStepRK:
         cfg = IntegratorConfig(rtol=1e-9, atol=1e-12)
         rep = local_step_rk(pb, bf, theta0, 3.0, cfg)
         want = integrate_full_space(pb, bf, theta0, 3.0, rtol=1e-11)
-        assert np.linalg.norm(rep.theta_next - want) <= 1e-6 * (1 + np.linalg.norm(want))
+        assert np.linalg.norm(rep.y_end - want) <= 1e-6 * (1 + np.linalg.norm(want))
 
     def test_reduced_state_shape_at_batch_settings(self):
         """A 64-sample, 10-class batch integrates a 64 x 10 reduced state
@@ -387,14 +387,14 @@ class TestLocalStepRK:
         _, batches = partition(pb, 64, 6)
         assert batches[0].svd.u.shape == (80, 64)
         rep = local_step_rk(pb, batches[0], np.zeros((80, 10)), 0.5)
-        assert rep.theta_next.shape == (80, 10)
+        assert rep.y_end.shape == (80, 10)
 
     def test_batch_loss_monotone(self):
         pb = gen_gaussian_blobs(60, 5, 2, 2.0, 7)
         _, batches = partition(pb, 10, 7)
         theta0 = 0.5 * np.random.default_rng(3).standard_normal(5)
         for bf in batches[:3]:
-            theta1 = local_step_rk(pb, bf, theta0, 5.0).theta_next
+            theta1 = local_step_rk(pb, bf, theta0, 5.0).y_end
             assert batch_loss(pb, bf, theta1) <= batch_loss(pb, bf, theta0) + 1e-8
 
     def test_orthogonal_complement_preserved(self):
@@ -403,7 +403,7 @@ class TestLocalStepRK:
         bf = batches[0]
         theta0 = np.random.default_rng(4).standard_normal(9)
         rep = local_step_rk(pb, bf, theta0, 2.0)
-        delta = rep.theta_next - theta0
+        delta = rep.y_end - theta0
         perp = delta - bf.svd.u @ (bf.svd.u.T @ delta)
         assert np.linalg.norm(perp) <= 1e-10
 
@@ -426,12 +426,12 @@ class TestLocalStepRK:
         theta = 0.01 * np.random.default_rng(0).standard_normal((20, k) if k > 2 else 20)
         first = local_step_rk(pb, bf, theta, h, cfg)
         assert first.h_next > 0
-        theta = local_step_rk(pb, batches[1], first.theta_next, h, cfg).theta_next
+        theta = local_step_rk(pb, batches[1], first.y_end, h, cfg).y_end
         warm = local_step_rk(pb, bf, theta, h, cfg, h_init=first.h_next)
         cold = local_step_rk(pb, bf, theta, h, cfg)
         assert warm.rhs_evals < cold.rhs_evals
-        scale = 1 + np.linalg.norm(cold.theta_next)
-        assert np.linalg.norm(warm.theta_next - cold.theta_next) <= 10 * cfg.rtol * scale
+        scale = 1 + np.linalg.norm(cold.y_end)
+        assert np.linalg.norm(warm.y_end - cold.y_end) <= 10 * cfg.rtol * scale
         assert warm.h_next > 0 and warm.h_next != first.h_next
 
     def test_leaves_the_batch_unchanged(self):
@@ -443,7 +443,7 @@ class TestLocalStepRK:
         for h_init in (0.0, 1e-3):
             rep = local_step_rk(pb, bf, theta, 2.0, IntegratorConfig(), h_init)
             assert rep.h_next > 0
-            theta = rep.theta_next
+            theta = rep.y_end
         # The SVD and the flow's constants, tagged with (kind, n), are all it keeps.
         assert vars(bf).keys() == vars(before).keys() | {"svd"} and bf.lls_gain is None
         assert before.flow_consts is None and bf.flow_consts[0] == ("logistic", pb.n)
@@ -508,7 +508,7 @@ class TestFoldedFlow:
         eta0 = u.T @ theta0
         want = rk45_integrate(self.plain_rhs(pb, bf), eta0.ravel(), (0.0, h))
         theta = theta0 + u @ (want.y_end.reshape(eta0.shape) - eta0)
-        assert np.linalg.norm(rep.theta_next - theta) <= 1e-12 * np.linalg.norm(theta)
+        assert np.linalg.norm(rep.y_end - theta) <= 1e-12 * np.linalg.norm(theta)
         (got,) = sols
         assert got.steps_taken > 3
         assert ((got.rhs_evals, got.steps_taken, got.rejected_steps)
@@ -557,7 +557,7 @@ class TestFoldedFlow:
             got = reduced_flow(pb, bf)((u.T @ theta).ravel())
             rep = local_step_rk(pb, bf, theta, 1.0 * part.m)
         want = (u.T @ local_rhs(pb, bf, theta)).ravel()
-        assert np.isfinite(got).all() and np.isfinite(rep.theta_next).all()
+        assert np.isfinite(got).all() and np.isfinite(rep.y_end).all()
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 

@@ -15,9 +15,11 @@ to the norm of the product of the orthogonal complements
     lim err(t) = || Pi_k ... Pi_1 ||_2,   Pi_i = I - u_i u_i^T.
 
 ``splitting_error`` evaluates the left side, ``error_limit`` the right
-side, and ``error_sweep`` tabulates both over a time grid, all from one
-eigendecomposition A = U diag(lam) U^T and the parts' orthonormal u_i.
-The error is carried in A's eigenbasis: U is orthogonal, so
+side, and ``error_sweep`` tabulates both over a time grid.  A is the sum of
+the parts, A = -Q diag(w) Q^T with Q = [u_1 ... u_k] (N x R), and a
+``SplitOperators`` decomposes it once, A = U diag(lam) U^T, when it is
+built; every split is checked there to be negative definite, however it
+was made.  The error is carried in A's eigenbasis: U is orthogonal, so
 
     err(t) = || U^T P(t) U - diag(e^{t lam}) ||_2,   P(t) = e^{A_k t} ... e^{A_1 t},
 
@@ -25,9 +27,9 @@ and the exact flow is a diagonal, never an N x N exponential.  Part 1
 acts first, and part j maps P to P + u_j C_j u_j^T P by the least-squares
 step's gain C_j = diag(expm1(-t w_j)) at t = h/n: P(t) is one splitting
 epoch with zero targets.  At t = inf, C_j = -I (w_j > 0 by the rank rule)
-and the map is Pi_j, the Kaczmarz projection.  So P(t) U = U + Q M,
-with Q = [u_1 ... u_k] (N x R) and the coefficient block M (R x N) filled
-part by part from S = Q^T Q and W = Q^T U, both formed once per sweep:
+and the map is Pi_j, the Kaczmarz projection.  So P(t) U = U + Q M, with
+the coefficient block M (R x N) filled part by part from S = Q^T Q and
+W = Q^T U, both formed once per split, with its decomposition:
 
     M_j = C_j (W_j + S_{j,<j} M_{<j}),
 
@@ -47,7 +49,7 @@ slow, so ``random_full_rank`` keeps singular values away from zero.
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,14 +62,36 @@ from .problems import BatchFactorization
 @dataclass
 class SplitOperators:
     """A's parts, each a row block's ``BatchSVD`` (A_i = -u diag(w) u^T),
-    in the order their flows act, and A itself."""
+    in the order their flows act, and what building it derives once: A's
+    eigenvalues ``lam`` (ascending) and the runs the error recursion
+    reads, each as its stacked weights w (R), the row span in Q = [u_j ...]
+    (N x R) of each part but the first, S = Q^T Q and W = Q^T U.  Raises
+    ValueError for no parts or parts of different N, RankDeficient unless
+    A is negative definite."""
 
     parts: list
-    a_full: np.ndarray
+    lam: np.ndarray = field(init=False, repr=False)
+    runs: list = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.parts:
             raise ValueError("a split needs at least one part")
+        dims = sorted({len(p.u) for p in self.parts})
+        if len(dims) > 1:
+            raise ValueError(f"a split's parts act on different dimensions {dims}")
+        # Runs of consecutive parts whose ranks sum to at most N, or one part.
+        runs = [[]]
+        for part in self.parts:
+            if runs[-1] and sum(len(p.w) for p in runs[-1]) + len(part.w) > dims[0]:
+                runs.append([])
+            runs[-1].append(part)
+        runs = [(np.hstack([p.u for p in run]), np.concatenate([p.w for p in run]),
+                 np.cumsum([len(p.w) for p in run]).tolist()) for run in runs]
+        self.lam, u = np.linalg.eigh(-sum((q * w) @ q.T for q, w, _ in runs))
+        if not (self.lam[-1] < -1e-10 * abs(self.lam[0])):
+            raise RankDeficient("sum of the parts is not negative definite")
+        self.runs = [(w, list(zip(ends[:-1], ends[1:])), q.T @ q, q.T @ u)
+                     for q, w, ends in runs]
 
 
 def random_full_rank(
@@ -98,7 +122,7 @@ def build_split(x: np.ndarray, blocks: int, seed: int | None = None) -> SplitOpe
 
     With a seed the rows are permuted first (the default keeps them
     contiguous).  Raises ValueError for a non-finite entry, RankDeficient
-    when a block loses full row rank or A = -x^T x is not negative definite.
+    when a block loses full row rank or (in ``SplitOperators``) x is singular.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
@@ -113,49 +137,24 @@ def build_split(x: np.ndarray, blocks: int, seed: int | None = None) -> SplitOpe
     edges = np.linspace(0, n, blocks + 1).astype(int)
     parts = [BatchFactorization(x[a:b], np.zeros(b - a)).svd
              for a, b in zip(edges[:-1], edges[1:])]
-    a_full = -(x.T @ x)
-    w = np.linalg.eigvalsh(a_full)
-    if not (w[-1] < -1e-10 * abs(w[0])):
-        raise RankDeficient("sum of the parts is not negative definite (x is singular)")
-    return SplitOperators(parts=parts, a_full=a_full)
-
-
-def _runs(parts, u: np.ndarray):
-    """The parts as runs of consecutive parts whose ranks sum to at most N
-    (a part of larger rank runs alone).  A run is kept as its stacked
-    weights w (R), the row span in Q = [u_j ...] (N x R) of each part but
-    the first, S = Q^T Q and W = Q^T U."""
-    runs = [[]]
-    for part in parts:
-        if runs[-1] and sum(len(p.w) for p in runs[-1]) + len(part.w) > len(u):
-            runs.append([])
-        runs[-1].append(part)
-    out = []
-    for run in runs:
-        q = np.hstack([p.u for p in run])
-        ends = np.cumsum([len(p.w) for p in run]).tolist()
-        out.append((np.concatenate([p.w for p in run]), list(zip(ends[:-1], ends[1:])),
-                    q.T @ q, q.T @ u))
-    return out
+    return SplitOperators(parts)
 
 
 def _errors(ops: SplitOperators, t_grid):
     """err(t) = ||U^T P(t) U - diag(e^{t lam})|| for each t in t_grid.  t = inf
     gives the limit ||Pi_k ... Pi_1||: each part flow is then its projector
     (C_j = expm1(-inf) = -I) and the exact flow is 0."""
-    lam, u_full = np.linalg.eigh(ops.a_full)
-    n = len(lam)
-    runs = _runs(ops.parts, u_full)
+    n = len(ops.lam)
     for t in t_grid:
         e = None  # U^T P U - I, the runs so far folded into P
-        for w, spans, s, qtu in runs:
+        for w, spans, s, qtu in ops.runs:
             c = np.expm1(-t * w)
             m = c[:, None] * (qtu if e is None else qtu + qtu @ e)
             cs = c[:, None] * s
             for a, b in spans:
                 m[a:b] += cs[a:b, :a] @ m[:a]
             e = qtu.T @ m if e is None else e + qtu.T @ m
-        e.ravel()[:: n + 1] += 1.0 if t == np.inf else -np.expm1(t * lam)
+        e.ravel()[:: n + 1] += 1.0 if t == np.inf else -np.expm1(t * ops.lam)
         yield spectral_norm(e)
 
 

@@ -41,15 +41,16 @@ class TestBuildSplit:
         assert len(ops.parts) == 1
         part = ops.parts[0]
         np.testing.assert_allclose(
-            -(part.u * part.w) @ part.u.T, ops.a_full, atol=1e-10
+            -(part.u * part.w) @ part.u.T, -(x.T @ x), atol=1e-10
         )
 
     def test_parts_sum_to_full_operator(self):
         x = random_full_rank(30, 1)
+        a = -(x.T @ x)
         for k in (2, 3, 7):
             ops = build_split(x, k)
             total = -sum((p.u * p.w) @ p.u.T for p in ops.parts)
-            assert np.max(np.abs(total - ops.a_full)) <= 1e-10 * np.max(np.abs(ops.a_full))
+            assert np.max(np.abs(total - a)) <= 1e-10 * np.max(np.abs(a))
 
     def test_hundred_dim_two_block_shapes(self):
         x = random_full_rank(100, 2)
@@ -113,7 +114,7 @@ class TestBuildSplit:
         a = build_split(x, 3, seed=1)
         b = build_split(x, 3, seed=1)
         np.testing.assert_allclose(a.parts[0].u, b.parts[0].u)
-        np.testing.assert_allclose(a.a_full, b.a_full)  # A ignores row order
+        np.testing.assert_allclose(a.lam, np.linalg.eigvalsh(-(x.T @ x)))  # A ignores row order
 
 
 
@@ -173,7 +174,8 @@ class TestErrorLimit:
         ops = build_split(np.array([[1.0, 0.0], [r, r]]), 2)
         q1 = np.array([[1.0], [0.0]])
         q2 = np.array([[r], [r]])
-        np.testing.assert_allclose(ops.a_full, -(q1 @ q1.T) - (q2 @ q2.T), atol=1e-15)
+        total = -sum((p.u * p.w) @ p.u.T for p in ops.parts)
+        np.testing.assert_allclose(total, -(q1 @ q1.T) - (q2 @ q2.T), atol=1e-15)
         for part in ops.parts:
             assert part.w == pytest.approx([1.0])
         assert error_limit(ops) == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-10)
@@ -182,7 +184,21 @@ class TestErrorLimit:
         """No parts used to reach numpy's "need at least one array to
         concatenate" in the first error evaluation."""
         with pytest.raises(ValueError, match="a split needs at least one part"):
-            SplitOperators(parts=[], a_full=-np.eye(2))
+            SplitOperators(parts=[])
+
+    def test_singular_split_rejected(self):
+        """One rank-2 part in three dimensions: A is singular.  A split
+        built by hand used to report a limit of 0.9999999999999999."""
+        part = BatchFactorization(random_full_rank(3, 0)[:2], np.zeros(2)).svd
+        with pytest.raises(RankDeficient, match="not negative definite"):
+            SplitOperators([part])
+
+    def test_parts_of_different_dimensions_rejected(self):
+        """Used to reach numpy's "matmul: Input operand 1 has a mismatch in
+        its core dimension 0" in the first error evaluation."""
+        parts = [BatchFactorization(random_full_rank(n, 0), np.zeros(n)).svd for n in (3, 2)]
+        with pytest.raises(ValueError, match=r"different dimensions \[2, 3\]"):
+            SplitOperators(parts)
 
     def test_limit_is_in_unit_interval(self):
         for seed in range(5):
@@ -199,7 +215,7 @@ class TestSweepConvergence:
         ops = build_split(x, 2)
         lim = error_limit(ops)
         mu = max(
-            max(-p.w.min() for p in ops.parts), log_norm(ops.a_full)
+            max(-p.w.min() for p in ops.parts), log_norm(-(x.T @ x))
         )
         assert mu < 0
         for t in (30.0, 45.0):
@@ -254,17 +270,18 @@ class TestSweepConvergence:
         np.testing.assert_allclose(back, rows)
 
 
-def per_t_error(ops, t):
-    """err(t) rebuilt from scratch: every part flow and the exact flow."""
-    prod = np.eye(ops.a_full.shape[0])
+def per_t_error(ops, a, t):
+    """err(t) rebuilt from scratch: every part flow and the exact flow of
+    the oracle a, formed apart from the parts."""
+    prod = np.eye(len(a))
     for part in ops.parts:
         prod = expm_lowrank(part.u, -np.diag(part.w), t) @ prod
-    return spectral_norm(prod - expm_sym(ops.a_full, t))
+    return spectral_norm(prod - expm_sym(a, t))
 
 
 def projector_product_norm(ops):
     """||Pi_k ... Pi_1||, the limit rebuilt from dense projectors."""
-    n = ops.a_full.shape[0]
+    n = len(ops.parts[0].u)
     prod = np.eye(n)
     for part in ops.parts:
         prod = (np.eye(n) - part.u @ part.u.T) @ prod
@@ -277,11 +294,12 @@ class TestEvaluator:
     @pytest.mark.parametrize("blocks", [1, 2, 7])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_per_t_formula(self, seed, blocks):
-        ops = build_split(random_full_rank(20, seed), blocks)
+        x = random_full_rank(20, seed)
+        ops = build_split(x, blocks)
         t_grid = [0.0, 0.3, 5.0, 50.0]
         rows = error_sweep(ops, t_grid)
         for t, row in zip(t_grid, rows):
-            want = per_t_error(ops, t)
+            want = per_t_error(ops, -(x.T @ x), t)
             assert splitting_error(ops, t) == pytest.approx(want, abs=1e-12)
             assert row[1] == pytest.approx(want, abs=1e-12)
 
@@ -295,25 +313,25 @@ class TestEvaluator:
 
     def test_forty_blocks_of_a_hundred(self):
         """The benchmark's shape: 40 parts of rank 2 or 3, one run of rank N."""
-        ops = build_split(random_full_rank(100, 0), 40)
+        x = random_full_rank(100, 0)
+        ops = build_split(x, 40)
         t_grid = [0.0, 0.5, 5.0, 50.0]
         rows = error_sweep(ops, t_grid)
         for t, row in zip(t_grid, rows):
-            assert row[1] == pytest.approx(per_t_error(ops, t), abs=1e-12)
+            assert row[1] == pytest.approx(per_t_error(ops, -(x.T @ x), t), abs=1e-12)
         assert rows[0, 2] == pytest.approx(projector_product_norm(ops), abs=1e-12)
 
     def test_parts_past_rank_n_fold(self):
         """Two splits of one matrix, 2 and 3 blocks: ranks 10+10 | 6+7+7 sum
         to 2N, so the first run's coefficients fold into the product before
-        the second run starts."""
+        the second run starts.  Both splits sum to -x^T x, so A = -2 x^T x."""
         x = random_full_rank(20, 4)
-        parts = build_split(x, 2).parts + build_split(x, 3, seed=1).parts
-        ops = SplitOperators(parts=parts, a_full=-sum((p.u * p.w) @ p.u.T for p in parts))
+        ops = SplitOperators(build_split(x, 2).parts + build_split(x, 3, seed=1).parts)
         t_grid = [0.0, 0.5, 5.0, 50.0]
         rows = error_sweep(ops, t_grid)
         assert rows[0, 1] == 0.0
         for t, row in zip(t_grid, rows):
-            assert row[1] == pytest.approx(per_t_error(ops, t), abs=1e-12)
+            assert row[1] == pytest.approx(per_t_error(ops, -2 * (x.T @ x), t), abs=1e-12)
         assert rows[0, 2] == pytest.approx(projector_product_norm(ops), abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
@@ -321,17 +339,26 @@ class TestEvaluator:
            t=st.floats(0.0, 100.0))
     def test_sweep_rows_match_per_t_formula(self, n, data, seed, t):
         blocks = data.draw(st.integers(1, n), label="blocks")
-        ops = build_split(random_full_rank(n, seed), blocks)
+        x = random_full_rank(n, seed)
+        ops = build_split(x, blocks)
         err = error_sweep(ops, [t])[0, 1]
-        assert abs(err - per_t_error(ops, t)) <= 1e-12
+        assert abs(err - per_t_error(ops, -(x.T @ x), t)) <= 1e-12
 
     def test_sweep_decomposes_each_operator_once(self, monkeypatch):
-        """One eigh, of A, per sweep; the parts are diagonal already."""
-        ops = build_split(random_full_rank(30, 3), 7)
+        """One eigh, of A, when the split is built; the parts are diagonal
+        already, and no evaluation decomposes anything."""
+        x = random_full_rank(30, 3)
         calls = count_calls(monkeypatch, "eigh", "svd")
+        ops = build_split(x, 7)
+        assert calls["eigh"] == [(30, 30)] and len(calls["svd"]) == 7  # one per block
+        calls["eigh"].clear()
+        calls["svd"].clear()
         rows = error_sweep(ops, np.linspace(0.0, 50.0, 51))
+        splitting_error(ops, 2.0)
+        error_limit(ops)
+        error_sweep(ops, [0.0, 1.0])
         assert rows.shape == (51, 3)
-        assert calls == {"eigh": [(30, 30)], "svd": []}
+        assert calls == {"eigh": [], "svd": []}
 
 
 class TestSplittingEpoch:
@@ -351,7 +378,7 @@ class TestSplittingEpoch:
             for bf in batches:
                 epoch[:, j] = lls_local_exact(bf, epoch[:, j], t, 1)
         ops = build_split(x, blocks)
-        exact = np.zeros((n, n)) if t == np.inf else expm_sym(ops.a_full, t)
+        exact = np.zeros((n, n)) if t == np.inf else expm_sym(-(x.T @ x), t)
         want = error_limit(ops) if t == np.inf else splitting_error(ops, t)
         assert abs(spectral_norm(epoch - exact) - want) <= 1e-12
 
@@ -362,9 +389,10 @@ class TestDecayProperty:
         from splitopt import spectral_norm
 
         x = random_full_rank(20, 17)
-        ops = build_split(x, 2)
-        mu = log_norm(ops.a_full)
+        a = -(x.T @ x)
+        mu = log_norm(a)
+        assert build_split(x, 2).lam[-1] == pytest.approx(mu)  # the split keeps mu(A)
         for t in (0.1, 1.0, 5.0):
-            nrm = spectral_norm(expm_sym(ops.a_full, t))
+            nrm = spectral_norm(expm_sym(a, t))
             assert nrm <= np.exp(t * mu) + 1e-10
             assert nrm <= 1.0 + 1e-12

@@ -5,7 +5,8 @@ Subcommands
 datagen   materialize a dataset: linear-system text file for the
           least-squares generators, a JSON manifest otherwise
 run       execute a JSON-configured grid of (method, alpha, repeat) runs,
-          one trace CSV per cell plus a summary CSV
+          one trace CSV per cell plus a summary CSV, and one progress line
+          per cell on stderr: its last epoch and outcome
 bounds    build a row-split operator family, sweep the splitting error
           over a time grid, emit CSV and SVG
 plot      render trace CSVs as a log-y convergence chart (SVG)
@@ -24,6 +25,7 @@ import sys
 import types
 import typing
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -249,13 +251,21 @@ def cmd_run(args) -> int:
     def cell_of(c):
         return replace(c, alpha=cfg.alphas[0]) if c.method == "kaczmarz" else c
 
+    # Runs are listed in the order of their first cells, and progress is
+    # printed from this thread in cell order, the same at any --threads.
     runs = list(dict.fromkeys(map(cell_of, cfg.cells)))
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            ran = dict(zip(runs, pool.map(run_cell, runs)))
-    else:
-        ran = {c: run_cell(c) for c in runs}
-    traces = [replace(ran[cell_of(c)], alpha=c.alpha) for c in cfg.cells]
+    ran, traces = {}, []
+    with ThreadPoolExecutor(args.threads) if args.threads > 1 else nullcontext() as pool:
+        results = pool.map(run_cell, runs) if pool else map(run_cell, runs)
+        for c in cfg.cells:
+            key = cell_of(c)
+            if key not in ran:
+                ran[key] = next(results)
+            trace = replace(ran[key], alpha=c.alpha)
+            outcome = "diverged" if trace.diverged else "stopped" if trace.stopped else "epoch cap"
+            print(f"method={c.method} alpha={c.alpha:g} init_seed={c.init_seed}: "
+                  f"epoch {trace.records[-1].epoch}, {outcome}", file=sys.stderr)
+            traces.append(trace)
 
     # Made only now, so a run that fails in a cell (an integrator out of
     # steps, say) leaves no empty directory behind.

@@ -10,14 +10,18 @@ every epoch in a freshly seeded order, applying one of
     kaczmarz    theta <- the least-squares splitting step at h = inf: the
                 projection onto the batch's solution set (block for b > 1)
 
+alpha and theta are checked once per run, by ``RunConfig`` and ``run``: an
+SGD step is ``euler_step``'s bare arithmetic (``solvers._sgd_update``), not
+a call of it; the other steps call ``lls_local_exact`` or ``local_step_rk``.
 A run records its loss and stop metric at its start and after every
 epoch.  A record costs one pass over the training rows: least squares
-shares one residual X theta - y between its loss and its relative
-residual, softmax reduces its scores class-major, ``test-error`` adds a
-pass over the holdout (its true labels derived once and kept on it), and
-``loss-threshold`` reuses the loss as its metric.  The run's clock leaves
-out the checks of ``check_run``, which factor the batches of every method
-but SGD: one thin SVD each, which every kind's step reads.
+shares one residual r = X theta - y between its loss r.r / 2n and its
+relative residual sqrt(r.r) / ||y||, softmax reduces its scores
+class-major, ``test-error`` adds a pass over the holdout (its true labels
+derived once and kept on it), and ``loss-threshold`` reuses the loss as
+its metric.  The run's clock leaves out the checks of ``check_run``, which
+factor the batches of every method but SGD: one thin SVD each, which every
+kind's step reads.
 Divergence (non-finite loss or loss above ``DIVERGENCE_FACTOR`` = 1e6
 times the start record's) is recorded in the trace and ends the run, it is
 not an error.
@@ -45,7 +49,7 @@ from .data import partition
 from .errors import MissingReference
 from .ode import IntegratorConfig, _check_count, _check_real
 from .problems import Problem, _check_theta, loss, loss_and_residual, test_error, theta_shape
-from .solvers import euler_step, lls_local_exact, local_step_rk
+from .solvers import _sgd_update, lls_local_exact, local_step_rk
 
 METHODS = ("sgd", "splitting", "kaczmarz")
 STOP_KINDS = ("relative-residual", "solution-distance", "test-error", "loss-threshold")
@@ -140,7 +144,7 @@ def _evaluator(pb: Problem, holdout: Problem | None, cfg: RunConfig):
 
         def relative_residual(point):
             cur, resid = loss_and_residual(pb, point)
-            return cur, float(np.linalg.norm(resid)) / ynorm
+            return cur, math.sqrt(resid.dot(resid)) / ynorm
 
         return relative_residual
     if kind == "loss-threshold":
@@ -281,12 +285,15 @@ def _batch_step(pb: Problem, cfg: RunConfig, h: float, batches: list, trace: Tra
     number the run keeps, so runs sharing a partition across threads never
     see each other's.
 
-    The solver is looked up in this module's globals when the run starts,
+    An SGD step calls ``_sgd_update`` on its batch's (x_i, x_i^T, y_i, b),
+    gathered once per run, without ``euler_step``'s checks.  The other
+    solvers are looked up in this module's globals when the run starts,
     so a function swapped in there (a tracer's wrapper, say) sees every step.
     """
     if cfg.method == "sgd":
-        sgd, alpha = euler_step, cfg.alpha
-        return lambda i, theta: sgd(pb, batches[i], theta, alpha)
+        update, kind, alpha = _sgd_update, pb.kind, cfg.alpha
+        rows = [(bf.x_i, bf.x_i.T, bf.y_i, bf.b) for bf in batches]
+        return lambda i, theta: update(kind, *rows[i], theta, alpha)
     if pb.kind == "least-squares":
         exact, n = lls_local_exact, pb.n
         return lambda i, theta: exact(batches[i], theta, h, n)

@@ -248,7 +248,7 @@ def _loss_and_residual(kind: str, x: np.ndarray, targets: np.ndarray, theta: np.
     z = x.dot(theta)
     if kind == "least-squares":
         z -= targets
-        return float(np.sum(np.square(z))) / (2 * rows), z
+        return float(z.dot(z)) / (2 * rows), z
     if kind == "logistic":
         # softplus(z) - y z, the stable form of the negative log-likelihood
         return float(np.sum(np.logaddexp(0.0, z) - targets * z)) / rows, None

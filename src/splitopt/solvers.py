@@ -27,7 +27,9 @@ step-size proposal, to start its next step there on any batch over a
 like span.
 
 An explicit Euler step of the local flow at step h = alpha * m is exactly
-one SGD step at learning rate alpha; ``euler_step`` is that baseline.
+one SGD step at learning rate alpha; ``euler_step`` is that baseline.  It
+checks alpha and theta_0 and calls ``_sgd_update``, its bare arithmetic,
+which a run, having checked both once, calls directly.
 
 Each step's products (u^T theta_0 and the lift, the SGD step's x^T r) call
 the method ``ndarray.dot``, not ``@``: the same BLAS routine and the same
@@ -56,7 +58,6 @@ def lls_local_exact(bf: BatchFactorization, theta0: np.ndarray, h: float, n: int
     """
     if not h >= 0:  # NaN fails too; inf is the Kaczmarz projection
         raise ValueError(f"h must be nonnegative, got {h!r}")
-    theta0 = np.asarray(theta0, dtype=float)
     u, w, _, z_star = bf.svd
     t = h / n
     kept = bf.lls_gain
@@ -134,4 +135,9 @@ def euler_step(pb: Problem, bf: BatchFactorization, theta0: np.ndarray, alpha: f
         raise ValueError(f"alpha must be positive, got {alpha!r}")
     theta0 = _check_theta(pb, theta0)
     x = bf.x_i
-    return theta0 - alpha * (x.T.dot(_residual(pb.kind, x, bf.y_i, theta0)) / bf.b)
+    return _sgd_update(pb.kind, x, x.T, bf.y_i, bf.b, theta0, alpha)
+
+
+def _sgd_update(kind, x, xt, y, b, theta0, alpha):
+    """theta_0 - alpha * xt (pred - y) / b on rows x = xt^T; nothing checked."""
+    return theta0 - alpha * (xt.dot(_residual(kind, x, y, theta0)) / b)

@@ -516,6 +516,33 @@ class TestRun:
                      "--config", str(cfg_path)]) == 0
         assert_same_outputs(serial, parallel)
 
+    def test_one_progress_line_per_cell_in_cell_order(self, tmp_path, capsys):
+        """run prints one stderr line per grid cell, in cell order, naming
+        its cell, last epoch and outcome as summary.csv records them, the
+        same bytes at --threads 1 and 2; Kaczmarz's one run per repeat
+        gets a line under each alpha."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(
+            methods=["sgd", "splitting", "kaczmarz"], alphas=[0.005, 20.0], repeat=2,
+            stop={"kind": "relative-residual", "threshold": 0.1})))
+        errs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            assert main(["--out", str(out), "--threads", threads, "run",
+                         "--config", str(cfg_path)]) == 0
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        with open(tmp_path / "1" / "summary.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        outcome = {("1", "0"): "stopped", ("0", "1"): "diverged", ("0", "0"): "epoch cap"}
+        want = [f"method={r['method']} alpha={float(r['alpha']):g} init_seed={r['seed']}: "
+                f"epoch {r['epochs']}, {outcome[r['stopped'], r['diverged']]}" for r in rows]
+        assert errs[0].splitlines() == want
+        assert [line.split(":")[0] for line in want] == [
+            f"method={m} alpha={a:g} init_seed={s}"
+            for m in ("sgd", "splitting", "kaczmarz") for a in (0.005, 20.0) for s in (1, 2)]
+        assert {line.split(", ")[-1] for line in want} == {"stopped", "diverged", "epoch cap"}
+
     @pytest.mark.parametrize("command", ["run", "datagen"])
     def test_negative_seed_flag_rejected(self, tmp_path, capsys, command):
         """--seed -1 used to fail in numpy with a message that named no field."""

@@ -154,7 +154,7 @@ class TestEvaluation:
         resid = None
         if k == 1:
             resid = z - y
-            want = float(np.sum(np.square(resid))) / (2 * n)
+            want = float(resid @ resid) / (2 * n)
         elif k == 2:
             want = float(np.sum(np.logaddexp(0.0, z) - y * z)) / n
         else:

@@ -130,7 +130,7 @@ def build_split(x: np.ndarray, blocks: int, seed: int | None = None) -> SplitOpe
         raise ValueError(f"expected a square matrix, got {x.shape}")
     _check_count("blocks", blocks)
     if blocks > n:
-        raise ValueError(f"blocks must be in [1, {n}]")
+        raise ValueError(f"blocks must be in [1, {n}], got {blocks}")
     if seed is not None:
         _check_count("seed", seed, 0)
         x = x[np.random.default_rng(seed).permutation(n)]

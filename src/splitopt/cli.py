@@ -15,7 +15,10 @@ Global flags: --seed (overrides config seeds), --out (output file or
 directory), --threads (worker cap for grid cells, at least 1).  All
 randomness flows from seeds; re-running a config reproduces every output
 byte except the wall_seconds column.  Divergence of a run is a recorded
-outcome, not a failure exit.
+outcome, not a failure exit.  A cell whose RK step runs out of steps or
+meets a non-finite state fails alone, its progress line ``failed: <why>``;
+the other cells' outputs are written, then each failed cell is named on
+stderr and ``run`` exits 2.
 """
 
 import argparse
@@ -33,7 +36,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .data import DATASET_KINDS, DatasetSpec, make_problem, save_linear_system, split_holdout
-from .errors import EmptyTrace, ParseError, SplitOptError
+from .errors import EmptyTrace, NonFiniteState, ParseError, SplitOptError, StepBudgetExceeded
 from .ode import IntegratorConfig, _check_count, _check_real
 from .optimizers import RunConfig, StoppingRule, Trace, check_run, run
 from .plotting import PALETTE, Series, render_line_chart
@@ -239,13 +242,17 @@ def cmd_run(args) -> int:
         except (SplitOptError, ValueError) as exc:
             raise ValueError(f"config: {exc}") from None
 
+    def name(c):
+        return f"method={c.method} alpha={c.alpha:g} init_seed={c.init_seed}"
+
     def run_cell(c):
+        """The cell's trace, or the integrator failure that ended it."""
         try:
             return run(pb, holdout, c)
+        except (StepBudgetExceeded, NonFiniteState) as exc:
+            return exc
         except (SplitOptError, ValueError) as exc:
-            raise SplitOptError(
-                f"method={c.method} alpha={c.alpha:g} init_seed={c.init_seed}: {exc}"
-            ) from exc
+            raise SplitOptError(f"{name(c)}: {exc}") from exc
 
     # Kaczmarz (h = inf) never reads alpha: one run per repeat, written under every alpha.
     def cell_of(c):
@@ -254,21 +261,26 @@ def cmd_run(args) -> int:
     # Runs are listed in the order of their first cells, and progress is
     # printed from this thread in cell order, the same at any --threads.
     runs = list(dict.fromkeys(map(cell_of, cfg.cells)))
-    ran, traces = {}, []
+    ran, traces, failed = {}, [], []
     with ThreadPoolExecutor(args.threads) if args.threads > 1 else nullcontext() as pool:
         results = pool.map(run_cell, runs) if pool else map(run_cell, runs)
         for c in cfg.cells:
             key = cell_of(c)
             if key not in ran:
                 ran[key] = next(results)
-            trace = replace(ran[key], alpha=c.alpha)
-            outcome = "diverged" if trace.diverged else "stopped" if trace.stopped else "epoch cap"
-            print(f"method={c.method} alpha={c.alpha:g} init_seed={c.init_seed}: "
-                  f"epoch {trace.records[-1].epoch}, {outcome}", file=sys.stderr)
-            traces.append(trace)
+            result = ran[key]
+            if isinstance(result, Trace):
+                trace = replace(result, alpha=c.alpha)
+                end = "diverged" if trace.diverged else "stopped" if trace.stopped else "epoch cap"
+                outcome = f"epoch {trace.records[-1].epoch}, {end}"
+                traces.append(trace)
+            else:
+                outcome = f"failed: {result}"
+                failed.append(f"{name(c)}: {result}")
+            print(f"{name(c)}: {outcome}", file=sys.stderr)
 
-    # Made only now, so a run that fails in a cell (an integrator out of
-    # steps, say) leaves no empty directory behind.
+    # Made only now, so a config error raised in a cell (not a recorded
+    # failure) leaves no empty directory behind.
     out_dir = Path(args.out or "runs")
     out_dir.mkdir(parents=True, exist_ok=True)
     summary_rows = []
@@ -296,13 +308,18 @@ def cmd_run(args) -> int:
         writer.writerow(SUMMARY_HEADER)
         writer.writerows(summary_rows)
     print(f"wrote {len(traces)} trace files and summary.csv to {out_dir}")
-    return 0
+    for line in failed:
+        print(f"error: {line}", file=sys.stderr)
+    return 2 if failed else 0
 
 
 def cmd_bounds(args) -> int:
     _check_real("--t-max", args.t_max, positive=False)
     _check_count("--n", args.n)
     _check_count("--points", args.points)
+    _check_count("--blocks", args.blocks)
+    if args.blocks > args.n:
+        raise ValueError(f"--blocks must be in [1, {args.n}], got {args.blocks}")
     seed = args.seed if args.seed is not None else 0
     x = bounds_mod.random_full_rank(args.n, seed)
     ops = bounds_mod.build_split(x, args.blocks)

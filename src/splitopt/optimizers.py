@@ -10,9 +10,11 @@ every epoch in a freshly seeded order, applying one of
     kaczmarz    theta <- the least-squares splitting step at h = inf: the
                 projection onto the batch's solution set (block for b > 1)
 
-alpha and theta are checked once per run, by ``RunConfig`` and ``run``: an
-SGD step is ``euler_step``'s bare arithmetic (``solvers._sgd_update``), not
-a call of it; the other steps call ``lls_local_exact`` or ``local_step_rk``.
+alpha and theta are checked once per run, by ``RunConfig`` and ``run``.
+An epoch is one call of the run's sweep, one Python frame over the epoch's
+batch order: an SGD step is ``euler_step``'s update inline, specialised to
+the kind once per run (``solvers._sgd_sweep``); the other steps call
+``lls_local_exact`` or ``local_step_rk``.
 A run records its loss and stop metric at its start and after every
 epoch.  A record costs one pass over the training rows: least squares
 shares one residual r = X theta - y between its loss r.r / 2n and its
@@ -35,6 +37,8 @@ averaging the iterates removes most of that offset (Polyak & Juditsky,
 1992).  The average is the point every record measures, the point the
 stop rule and the divergence check read, and ``Trace.theta``; the
 iterates themselves are unchanged.  After one epoch it is the iterate.
+It is ``np.mean``'s arithmetic without its wrapper, the same bits: an
+``np.add.reduce`` of the stacked iterates, divided in place by their count.
 SGD and Kaczmarz report their iterates.
 """
 
@@ -49,7 +53,7 @@ from .data import partition
 from .errors import MissingReference
 from .ode import IntegratorConfig, _check_count, _check_real
 from .problems import Problem, _check_theta, loss, loss_and_residual, test_error, theta_shape
-from .solvers import _sgd_update, lls_local_exact, local_step_rk
+from .solvers import _sgd_sweep, lls_local_exact, local_step_rk
 
 METHODS = ("sgd", "splitting", "kaczmarz")
 STOP_KINDS = ("relative-residual", "solution-distance", "test-error", "loss-threshold")
@@ -219,14 +223,18 @@ def run(
         h=h,
         seed=cfg.seed if cfg.init_seed is None else cfg.init_seed,
     )
-    step = _batch_step(pb, cfg, h, batches, trace)
+    sweep = _sweep(pb, cfg, h, batches, trace)
 
     # Splitting's last ceil(E/2) - 1 epoch-end iterates while in epoch E.
     window = deque()
 
     def reported() -> np.ndarray:
         """The point the run reports now: the tail average, or theta."""
-        return np.mean([*window, theta], axis=0) if window else theta
+        if not window:
+            return theta
+        total = np.add.reduce(np.array([*window, theta]), axis=0)
+        total /= len(window) + 1
+        return total
 
     t0 = time.perf_counter()
 
@@ -266,16 +274,16 @@ def run(
                 window.append(theta)
                 if len(window) > (epoch - 1) // 2:
                     window.popleft()
-            for i in part.epoch_order(epoch - 1).tolist():
-                theta = step(i, theta)
+            theta = sweep(part.epoch_order(epoch - 1).tolist(), theta)
 
     trace.theta = reported()
     return trace
 
 
-def _batch_step(pb: Problem, cfg: RunConfig, h: float, batches: list, trace: Trace):
-    """The run's batch-local update, ``step(i, theta) -> theta`` on batch i;
-    an RK local step adds its right-hand-side evaluations to
+def _sweep(pb: Problem, cfg: RunConfig, h: float, batches: list, trace: Trace):
+    """The run's epoch, ``sweep(order, theta) -> theta``: its batch-local
+    update on ``batches[i]`` for each i of ``order`` in turn, in one Python
+    frame.  RK local steps add their right-hand-side evaluations to
     ``trace.rhs_evals``.
 
     Every RK step of a run integrates its batch's flow over the same span
@@ -285,26 +293,33 @@ def _batch_step(pb: Problem, cfg: RunConfig, h: float, batches: list, trace: Tra
     number the run keeps, so runs sharing a partition across threads never
     see each other's.
 
-    An SGD step calls ``_sgd_update`` on its batch's (x_i, x_i^T, y_i, b),
+    SGD is ``solvers._sgd_sweep`` over each batch's (x_i, x_i^T, y_i, b),
     gathered once per run, without ``euler_step``'s checks.  The other
     solvers are looked up in this module's globals when the run starts,
     so a function swapped in there (a tracer's wrapper, say) sees every step.
     """
     if cfg.method == "sgd":
-        update, kind, alpha = _sgd_update, pb.kind, cfg.alpha
-        rows = [(bf.x_i, bf.x_i.T, bf.y_i, bf.b) for bf in batches]
-        return lambda i, theta: update(kind, *rows[i], theta, alpha)
+        return _sgd_sweep(pb.kind, [(bf.x_i, bf.x_i.T, bf.y_i, bf.b) for bf in batches],
+                          cfg.alpha)
     if pb.kind == "least-squares":
         exact, n = lls_local_exact, pb.n
-        return lambda i, theta: exact(batches[i], theta, h, n)
+
+        def exact_sweep(order, theta):
+            for i in order:
+                theta = exact(batches[i], theta, h, n)
+            return theta
+
+        return exact_sweep
     rk, integrator, start = local_step_rk, cfg.integrator, 0.0
 
-    def rk_step(i, theta):
+    def rk_sweep(order, theta):
         nonlocal start
-        sol = rk(pb, batches[i], theta, h, integrator, start)
-        trace.rhs_evals += sol.rhs_evals
-        if sol.h_next > 0:
-            start = sol.h_next
-        return sol.y_end
+        for i in order:
+            sol = rk(pb, batches[i], theta, h, integrator, start)
+            trace.rhs_evals += sol.rhs_evals
+            if sol.h_next > 0:
+                start = sol.h_next
+            theta = sol.y_end
+        return theta
 
-    return rk_step
+    return rk_sweep

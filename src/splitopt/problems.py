@@ -175,10 +175,13 @@ class BatchFactorization:
     included), whatever the kind.  ``optimizers.check_run`` reads it for a
     splitting or Kaczmarz config, else the first step does; SGD never does,
     and every run shares it (threads at worst compute it twice, equally).
-    ``lls_gain`` keeps the last least-squares step's (h/n, gain) pair and
-    ``flow_consts`` the last ``reduced_flow``'s constants, tagged with the
-    (kind, n) they were made for; each is replaced whole, so no thread
-    reads a gain made for another h/n or constants for another (kind, n).
+    ``lls_gain`` keeps what the last least-squares step read, one tuple
+    (h/n, u, u^T, gain, z*) whose u and z* are the SVD's own arrays and
+    u^T a view of u, so it holds no p x k copy, only the k gains.
+    ``flow_consts`` keeps the last ``reduced_flow``'s constants, tagged
+    with the (kind, n) they were made for.  Each is replaced whole, so no
+    thread reads a gain made for another h/n or constants for another
+    (kind, n).
     """
 
     def __init__(self, x_i: np.ndarray, y_i: np.ndarray):

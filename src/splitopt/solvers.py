@@ -11,10 +11,14 @@ the flow of each spectral component of u^T theta toward its value z* at the
 batch's stationary point; the component of theta_0 orthogonal to range(u)
 is preserved exactly and no p x p matrix is ever formed.  The gain
 expm1(-t w) at t = h/n is the one ``bounds`` composes over a split's
-parts, which are the same ``BatchSVD``s.  Beside the SVD
-the batch keeps only its last (h/n, gain) pair, since a run steps at one
-h/n.  At h = inf the step is the projection onto the batch's solution set,
-the (block) Kaczmarz step that ``method="kaczmarz"`` runs.
+parts, which are the same ``BatchSVD``s.  Beside the SVD the batch keeps
+one tuple for its last h/n, since a run steps at one h/n:
+``bf.lls_gain = (h/n, u, u^T, gain, z*)``, u and z* the SVD's own arrays
+and u^T a view of u, no copies.  A step reads it in one attribute read
+and allocates only a and out, updating each in place: a = u^T theta_0,
+a -= z*, a *= gain, out = u a, out += theta_0.  At h = inf the step is
+the projection onto the batch's solution set, the (block) Kaczmarz step
+that ``method="kaczmarz"`` runs.
 Logistic and softmax local flows have no closed form.  They are integrated
 with the adaptive Runge-Kutta pair in the reduced coordinates
 eta = u^T theta, with r = diag(s) g^T so that x_i^T = u r, then lifted back
@@ -27,9 +31,12 @@ step-size proposal, to start its next step there on any batch over a
 like span.
 
 An explicit Euler step of the local flow at step h = alpha * m is exactly
-one SGD step at learning rate alpha; ``euler_step`` is that baseline.  It
-checks alpha and theta_0 and calls ``_sgd_update``, its bare arithmetic,
-which a run, having checked both once, calls directly.
+one SGD step at learning rate alpha; ``euler_step`` is that baseline.  Its
+update is written once, in ``_sgd_sweep``, specialised to the kind when
+built: a sweep steps through a batch order in one Python frame, in place on
+its temporaries, with no per-step call or kind dispatch.  A run, having
+checked alpha and theta once, sweeps each epoch; ``euler_step`` checks
+both and sweeps its one batch.
 
 Each step's products (u^T theta_0 and the lift, the SGD step's x^T r) call
 the method ``ndarray.dot``, not ``@``: the same BLAS routine and the same
@@ -42,7 +49,8 @@ import numpy as np
 
 from .errors import ZeroRow
 from .ode import IntegratorConfig, OdeSolution, rk45_integrate
-from .problems import BatchFactorization, Problem, _check_theta, _residual, reduced_flow
+from .problems import (BatchFactorization, Problem, _check_theta, _softmax_rows, reduced_flow,
+                       sigmoid)
 
 
 def lls_local_exact(bf: BatchFactorization, theta0: np.ndarray, h: float, n: int) -> np.ndarray:
@@ -52,18 +60,27 @@ def lls_local_exact(bf: BatchFactorization, theta0: np.ndarray, h: float, n: int
     the batch's solution set (for b > p, onto its least-squares solution).
     (u, s^2, z*) come from the batch's kept SVD, ``bf.svd``, for every
     (h, n); reading it raises for a non-finite or rank-deficient batch.
-    The gain expm1(-(h/n) s^2), -1 at h = inf, is kept with its h/n in
-    ``bf.lls_gain``, one pair a step reads once and replaces whole: threads
-    at different h at worst recompute it, never read one for another h/n.
+    The step reads one tuple, ``bf.lls_gain = (h/n, u, u^T, gain, z*)``:
+    the gain expm1(-(h/n) s^2), -1 at h = inf, beside the SVD's own u and
+    z* and a view u^T of u, no copies.  It is made when h/n changes and
+    replaced whole: threads at different h at worst remake it, never read
+    one for another h/n.  The arithmetic allocates two arrays, u^T theta_0
+    and the result, and updates each in place.
     """
     if not h >= 0:  # NaN fails too; inf is the Kaczmarz projection
         raise ValueError(f"h must be nonnegative, got {h!r}")
-    u, w, _, z_star = bf.svd
     t = h / n
     kept = bf.lls_gain
     if kept is None or kept[0] != t:
-        kept = bf.lls_gain = (t, np.expm1(-t * w))
-    return theta0 + u.dot(kept[1] * (u.T.dot(theta0) - z_star))
+        u, w, _, z_star = bf.svd
+        kept = bf.lls_gain = (t, u, u.T, np.expm1(-t * w), z_star)
+    _, u, ut, gain, z_star = kept
+    a = ut.dot(theta0)
+    a -= z_star
+    a *= gain
+    out = u.dot(a)
+    out += theta0
+    return out
 
 
 def lls_local_unit(x: np.ndarray, y: float, theta0: np.ndarray, h: float, n: int) -> np.ndarray:
@@ -135,9 +152,28 @@ def euler_step(pb: Problem, bf: BatchFactorization, theta0: np.ndarray, alpha: f
         raise ValueError(f"alpha must be positive, got {alpha!r}")
     theta0 = _check_theta(pb, theta0)
     x = bf.x_i
-    return _sgd_update(pb.kind, x, x.T, bf.y_i, bf.b, theta0, alpha)
+    return _sgd_sweep(pb.kind, ((x, x.T, bf.y_i, bf.b),), alpha)((0,), theta0)
 
 
-def _sgd_update(kind, x, xt, y, b, theta0, alpha):
-    """theta_0 - alpha * xt (pred - y) / b on rows x = xt^T; nothing checked."""
-    return theta0 - alpha * (xt.dot(_residual(kind, x, y, theta0)) / b)
+def _sgd_sweep(kind, rows, alpha):
+    """``sweep(order, theta)``: SGD steps theta <- theta - alpha x^T (pred(x
+    theta) - y) / b on ``rows[i] = (x, x^T, y, b)`` for each i in order, the
+    prediction (the scores themselves, their sigmoid or their row softmax)
+    chosen by kind once, here; nothing checked.  Each step makes a new
+    theta and computes in place on its two temporaries."""
+    pred = {"logistic": sigmoid, "softmax": _softmax_rows}.get(kind)
+
+    def sweep(order, theta):
+        for i in order:
+            x, xt, y, b = rows[i]
+            r = x.dot(theta)
+            if pred is not None:
+                r = pred(r)
+            r -= y
+            g = xt.dot(r)
+            g /= b
+            g *= alpha
+            theta = theta - g
+        return theta
+
+    return sweep

@@ -489,6 +489,40 @@ class TestRun:
         assert "init_seed=7" in err
         assert "needed more than 5 steps" in err
 
+    def test_failing_cell_leaves_the_rest_of_the_grid(self, tmp_path, capsys):
+        """The blobs demo config with a 5-step RK budget: splitting at
+        alpha = 10 runs out of steps.  Its progress line reads failed, the
+        other five cells' traces and summary rows are written, the failed
+        cell is named after the grid, the exit code is 2, and the outputs
+        and stderr are the same at --threads 1 and 2."""
+        demo = Path(__file__).parents[1] / "demos" / "config_gaussian_blobs.json"
+        cfg = json.loads(demo.read_text())
+        cfg["integrator"] = {"max_steps": 5}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        failed = "method=splitting alpha=10 init_seed=0"
+        errs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            assert main(["--out", str(out), "--threads", threads, "run",
+                         "--config", str(cfg_path)]) == 2
+            errs.append(capsys.readouterr().err)
+            assert sorted(p.name for p in out.iterdir()) == ["summary.csv"] + sorted(
+                f"trace_{m}_a{a}_s0.csv" for m, a in (
+                    ("sgd", "0.1"), ("sgd", "1"), ("sgd", "10"),
+                    ("splitting", "0.1"), ("splitting", "1")))
+            rows = read_csv(out / "summary.csv")
+            assert [(r["method"], r["alpha"]) for r in rows] == [
+                ("sgd", "0.1"), ("sgd", "1.0"), ("sgd", "10.0"),
+                ("splitting", "0.1"), ("splitting", "1.0")]
+        assert_same_outputs(tmp_path / "1", tmp_path / "2")
+        assert errs[0] == errs[1]
+        lines = errs[0].splitlines()
+        assert len(lines) == 7
+        assert all(line.endswith("epoch 3, epoch cap") for line in lines[:5])
+        message = "needed more than 5 steps to reach t=80"
+        assert lines[5:] == [f"{failed}: failed: {message}", f"error: {failed}: {message}"]
+
     def test_infinite_alpha_is_a_config_error(self, tmp_path, capsys):
         """Python's json reads Infinity.  h = alpha * m = inf used to run a
         least-squares splitting cell as the Kaczmarz projection and exit 0,
@@ -677,11 +711,11 @@ class TestBounds:
 
     @pytest.mark.parametrize(
         "bad",
-        [["--blocks", "0"], ["--points", "0"], ["--t-max", "-5"], ["--t-max", "nan"],
-         ["--t-max", "inf"], ["--n", "0"], ["--n", "-3"], ["--points", "-2"],
-         ["--seed", "-1"]],
-        ids=["zero-blocks", "zero-points", "negative-t-max", "nan-t-max", "inf-t-max",
-             "zero-n", "negative-n", "negative-points", "negative-seed"],
+        [["--blocks", "0"], ["--blocks", "11"], ["--points", "0"], ["--t-max", "-5"],
+         ["--t-max", "nan"], ["--t-max", "inf"], ["--n", "0"], ["--n", "-3"],
+         ["--points", "-2"], ["--seed", "-1"]],
+        ids=["zero-blocks", "blocks-over-n", "zero-points", "negative-t-max", "nan-t-max",
+             "inf-t-max", "zero-n", "negative-n", "negative-points", "negative-seed"],
     )
     def test_rejected_input_leaves_no_out_dir(self, tmp_path, capsys, bad):
         out = tmp_path / "b0"
@@ -689,9 +723,7 @@ class TestBounds:
         assert main(["--out", str(out), *top, "bounds", "--n", "10", *sub]) == 2
         assert not out.exists()
         err = capsys.readouterr().err
-        assert bad[0].lstrip("-") in err
-        if bad[0] != "--blocks":  # cmd_bounds's own checks name the flag and value
-            assert bad[0] in err and bad[1] in err
+        assert err.startswith(f"error: {bad[0]} must be") and bad[1] in err
 
 
 NUMPY_ONLY_SCRIPT = """

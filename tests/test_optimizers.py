@@ -319,14 +319,18 @@ class TestTailAverage:
         trace = run(self.pb, None, self.cfg, self.theta0)
         ends = self.epoch_ends()
         want = np.mean(ends[2:], axis=0)
-        np.testing.assert_allclose(trace.theta, want, rtol=0, atol=1e-14)
+        assert np.array_equal(trace.theta, want)  # bit for bit
         assert np.max(np.abs(ends[-1] - want)) > 1e-6  # not the last iterate
 
     def test_each_epoch_records_the_mean_of_its_last_half(self):
+        """Each record measures np.mean of the tail bit for bit: the run's
+        own metric at that mean is the recorded one, exactly."""
         trace = run(self.pb, None, self.cfg, self.theta0)
         ends = self.epoch_ends()
+        metric = check_run(self.pb, None, self.cfg)
         for epoch in range(1, self.cfg.max_epochs + 1):
             tail = ends[epoch // 2 : epoch]  # the last ceil(epoch / 2)
+            assert trace.records[epoch].metric == metric(np.mean(tail, axis=0))
             want = residual(self.pb, np.mean(tail, axis=0))
             assert trace.records[epoch].metric == pytest.approx(want, rel=1e-12)
 

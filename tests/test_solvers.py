@@ -176,6 +176,30 @@ class TestLlsPlanCache:
             assert bf.svd is plan
             theta = got
 
+    def test_kept_tuple_is_views_of_the_svd_replaced_whole(self):
+        """bf.lls_gain = (h/n, u, u^T, gain, z*): u, u^T and z* share the
+        kept SVD's memory, no copies, and a new h/n makes a new tuple
+        rather than editing the old one."""
+        pb = gen_random_lls(60, 12, 0.3, 4)
+        bf = partition(pb, 6, 4)[1][0]
+        theta = np.random.default_rng(2).standard_normal(12)
+        lls_local_exact(bf, theta, 0.5, pb.n)
+        kept = bf.lls_gain
+        t, u, ut, gain, z_star = kept
+        svd = bf.svd
+        assert t == 0.5 / pb.n
+        assert u is svd.u and z_star is svd.z_star and ut.base is svd.u
+        assert np.shares_memory(ut, svd.u) and np.array_equal(ut, svd.u.T)
+        assert np.array_equal(gain, np.expm1(-t * svd.w))
+        lls_local_exact(bf, theta, 0.5, pb.n)
+        assert bf.lls_gain is kept  # same h/n: the tuple is reused
+        frozen = [a.copy() for a in kept[1:]]
+        lls_local_exact(bf, theta, 2.0, pb.n)
+        assert bf.lls_gain is not kept and bf.lls_gain[0] == 2.0 / pb.n
+        assert bf.lls_gain[1] is svd.u and np.shares_memory(bf.lls_gain[2], svd.u)
+        assert all(np.array_equal(a, b) for a, b in zip(kept[1:], frozen))  # old one intact
+        assert not np.array_equal(bf.lls_gain[3], gain)
+
     def test_negative_h_rejected_with_a_plan_cached(self):
         pb = gen_random_lls(30, 8, 0.1, 0)
         _, batches = partition(pb, 5, 0)

@@ -285,8 +285,8 @@ def cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     summary_rows = []
     for trace in traces:
-        name = f"trace_{trace.method}_a{trace.alpha:g}_s{trace.seed}.csv"
-        write_trace_csv(trace, out_dir / name)
+        trace_file = f"trace_{trace.method}_a{trace.alpha:g}_s{trace.seed}.csv"
+        write_trace_csv(trace, out_dir / trace_file)
         last = trace.records[-1]
         summary_rows.append(
             [

@@ -12,7 +12,7 @@ IDX (MNIST-family), big endian, pre-decompressed:
     images: magic 0x00000803, count, rows, cols, then uint8 pixels
     labels: magic 0x00000801, count, then uint8 labels
 Linear-system text format:
-    header line "n p", then n lines of p+1 scalars (a row of X, then y).
+    header line "n p", n lines of p+1 scalars (a row of X, then y), then only blanks.
 """
 
 import struct
@@ -268,6 +268,9 @@ def load_linear_system(path) -> Problem:
             raise ParseError(f"{path}: line {i + 2}: non-numeric value") from None
         x[i] = vals[:p]
         y[i] = vals[p]
+    for j in range(n + 1, len(lines)):
+        if lines[j].strip():
+            raise ParseError(f"{path}: line {j + 1}: expected no more than the {n} rows declared")
     return Problem(kind="least-squares", x=x, targets=y)
 
 

@@ -108,12 +108,12 @@ def _check_count(name: str, value, least: int = 1) -> None:
 
 def _check_real(name: str, value, positive: bool = True) -> None:
     """Raise unless ``value`` is a finite real, > 0 when ``positive`` and
-    >= 0 otherwise: the one check of every real a config, spec or flag
-    takes.  A bool, a string, NaN and the infinities fail (an infinite
+    >= 0 otherwise: the one check of every real a config, spec, flag or
+    step takes.  A bool, a string, NaN and the infinities fail (an infinite
     alpha would make h = alpha * m the Kaczmarz projection)."""
-    ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and (
-        0 < value < math.inf if positive else 0 <= value < math.inf)  # NaN fails too
-    if not ok:
+    real = type(value) is float or (  # skips the ~0.5 us ABC check, made 3 times a local step
+        isinstance(value, numbers.Real) and not isinstance(value, bool))
+    if not (real and (0 < value < math.inf if positive else 0 <= value < math.inf)):  # NaN fails
         sign = "positive" if positive else "nonnegative"
         raise ValueError(f"{name} must be finite and {sign}, got {value!r}")
 
@@ -151,48 +151,45 @@ def _rms(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x) / x.size) if x.size else 0.0
 
 
-def _initial_step(rhs, y0, f0, t_len, cfg):
+def _initial_step(rhs, y0, f0, t_end, cfg):
     """Starting step from the curvature probe heuristic."""
     sc = cfg.atol + cfg.rtol * np.abs(y0)
     d0 = _rms(y0 / sc)
     d1 = _rms(f0 / sc)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, t_len)
+    h0 = min(h0, t_end)
     f1 = rhs(y0 + h0 * f0)
     d2 = _rms((f1 - f0) / sc) / h0 if np.isfinite(f1).all() else math.inf
     if not math.isfinite(d2) or max(d1, d2) <= 1e-15:
         h1 = max(1e-9, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** _ORDER_EXP
-    return min(100 * h0, h1, t_len)
+    return min(100 * h0, h1, t_end)
 
 
-def rk45_integrate(rhs, y0, t_span, cfg: IntegratorConfig | None = None, h_init=0.0) -> OdeSolution:
-    """Integrate ``dy/dt = rhs(y)`` from t0 to t1 with adaptive steps, the
-    first attempt at a positive ``h_init`` or, at 0, at a probed step.
+def rk45_integrate(rhs, y0, t_end, cfg: IntegratorConfig | None = None, h_init=0.0) -> OdeSolution:
+    """Integrate the autonomous ``dy/dt = rhs(y)`` from 0 to ``t_end`` with
+    adaptive steps, the first attempt at a positive ``h_init`` or, at 0, at
+    a probed step.
 
-    Raises ValueError when h_init < 0, h_init, t0 or t1 is not finite or
-    t1 < t0, NonFiniteState when the initial state or the right-hand side
-    there is non-finite, and StepBudgetExceeded when ``cfg.max_steps``
-    accepted steps do not reach t1 or the step size underflows.  A right-hand side that turns
-    non-finite later (divergence, severe stiffness) makes the error
+    Raises ValueError unless ``t_end`` and ``h_init`` are finite reals >= 0,
+    NonFiniteState when the initial state or the right-hand side there is
+    non-finite, and StepBudgetExceeded when ``cfg.max_steps`` accepted steps
+    do not reach t_end or the step size underflows.  A right-hand side that
+    turns non-finite later (divergence, severe stiffness) makes the error
     estimate non-finite; its steps are rejected until h underflows.
     """
     if cfg is None:
         cfg = IntegratorConfig()
+    _check_real("t_end", t_end, positive=False)
     _check_real("h_init", h_init, positive=False)
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if not (math.isfinite(t0) and math.isfinite(t1)):
-        raise ValueError(f"t_span must be finite, got {t_span}")
-    if t1 < t0:
-        raise ValueError(f"t_span must be increasing, got {t_span}")
+    t_end = float(t_end)
     y = np.array(y0, dtype=float).ravel()
     if not np.isfinite(y).all():
         raise NonFiniteState("initial state contains NaN or Inf")
-    if t1 == t0:
+    if t_end == 0:
         return OdeSolution(y_end=y.copy(), steps_taken=0, rhs_evals=0, rejected_steps=0)
 
-    t_len = t1 - t0
     atol, rtol = cfg.atol, cfg.rtol
     pool = _workspaces.by_size
     ks, coef, stages, h_scaled = pool.pop(y.size, None) or _workspace(y.size)
@@ -203,22 +200,22 @@ def rk45_integrate(rhs, y0, t_span, cfg: IntegratorConfig | None = None, h_init=
     if h_init > 0:
         h, start_evals = h_init, 1
     else:
-        h, start_evals = _initial_step(rhs, y, ks[1], t_len, cfg), 2
+        h, start_evals = _initial_step(rhs, y, ks[1], t_end, cfg), 2
 
-    t = t0
+    t = 0.0
     steps = 0
     rejected = 0
     h_next = 0.0
     abs_y = np.abs(y)
-    while t < t1:
-        remaining = t1 - t
-        if remaining <= 1e-14 * t_len:
+    while t < t_end:
+        remaining = t_end - t
+        if remaining <= 1e-14 * t_end:
             break  # endpoint reached within rounding of the span
         if steps >= cfg.max_steps:
             raise StepBudgetExceeded(
-                f"needed more than {cfg.max_steps} steps to reach t={t1:g}"
+                f"needed more than {cfg.max_steps} steps to reach t={t_end:g}"
             )
-        if h <= 1e-14 * max(abs(t), t_len):
+        if h <= 1e-14 * max(t, t_end):
             raise StepBudgetExceeded(f"step size underflow at t={t:g}")
         h_step = min(h, remaining)
         if h_step != h_scaled:
@@ -248,7 +245,7 @@ def rk45_integrate(rhs, y0, t_span, cfg: IntegratorConfig | None = None, h_init=
         else:  # inf ** -0.2 is 0, so an infinite error takes _MIN_FACTOR
             factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** (-_ORDER_EXP)))
         if err <= 1.0 and h_step == h:
-            h_next = h_step * factor  # not shortened to land on t1
+            h_next = h_step * factor  # not shortened to land on t_end
         h = h_step * factor
 
     evals = start_evals + 6 * (steps + rejected)

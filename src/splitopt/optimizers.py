@@ -137,8 +137,9 @@ def _evaluator(pb: Problem, holdout: Problem | None, cfg: RunConfig):
     the loss itself."""
     if cfg.method == "kaczmarz" and pb.kind != "least-squares":
         raise ValueError("kaczmarz needs a least-squares problem")
-    if cfg.method != "sgd" and cfg.batch_size <= pb.n:  # a larger one fails in run
-        for bf in partition(pb, cfg.batch_size, cfg.seed)[1]:
+    batches = partition(pb, cfg.batch_size, cfg.seed)[1]  # or raises for a batch size > n
+    if cfg.method != "sgd":
+        for bf in batches:
             bf.svd  # or raises RankDeficient
     kind = cfg.stop.kind if cfg.stop else None
     if kind == "relative-residual":
@@ -175,11 +176,11 @@ def _evaluator(pb: Problem, holdout: Problem | None, cfg: RunConfig):
 def check_run(pb: Problem, holdout: Problem | None, cfg: RunConfig):
     """Check that a run config can train on this data; return its stop metric.
 
-    Raises for Kaczmarz off least squares, for a stop rule the data cannot
-    measure, and for any method but SGD on a rank-deficient batch: it
-    factors each batch for its step, one thin SVD (``bf.svd``) whatever
-    the kind.  The result maps theta to the stop rule's metric, or is None
-    without a stop rule.
+    Raises for Kaczmarz off least squares, a batch size above n, a stop
+    rule the data cannot measure, and for any method but SGD a
+    rank-deficient batch: it partitions as ``run`` does and factors each
+    such batch for its step, one thin SVD (``bf.svd``) whatever the kind.
+    The result maps theta to the stop rule's metric, or is None without one.
     """
     evaluate = _evaluator(pb, holdout, cfg)
     return (lambda theta: evaluate(theta)[1]) if cfg.stop else None

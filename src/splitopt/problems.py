@@ -115,9 +115,9 @@ class Problem:
             raise ValueError("design and targets must be finite")
         n = self.x.shape[0]
         if self.kind == "softmax":
-            if self.targets.ndim != 2 or self.targets.shape[0] != n:
+            if self.targets.ndim != 2 or self.targets.shape[0] != n or self.targets.shape[1] < 2:
                 raise DimensionMismatch(
-                    f"softmax targets must be n x K one-hot, got {self.targets.shape}"
+                    f"softmax targets must be n x K one-hot, K >= 2, got {self.targets.shape}"
                 )
             onehot = (np.isin(self.targets, (0.0, 1.0)).all()
                       and np.all(self.targets.sum(axis=1) == 1.0))

@@ -48,7 +48,7 @@ than the arithmetic.  u^T theta_0 at (20, 100)-by-(100) takes 0.59 us with
 import numpy as np
 
 from .errors import ZeroRow
-from .ode import IntegratorConfig, OdeSolution, rk45_integrate
+from .ode import IntegratorConfig, OdeSolution, _check_real, rk45_integrate
 from .problems import (BatchFactorization, Problem, _check_theta, _softmax_rows, reduced_flow,
                        sigmoid)
 
@@ -120,9 +120,9 @@ def local_step_rk(
     """One local step for logistic/softmax: integrate the reduced flow.
 
     The state u^T theta (size min(b, p), times K for softmax) is integrated
-    from 0 to h with ``rk45_integrate`` and lifted back.  The right-hand
-    side is the batch's folded ``reduced_flow``, built once for the step
-    and called by the integrator directly; least-squares
+    from 0 to h, a finite real >= 0, with ``rk45_integrate`` and lifted back.
+    The right-hand side is the batch's folded ``reduced_flow``, built once
+    for the step and called by the integrator directly; least-squares
     batches are served by the closed form instead and are rejected here.
     It returns the integrator's ``OdeSolution`` with ``y_end`` set to the
     lifted theta(h), beside the step's ``rhs_evals`` and accepted and
@@ -136,20 +136,18 @@ def local_step_rk(
     """
     if pb.kind == "least-squares":
         raise ValueError("least-squares local steps use lls_local_exact")
-    if not 0 <= h < np.inf:  # NaN fails too
-        raise ValueError(f"h must be finite and nonnegative, got {h!r}")
+    _check_real("h", h, positive=False)
     theta0 = np.asarray(theta0, dtype=float)
     u = bf.svd.u
     eta0 = u.T.dot(theta0)
-    sol = rk45_integrate(reduced_flow(pb, bf), eta0.ravel(), (0.0, h), cfg, h_init)
+    sol = rk45_integrate(reduced_flow(pb, bf), eta0.ravel(), h, cfg, h_init)
     sol.y_end = theta0 + u.dot(sol.y_end.reshape(eta0.shape) - eta0)
     return sol
 
 
 def euler_step(pb: Problem, bf: BatchFactorization, theta0: np.ndarray, alpha: float) -> np.ndarray:
-    """Vanilla SGD step: theta_0 - alpha * batch_gradient, theta checked once."""
-    if not alpha > 0:  # NaN fails too
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
+    """Vanilla SGD step: theta_0 - alpha * batch_gradient, alpha and theta checked once."""
+    _check_real("alpha", alpha)
     theta0 = _check_theta(pb, theta0)
     x = bf.x_i
     return _sgd_sweep(pb.kind, ((x, x.T, bf.y_i, bf.b),), alpha)((0,), theta0)

@@ -80,7 +80,7 @@ def test_criterion_1_closed_form_matches_integration():
         for h in (0.1, 1.0, 10.0):
             got = lls_local_exact(bf, theta0, h, n)
             sol = rk45_integrate(
-                rhs, theta0, (0.0, h),
+                rhs, theta0, h,
                 IntegratorConfig(rtol=1e-10, atol=1e-13, max_steps=100_000),
             )
             rel = np.linalg.norm(got - sol.y_end) / np.linalg.norm(sol.y_end)

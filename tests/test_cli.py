@@ -96,6 +96,10 @@ class TestDatagen:
         assert "idx-images needs images_path and labels_path" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_missing_out_rejected(self, capsys):
+        assert main(["datagen", "--kind", "random-lls"]) == 2
+        assert capsys.readouterr().err == "error: datagen needs --out\n"
+
     def test_unset_flags_take_the_spec_defaults(self, tmp_path):
         out = tmp_path / "blobs.json"
         assert main(["--out", str(out), "datagen", "--kind", "gaussian-blobs"]) == 0
@@ -367,6 +371,10 @@ class TestRun:
             ({"dataset": {"kind": "idx-images", "images_path": "a", "labels_path": "b",
                           "class_filter": [0.7, 1.2]}}, None,
              "config.dataset: class_filter must be an integer >= 0, got 0.7"),
+            ({"dataset": ["random-lls"]}, None, "config.dataset: expected an object"),
+            ({"stop": "relative-residual"}, None, "config.stop: expected an object"),
+            ({"integrator": 1e-4}, None, "config.integrator: expected an object"),
+            ({"holdout": []}, None, "config.holdout: expected an object"),
         ],
         ids=["bool-batch-size", "str-init-scale", "missing-batch-size", "negative-alpha",
              "empty-alphas", "empty-methods", "nan-noise-sigma", "nan-separation",
@@ -377,7 +385,8 @@ class TestRun:
              "negative-holdout-size", "holdout-size-over-n", "holdout-and-holdout-size",
              "infinite-rtol", "infinite-threshold", "one-class-blobs", "negative-rays",
              "unit-image-side", "negative-seed", "negative-dataset-seed",
-             "fractional-class-filter"],
+             "fractional-class-filter", "dataset-not-object", "stop-not-object",
+             "integrator-not-object", "holdout-not-object"],
     )
     def test_bad_field_reports_path(self, tmp_path, capsys, overrides, drop, message):
         cfg = base_config(**overrides)
@@ -488,6 +497,29 @@ class TestRun:
         assert "alpha=2" in err
         assert "init_seed=7" in err
         assert "needed more than 5 steps" in err
+
+    def test_error_raised_in_a_cell_names_the_cell(self, tmp_path, capsys, monkeypatch):
+        """An error a run raises that is no integrator failure ends the
+        grid: stderr names its cell, after the progress of the cells
+        before it, and no output directory is made."""
+        import splitopt.cli
+
+        real_run = splitopt.cli.run
+
+        def run(pb, holdout, c):
+            if c.method == "splitting":
+                raise ValueError("no step for this cell")
+            return real_run(pb, holdout, c)
+
+        monkeypatch.setattr(splitopt.cli, "run", run)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config()))
+        out = tmp_path / "runs"
+        assert main(["--out", str(out), "run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "method=sgd alpha=0.05 init_seed=1: epoch 2, epoch cap",
+            "error: method=splitting alpha=0.05 init_seed=1: no step for this cell"]
+        assert not out.exists()
 
     def test_failing_cell_leaves_the_rest_of_the_grid(self, tmp_path, capsys):
         """The blobs demo config with a 5-step RK budget: splitting at
@@ -832,6 +864,21 @@ class TestPlot:
         out = tmp_path / "c.svg"
         assert main(["--out", str(out), "plot", str(trace)]) == 2
         assert f"error: {trace}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_out_rejected(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        self._write_trace(trace)
+        assert main(["plot", str(trace)]) == 2
+        assert capsys.readouterr().err == "error: plot needs --out\n"
+
+    def test_other_csv_is_no_trace(self, tmp_path, capsys):
+        """A CSV with another header, here a run's summary, is refused by name."""
+        other = tmp_path / "summary.csv"
+        other.write_text("method,alpha,seed\nsgd,0.1,0\n")
+        out = tmp_path / "c.svg"
+        assert main(["--out", str(out), "plot", str(other)]) == 2
+        assert capsys.readouterr().err == f"error: {other}: not a trace CSV (bad header)\n"
         assert not out.exists()
 
     def test_missing_file_errors(self, tmp_path):

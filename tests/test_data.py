@@ -309,6 +309,29 @@ class TestLinearSystemFile:
         with pytest.raises(ParseError, match="line 1"):
             load_linear_system(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "line 1: empty file"),
+        ("2 1.5\n1 2\n3 4\n", "line 1: header entries must be integers"),
+        ("3 1\n1 2\n3 4\n", "header declares 3 rows but file has 2"),
+        ("2 1\n1 2\n3 four\n", "line 3: non-numeric value"),
+        ("2 1\n1 2\n3 4\n5 6\nfoo bar\n", "line 4: expected no more than the 2 rows declared"),
+        ("2 1\n1 2\n3 4\n\nfoo bar\n", "line 5: expected no more than the 2 rows declared"),
+    ], ids=["empty", "non-integer-header", "fewer-rows", "non-numeric", "extra-row",
+            "text-after-blank"])
+    def test_parse_error_names_file_and_line(self, tmp_path, text, message):
+        """Each malformed file is refused, naming where; past the declared
+        rows only blank lines may follow."""
+        path = tmp_path / "sys.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(f"{path}: {message}")):
+            load_linear_system(path)
+
+    def test_trailing_blank_lines_are_accepted(self, tmp_path):
+        path = tmp_path / "sys.txt"
+        path.write_text("2 1\n1 2\n3 4\n\n  \n\t\n")
+        pb = load_linear_system(path)
+        assert pb.x.tolist() == [[1.0], [3.0]] and pb.targets.tolist() == [2.0, 4.0]
+
 
 class TestBlobs:
     def test_determinism(self):

@@ -39,17 +39,17 @@ DP_B4 = [F(5179, 57600), F(0), F(7571, 16695), F(393, 640), F(-92097, 339200), F
 class TestBasics:
     def test_zero_rhs_keeps_state(self):
         y0 = np.array([1.0, -2.0, 3.5])
-        sol = rk45_integrate(lambda y: np.zeros_like(y), y0, (0.0, 5.0))
+        sol = rk45_integrate(lambda y: np.zeros_like(y), y0, 5.0)
         np.testing.assert_allclose(sol.y_end, y0, atol=1e-14)
 
     def test_exponential_decay(self):
         cfg = IntegratorConfig(rtol=1e-8, atol=1e-12)
-        sol = rk45_integrate(lambda y: -y, np.array([1.0]), (0.0, 1.0), cfg)
+        sol = rk45_integrate(lambda y: -y, np.array([1.0]), 1.0, cfg)
         assert sol.y_end[0] == pytest.approx(np.exp(-1.0), abs=1e-7)
 
     def test_empty_span_returns_y0_exactly(self):
         y0 = np.array([0.3, 0.7])
-        sol = rk45_integrate(lambda y: -y, y0, (2.0, 2.0))
+        sol = rk45_integrate(lambda y: -y, y0, 0.0)
         assert np.array_equal(sol.y_end, y0)
         assert sol.steps_taken == 0 and sol.rhs_evals == 0
 
@@ -70,7 +70,7 @@ class TestBasics:
         six evaluations per attempted step.  The sequences are pinned at
         rtol 1e-6 / atol 1e-9, set here rather than taken from the default."""
         cfg = IntegratorConfig(rtol=1e-6, atol=1e-9)
-        sol = rk45_integrate(rhs, np.array(y0), (0.0, t1), cfg, h_init=h_init)
+        sol = rk45_integrate(rhs, np.array(y0), t1, cfg, h_init=h_init)
         assert (sol.steps_taken, sol.rejected_steps) == (accepted, rejected)
         start_evals = 1 if h_init > 0 else 2
         assert sol.rhs_evals == start_evals + 6 * (sol.steps_taken + sol.rejected_steps)
@@ -84,7 +84,7 @@ class TestBasics:
             return np.array([np.sin(y[1]) - y[0] ** 2, y[0] * y[2], np.cos(y[0]) - y[1]])
 
         y0, h = np.array([0.3, -0.7, 1.1]), 0.05
-        sol = rk45_integrate(rhs, y0, (0.0, h), IntegratorConfig(rtol=1e-2, atol=1e-2), h_init=h)
+        sol = rk45_integrate(rhs, y0, h, IntegratorConfig(rtol=1e-2, atol=1e-2), h_init=h)
         assert (sol.steps_taken, sol.rejected_steps, sol.rhs_evals) == (1, 0, 7)
         k = []
         for row in DP_A:
@@ -104,7 +104,7 @@ class TestBasics:
 
         y0 = np.random.default_rng(d).standard_normal(d)
         h, rtol, atol = 0.05, 1e-2, 1e-2
-        sol = rk45_integrate(rhs, y0, (0.0, h), IntegratorConfig(rtol=rtol, atol=atol), h_init=h)
+        sol = rk45_integrate(rhs, y0, h, IntegratorConfig(rtol=rtol, atol=atol), h_init=h)
         assert (sol.steps_taken, sol.rejected_steps, sol.rhs_evals) == (1, 0, 7)
         ks = [y0, rhs(y0)]
         for row in DP_A[1:] + [DP_B]:
@@ -118,8 +118,8 @@ class TestBasics:
         assert sol.h_next == h * min(5.0, max(0.2, 0.9 * err ** -0.2))
 
     def test_reversed_span_rejected(self):
-        with pytest.raises(ValueError):
-            rk45_integrate(lambda y: -y, np.array([1.0]), (1.0, 0.0))
+        with pytest.raises(ValueError, match="t_end must be finite and nonnegative, got -1.0"):
+            rk45_integrate(lambda y: -y, np.array([1.0]), -1.0)
 
     # An infinite h_init used to mean "try the whole span first".
     @pytest.mark.parametrize("h_init", [-1.0, float("nan"), math.inf])
@@ -127,7 +127,7 @@ class TestBasics:
         """Checked on every call, before anything is integrated; the local
         step passes it through."""
         with pytest.raises(ValueError, match="h_init"):
-            rk45_integrate(lambda y: -y, np.array([1.0]), (0.0, 1.0), h_init=h_init)
+            rk45_integrate(lambda y: -y, np.array([1.0]), 1.0, h_init=h_init)
         pb = gen_gaussian_blobs(40, 4, 2, 4.0, 0)
         _, batches = partition(pb, 10, 0)
         with pytest.raises(ValueError, match="h_init"):
@@ -163,7 +163,7 @@ class TestStepProposal:
             states.append(y.copy())
             return -y
 
-        sol = rk45_integrate(rhs, np.array([1.0]), (0.0, t1),
+        sol = rk45_integrate(rhs, np.array([1.0]), t1,
                              IntegratorConfig(rtol=1e-6, atol=1e-9))
         y, sizes = 1.0, []
         for j in range(sol.steps_taken + sol.rejected_steps):
@@ -185,16 +185,16 @@ class TestStepProposal:
         assert sol.h_next == pytest.approx(long_sizes[40], rel=1e-12)
 
     def test_span_covered_by_one_clipped_step_proposes_nothing(self):
-        sol = rk45_integrate(lambda y: -y, np.array([1.0]), (0.0, 0.01), h_init=1.0)
+        sol = rk45_integrate(lambda y: -y, np.array([1.0]), 0.01, h_init=1.0)
         assert (sol.steps_taken, sol.rejected_steps, sol.h_next) == (1, 0, 0.0)
-        empty = rk45_integrate(lambda y: -y, np.array([1.0]), (0.0, 0.0))
+        empty = rk45_integrate(lambda y: -y, np.array([1.0]), 0.0)
         assert empty.h_next == 0.0
 
     def test_restart_from_the_proposal_skips_the_probe(self):
-        first = rk45_integrate(lambda y: -y, np.array([1.0]), (0.0, 10.0),
+        first = rk45_integrate(lambda y: -y, np.array([1.0]), 10.0,
                                IntegratorConfig(rtol=1e-6, atol=1e-9))
         assert first.h_next > 0
-        again = rk45_integrate(lambda y: -y, np.array([1.0]), (0.0, 10.0),
+        again = rk45_integrate(lambda y: -y, np.array([1.0]), 10.0,
                                IntegratorConfig(rtol=1e-6, atol=1e-9), first.h_next)
         assert again.rhs_evals == 1 + 6 * (again.steps_taken + again.rejected_steps)
         assert abs(again.y_end[0] - np.exp(-10.0)) <= 1e-6 * np.exp(-10.0) + 1e-9
@@ -206,7 +206,7 @@ class TestErrorControl:
         errs = []
         for rtol in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
             cfg = IntegratorConfig(rtol=rtol, atol=rtol * 1e-3)
-            sol = rk45_integrate(lambda y: -y, y0, (0.0, 3.0), cfg)
+            sol = rk45_integrate(lambda y: -y, y0, 3.0, cfg)
             errs.append(abs(sol.y_end[0] - np.exp(-3.0)))
         for coarse, fine in zip(errs[:-1], errs[1:]):
             assert fine <= coarse + 1e-15
@@ -216,7 +216,7 @@ class TestErrorControl:
         sol = rk45_integrate(
             lambda y: np.array([y[1], -y[0]]),
             np.array([0.0, 1.0]),
-            (0.0, 2 * np.pi),
+            2 * np.pi,
             cfg,
         )
         np.testing.assert_allclose(sol.y_end, [0.0, 1.0], atol=1e-7)
@@ -262,15 +262,15 @@ class TestWorkspace:
             return rhs
 
         y0 = np.linspace(-1.0, 2.0, 4)
-        want = [fresh(rk45_integrate, f, y0, (0.0, 5.0), self.CFG) for f in flows]
+        want = [fresh(rk45_integrate, f, y0, 5.0, self.CFG) for f in flows]
         # This thread now keeps a workspace of the size, which a pool shared
         # across threads would hand to all four.
-        rk45_integrate(flows[0], y0, (0.0, 5.0), self.CFG)
+        rk45_integrate(flows[0], y0, 5.0, self.CFG)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(len(flows)) as pool:
-                runs = [pool.submit(rk45_integrate, meeting(f), y0, (0.0, 5.0), self.CFG)
+                runs = [pool.submit(rk45_integrate, meeting(f), y0, 5.0, self.CFG)
                         for f in flows]
                 got = [run.result(timeout=30) for run in runs]
         finally:
@@ -283,15 +283,15 @@ class TestWorkspace:
         the outer call holds that size's workspace."""
 
         def inner_flow(y):
-            return rk45_integrate(np.sin, y, (0.0, 0.1), self.CFG).y_end - y
+            return rk45_integrate(np.sin, y, 0.1, self.CFG).y_end - y
 
         def inner_flow_fresh(y):
-            return fresh(rk45_integrate, np.sin, y, (0.0, 0.1), self.CFG).y_end - y
+            return fresh(rk45_integrate, np.sin, y, 0.1, self.CFG).y_end - y
 
         y0 = np.array([0.4, -1.3, 2.2])
-        want = fresh(rk45_integrate, inner_flow_fresh, y0, (0.0, 2.0), self.CFG)
+        want = fresh(rk45_integrate, inner_flow_fresh, y0, 2.0, self.CFG)
         for _ in range(2):  # the second run reuses both kept workspaces
-            assert same(rk45_integrate(inner_flow, y0, (0.0, 2.0), self.CFG), want)
+            assert same(rk45_integrate(inner_flow, y0, 2.0, self.CFG), want)
 
     @pytest.mark.parametrize("d", [1, 3, 200])
     def test_h_then_another_h_then_h_again(self, d):
@@ -304,9 +304,9 @@ class TestWorkspace:
         y0 = np.random.default_rng(d).standard_normal(d)
         for h in (0.05, 0.03, 0.05):
             cfg = IntegratorConfig(rtol=1e-2, atol=1e-2)
-            got = rk45_integrate(rhs, y0, (0.0, h), cfg, h)
+            got = rk45_integrate(rhs, y0, h, cfg, h)
             assert got.steps_taken == 1 and got.rejected_steps == 0
-            assert same(got, fresh(rk45_integrate, rhs, y0, (0.0, h), cfg, h))
+            assert same(got, fresh(rk45_integrate, rhs, y0, h, cfg, h))
 
 
 class TestFailureModes:
@@ -315,29 +315,29 @@ class TestFailureModes:
         call of its state size before it and after it agree bit for bit,
         and with a fresh call."""
         one_step = (IntegratorConfig(rtol=1e-2, atol=1e-2), 0.05)  # cfg, h_init
-        before = rk45_integrate(np.sin, np.array([0.3]), (0.0, 0.05), *one_step)
+        before = rk45_integrate(np.sin, np.array([0.3]), 0.05, *one_step)
         cfg = IntegratorConfig(rtol=1e-10, atol=1e-13, max_steps=3)
         with pytest.raises(StepBudgetExceeded):
-            rk45_integrate(lambda y: np.cos(50 * y) * 50, np.array([0.1]), (0.0, 10.0), cfg)
-        after = rk45_integrate(np.sin, np.array([0.3]), (0.0, 0.05), *one_step)
+            rk45_integrate(lambda y: np.cos(50 * y) * 50, np.array([0.1]), 10.0, cfg)
+        after = rk45_integrate(np.sin, np.array([0.3]), 0.05, *one_step)
         assert same(after, before)
-        assert same(after, fresh(rk45_integrate, np.sin, np.array([0.3]), (0.0, 0.05), *one_step))
+        assert same(after, fresh(rk45_integrate, np.sin, np.array([0.3]), 0.05, *one_step))
 
     def test_state_overflow_is_rejected(self):
         """A constant RHS makes the error estimate 0, so only the finiteness
         check on y_new keeps the state from overflowing to inf: the steps
         past t = 17.98 are rejected until h underflows."""
         with np.errstate(over="ignore"), pytest.raises(StepBudgetExceeded, match="underflow"):
-            rk45_integrate(lambda y: np.full_like(y, 1e307), np.array([0.0]), (0.0, 100.0),
+            rk45_integrate(lambda y: np.full_like(y, 1e307), np.array([0.0]), 100.0,
                            h_init=1.0)
 
     def test_non_finite_rhs(self):
         with pytest.raises(NonFiniteState):
-            rk45_integrate(lambda y: np.array([np.nan]), np.array([1.0]), (0.0, 1.0))
+            rk45_integrate(lambda y: np.array([np.nan]), np.array([1.0]), 1.0)
 
     def test_non_finite_initial_state(self):
         with pytest.raises(NonFiniteState):
-            rk45_integrate(lambda y: -y, np.array([np.inf]), (0.0, 1.0))
+            rk45_integrate(lambda y: -y, np.array([np.inf]), 1.0)
 
 
 class TestLinearFlowOracle:
@@ -357,7 +357,7 @@ class TestLinearFlowOracle:
             return -(r @ (r.T @ eta - bf.y_i)) / pb.n
 
         cfg = IntegratorConfig(rtol=1e-10, atol=1e-13)
-        sol = rk45_integrate(rhs, eta0, (0.0, h), cfg)
+        sol = rk45_integrate(rhs, eta0, h, cfg)
         want = bf.svd.u.T @ lls_local_exact(bf, theta0, h, pb.n)
         assert np.linalg.norm(sol.y_end - want) <= 1e-6 * max(1.0, np.linalg.norm(want))
 
@@ -372,7 +372,7 @@ class TestLinearFlowOracle:
         for rtol in (1e-6, 1e-8):
             cfg = IntegratorConfig(rtol=rtol, atol=rtol * 1e-3)
             sol = rk45_integrate(
-                lambda eta: -(r @ (r.T @ eta - bf.y_i)) / pb.n, eta0, (0.0, 1.0), cfg
+                lambda eta: -(r @ (r.T @ eta - bf.y_i)) / pb.n, eta0, 1.0, cfg
             )
             rel = np.linalg.norm(sol.y_end - want) / max(np.linalg.norm(want), 1e-30)
             assert rel <= 10 * rtol

@@ -277,8 +277,8 @@ class TestRunBasics:
         real = splitopt.solvers.rk45_integrate
         sols = []
 
-        def counted(rhs, y0, t_span, cfg, h_init):
-            sols.append(real(rhs, y0, t_span, cfg, h_init))
+        def counted(rhs, y0, t_end, cfg, h_init):
+            sols.append(real(rhs, y0, t_end, cfg, h_init))
             return sols[-1]
 
         monkeypatch.setattr(splitopt.solvers, "rk45_integrate", counted)
@@ -376,6 +376,16 @@ class TestRunPartition:
             check_run(blobs, None, RunConfig(method="splitting", alpha=0.1, batch_size=5, seed=0))
             assert svds == [(4, 5)] * 4
         assert qrs == []
+
+    @pytest.mark.parametrize("method", ["sgd", "splitting", "kaczmarz"])
+    def test_check_run_refuses_a_batch_size_above_n(self, method):
+        """What ``run`` would refuse, ``check_run`` refuses first, for every
+        method: a batch size of n is one batch, n + 1 none."""
+        pb = gen_random_lls(50, 4, 0.1, 1)
+        check_run(pb, None, RunConfig(method=method, batch_size=50))
+        for call in (check_run, run):
+            with pytest.raises(ValueError, match=r"batch size must be in \[1, 50\], got 51"):
+                call(pb, None, RunConfig(method=method, batch_size=51))
 
     @pytest.mark.parametrize(
         "kind, method",
@@ -724,7 +734,10 @@ class TestEvaluateStop:
 
     @staticmethod
     def fires(rule, pb, holdout, theta):
-        return check_run(pb, holdout, RunConfig(stop=rule))(theta) <= rule.threshold
+        """The default batch size of 32, or one batch of all n rows below
+        it: ``check_run`` partitions the data as ``run`` does."""
+        cfg = RunConfig(stop=rule, batch_size=min(32, pb.n))
+        return check_run(pb, holdout, cfg)(theta) <= rule.threshold
 
     @pytest.mark.parametrize("threshold", [math.inf, math.nan, 0.0, -1.0, True])
     def test_threshold_must_be_finite_and_positive(self, threshold):

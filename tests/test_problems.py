@@ -4,6 +4,9 @@ Gradients are checked against central finite differences of the loss; the
 reduced right-hand side against the projected full-space one.
 """
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,6 +54,46 @@ def make_problem(kind, n, p, k, seed):
     onehot = np.zeros((n, k))
     onehot[np.arange(n), rng.integers(0, k, n)] = 1.0
     return Problem(kind, x, onehot)
+
+
+class TestProblemChecks:
+    """Every check ``Problem`` makes of its kind, design and targets."""
+
+    @pytest.mark.parametrize("kind, x, targets, error, message", [
+        ("ridge", [[1.0], [2.0]], [1.0, 0.0], ValueError, "unknown problem kind 'ridge'"),
+        ("least-squares", np.zeros((0, 2)), np.zeros(0), DimensionMismatch,
+         "design matrix must be n x p, got (0, 2)"),
+        ("least-squares", np.zeros((2, 0)), np.zeros(2), DimensionMismatch,
+         "design matrix must be n x p, got (2, 0)"),
+        ("least-squares", [1.0, 2.0], [1.0, 0.0], DimensionMismatch,
+         "design matrix must be n x p, got (2,)"),
+        ("least-squares", [[1.0], [math.nan]], [1.0, 0.0], ValueError,
+         "design and targets must be finite"),
+        ("least-squares", [[1.0], [2.0]], [1.0, math.inf], ValueError,
+         "design and targets must be finite"),
+        ("softmax", [[1.0], [2.0]], [1.0, 0.0], DimensionMismatch,
+         "softmax targets must be n x K one-hot, K >= 2, got (2,)"),
+        ("softmax", [[1.0], [2.0]], [[1.0, 0.0]], DimensionMismatch,
+         "softmax targets must be n x K one-hot, K >= 2, got (1, 2)"),
+        # One class would make the loss and test error 0 at every theta.
+        ("softmax", [[1.0], [2.0]], [[1.0], [1.0]], DimensionMismatch,
+         "softmax targets must be n x K one-hot, K >= 2, got (2, 1)"),
+        ("softmax", [[1.0], [2.0]], [[1.0, 1.0], [0.0, 1.0]], ValueError,
+         "softmax targets must be one-hot rows"),
+        ("softmax", [[1.0], [2.0]], [[0.5, 0.5], [0.0, 1.0]], ValueError,
+         "softmax targets must be one-hot rows"),
+        ("least-squares", [[1.0], [2.0]], [[1.0], [0.0]], DimensionMismatch,
+         "targets must have shape (2,), got (2, 1)"),
+        ("logistic", [[1.0], [2.0]], [1.0], DimensionMismatch,
+         "targets must have shape (2,), got (1,)"),
+        ("logistic", [[1.0], [2.0]], [1.0, 2.0], ValueError, "logistic targets must be 0/1"),
+    ], ids=["unknown-kind", "no-rows", "no-columns", "x-not-2d", "non-finite-x",
+            "non-finite-targets", "softmax-1d", "softmax-rows", "softmax-one-class",
+            "softmax-two-ones", "softmax-fractions", "lls-column", "logistic-short",
+            "logistic-label-2"])
+    def test_bad_input_raises_and_says_why(self, kind, x, targets, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            Problem(kind, np.array(x, dtype=float), np.array(targets, dtype=float))
 
 
 class TestReference:

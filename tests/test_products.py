@@ -138,7 +138,7 @@ class TestRkLocalStep:
         for bf in batches:
             u = bf.svd.u
             eta0 = u.T @ theta0
-            sol = rk45_integrate(reduced_flow(pb, bf), eta0.ravel(), (0.0, 2.0), cfg, 0.5)
+            sol = rk45_integrate(reduced_flow(pb, bf), eta0.ravel(), 2.0, cfg, 0.5)
             want = theta0 + u @ (sol.y_end.reshape(eta0.shape) - eta0)
             assert np.array_equal(local_step_rk(pb, bf, theta0, 2.0, cfg, 0.5).y_end, want)
 

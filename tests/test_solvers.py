@@ -46,7 +46,7 @@ def integrate_full_space(pb, bf, theta0, h, rtol=1e-10):
     def rhs(v):
         return local_rhs(pb, bf, v.reshape(shape)).ravel()
 
-    sol = rk45_integrate(rhs, np.asarray(theta0).ravel(), (0.0, h), cfg)
+    sol = rk45_integrate(rhs, np.asarray(theta0).ravel(), h, cfg)
     return sol.y_end.reshape(shape)
 
 
@@ -530,7 +530,7 @@ class TestFoldedFlow:
         rep = local_step_rk(pb, bf, theta0, h)
         u = bf.svd.u
         eta0 = u.T @ theta0
-        want = rk45_integrate(self.plain_rhs(pb, bf), eta0.ravel(), (0.0, h))
+        want = rk45_integrate(self.plain_rhs(pb, bf), eta0.ravel(), h)
         theta = theta0 + u @ (want.y_end.reshape(eta0.shape) - eta0)
         assert np.linalg.norm(rep.y_end - theta) <= 1e-12 * np.linalg.norm(theta)
         (got,) = sols
@@ -656,20 +656,26 @@ def _blob_batch():
 
 
 @pytest.mark.parametrize("call, bad", [
-    (lambda t: rk45_integrate(lambda y: -y, [1.0], (0.0, t)), math.inf),
-    (lambda t: rk45_integrate(lambda y: -y, [1.0], (0.0, t)), math.nan),
-    (lambda t: rk45_integrate(lambda y: -y, [1.0], (-t, 0.0)), math.inf),
+    (lambda t: rk45_integrate(lambda y: -y, [1.0], t), math.inf),
+    (lambda t: rk45_integrate(lambda y: -y, [1.0], t), math.nan),
+    (lambda t: rk45_integrate(lambda y: -y, [1.0], -t), math.inf),
     (lambda h: local_step_rk(*_blob_batch(), np.zeros(3), h), math.inf),
     (lambda h: local_step_rk(*_blob_batch(), np.zeros(3), h), math.nan),
     (lambda h: lls_local_exact(_lls_batch()[1], np.zeros(4), h, 30), math.nan),
     (lambda h: lls_local_unit(np.ones(4), 1.0, np.zeros(4), h, 30), math.nan),
     (lambda a: euler_step(*_lls_batch(), np.zeros(4), a), math.nan),
+    (lambda a: euler_step(*_lls_batch(), np.zeros(4), a), math.inf),
+    (lambda t: rk45_integrate(lambda y: -y, [1.0], t), True),
+    (lambda h: local_step_rk(*_blob_batch(), np.zeros(3), h), True),
+    (lambda a: euler_step(*_lls_batch(), np.zeros(4), a), True),
 ], ids=["rk45-inf", "rk45-nan", "rk45-start", "rk-step-inf", "rk-step-nan", "exact-nan",
-        "unit-nan", "euler-nan"])
+        "unit-nan", "euler-nan", "euler-inf", "rk45-bool", "rk-step-bool", "euler-bool"])
 def test_non_finite_local_time_is_rejected(call, bad):
-    """A local time or learning rate that is NaN (or, for an integration,
-    infinite) raises and names the value instead of returning a wrong or
-    all-NaN theta."""
+    """A local time or learning rate that is NaN (or, for an integration
+    or an SGD step, infinite) raises and names the value instead of
+    returning a wrong, infinite or all-NaN theta.  Those three are checked
+    as a config's reals are (``ode._check_real``), so True, which compares
+    as 1, is refused too."""
     with pytest.raises(ValueError, match=repr(bad)):
         call(bad)
 

@@ -4,8 +4,9 @@ Splitting a full-rank matrix X into row blocks X_1..X_k turns the linear
 flow matrix A = -X^T X into a sum of negative semidefinite low-rank parts
 A_i = -X_i^T X_i = -u_i diag(w_i) u_i^T, w_i = s_i^2 > 0: each part is
 its block's ``problems.BatchSVD`` (thin SVD X_i^T = u_i diag(s_i) g_i^T
-and rank rule), the one the least-squares step reads.  The one-step
-(time t) composition of the part flows differs from the exact flow by
+at the block's numerical rank), the one the least-squares step reads.
+The one-step (time t) composition of the part flows differs from the
+exact flow by
 
     err(t) = || e^{A_k t} ... e^{A_1 t} - e^{A t} ||_2,
 
@@ -26,10 +27,11 @@ was made.  The error is carried in A's eigenbasis: U is orthogonal, so
 and the exact flow is a diagonal, never an N x N exponential.  Part 1
 acts first, and part j maps P to P + u_j C_j u_j^T P by the least-squares
 step's gain C_j = diag(expm1(-t w_j)) at t = h/n: P(t) is one splitting
-epoch with zero targets.  At t = inf, C_j = -I (w_j > 0 by the rank rule)
-and the map is Pi_j, the Kaczmarz projection.  So P(t) U = U + Q M, with
-the coefficient block M (R x N) filled part by part from S = Q^T Q and
-W = Q^T U, both formed once per split, with its decomposition:
+epoch with zero targets.  At t = inf, C_j = -I (w_j > 0, as the SVD
+keeps only the numerical rank) and the map is Pi_j, the Kaczmarz
+projection.  So P(t) U = U + Q M, with the coefficient block M (R x N)
+filled part by part from S = Q^T Q and W = Q^T U, both formed once per
+split, with its decomposition:
 
     M_j = C_j (W_j + S_{j,<j} M_{<j}),
 
@@ -121,8 +123,9 @@ def build_split(x: np.ndarray, blocks: int, seed: int | None = None) -> SplitOpe
     """Split the rows of a square full-rank x into near-equal blocks.
 
     With a seed the rows are permuted first (the default keeps them
-    contiguous).  Raises ValueError for a non-finite entry, RankDeficient
-    when a block loses full row rank or (in ``SplitOperators``) x is singular.
+    contiguous).  Each block is a part at its numerical rank, as a batch
+    is.  Raises ValueError for a non-finite entry and, in
+    ``SplitOperators``, RankDeficient when x is singular.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]

@@ -170,7 +170,8 @@ def _initial_step(rhs, y0, f0, t_end, cfg):
 def rk45_integrate(rhs, y0, t_end, cfg: IntegratorConfig | None = None, h_init=0.0) -> OdeSolution:
     """Integrate the autonomous ``dy/dt = rhs(y)`` from 0 to ``t_end`` with
     adaptive steps, the first attempt at a positive ``h_init`` or, at 0, at
-    a probed step.
+    a probed step.  An empty span or an empty state returns y0 at once,
+    with no evaluation and ``h_next`` 0.
 
     Raises ValueError unless ``t_end`` and ``h_init`` are finite reals >= 0,
     NonFiniteState when the initial state or the right-hand side there is
@@ -187,7 +188,7 @@ def rk45_integrate(rhs, y0, t_end, cfg: IntegratorConfig | None = None, h_init=0
     y = np.array(y0, dtype=float).ravel()
     if not np.isfinite(y).all():
         raise NonFiniteState("initial state contains NaN or Inf")
-    if t_end == 0:
+    if t_end == 0 or not y.size:  # nothing to integrate: a rank-0 batch's state is empty
         return OdeSolution(y_end=y.copy(), steps_taken=0, rhs_evals=0, rejected_steps=0)
 
     atol, rtol = cfg.atol, cfg.rtol

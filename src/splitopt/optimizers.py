@@ -5,6 +5,7 @@ every run at one (batch size, seed), with local time step ``h = alpha * m``,
 every epoch in a freshly seeded order, applying one of
 
     sgd         theta <- theta - alpha * batch_gradient
+                (for least squares on the batch SVD, gain -(alpha/b) w)
     splitting   theta <- flow of the local ODE over time h
                 (closed form for least squares, adaptive RK otherwise)
     kaczmarz    theta <- the least-squares splitting step at h = inf: the
@@ -12,9 +13,12 @@ every epoch in a freshly seeded order, applying one of
 
 alpha and theta are checked once per run, by ``RunConfig`` and ``run``.
 An epoch is one call of the run's sweep, one Python frame over the epoch's
-batch order: an SGD step is ``euler_step``'s update inline, specialised to
-the kind once per run (``solvers._sgd_sweep``); the other steps call
-``lls_local_exact`` or ``local_step_rk``.
+batch order.  A least-squares SGD step is the closed-form step's update at
+the gain -(alpha / b) w, on rows built from each batch's SVD once per run
+(``solvers._lls_gain_sweep``); a logistic or softmax SGD step is
+``euler_step``'s update inline, specialised to the kind once per run
+(``solvers._sgd_sweep``); the other steps call ``lls_local_exact`` or
+``local_step_rk``.
 A run records its loss and stop metric at its start and after every
 epoch.  A record costs one pass over the training rows: least squares
 shares one residual r = X theta - y between its loss r.r / 2n and its
@@ -22,8 +26,9 @@ relative residual sqrt(r.r) / ||y||, softmax reduces its scores
 class-major, ``test-error`` adds a pass over the holdout (its true labels
 derived once and kept on it), and ``loss-threshold`` reuses the loss as
 its metric.  The run's clock leaves out the checks of ``check_run``, which
-factor the batches of every method but SGD: one thin SVD each, which every
-kind's step reads.
+factor the batches of every config but logistic and softmax SGD: one thin
+SVD each, at the batch's numerical rank, which every step that reads it
+shares.
 Divergence (non-finite loss or loss above ``DIVERGENCE_FACTOR`` = 1e6
 times the start record's) is recorded in the trace and ends the run, it is
 not an error.
@@ -53,7 +58,7 @@ from .data import partition
 from .errors import MissingReference
 from .ode import IntegratorConfig, _check_count, _check_real
 from .problems import Problem, _check_theta, loss, loss_and_residual, test_error, theta_shape
-from .solvers import _sgd_sweep, lls_local_exact, local_step_rk
+from .solvers import _lls_gain_sweep, _sgd_sweep, lls_local_exact, local_step_rk
 
 METHODS = ("sgd", "splitting", "kaczmarz")
 STOP_KINDS = ("relative-residual", "solution-distance", "test-error", "loss-threshold")
@@ -138,9 +143,9 @@ def _evaluator(pb: Problem, holdout: Problem | None, cfg: RunConfig):
     if cfg.method == "kaczmarz" and pb.kind != "least-squares":
         raise ValueError("kaczmarz needs a least-squares problem")
     batches = partition(pb, cfg.batch_size, cfg.seed)[1]  # or raises for a batch size > n
-    if cfg.method != "sgd":
+    if cfg.method != "sgd" or pb.kind == "least-squares":
         for bf in batches:
-            bf.svd  # or raises RankDeficient
+            bf.svd  # factored here, off the run's clock
     kind = cfg.stop.kind if cfg.stop else None
     if kind == "relative-residual":
         if pb.kind != "least-squares":
@@ -176,10 +181,11 @@ def _evaluator(pb: Problem, holdout: Problem | None, cfg: RunConfig):
 def check_run(pb: Problem, holdout: Problem | None, cfg: RunConfig):
     """Check that a run config can train on this data; return its stop metric.
 
-    Raises for Kaczmarz off least squares, a batch size above n, a stop
-    rule the data cannot measure, and for any method but SGD a
-    rank-deficient batch: it partitions as ``run`` does and factors each
-    such batch for its step, one thin SVD (``bf.svd``) whatever the kind.
+    Raises for Kaczmarz off least squares, a batch size above n and a stop
+    rule the data cannot measure.  It partitions as ``run`` does and, for
+    every config whose steps read the batch SVD (all but logistic and
+    softmax SGD), factors each batch, one thin SVD (``bf.svd``) at its
+    numerical rank: a batch with dependent rows steps on the rank it has.
     The result maps theta to the stop rule's metric, or is None without one.
     """
     evaluate = _evaluator(pb, holdout, cfg)
@@ -294,12 +300,17 @@ def _sweep(pb: Problem, cfg: RunConfig, h: float, batches: list, trace: Trace):
     number the run keeps, so runs sharing a partition across threads never
     see each other's.
 
-    SGD is ``solvers._sgd_sweep`` over each batch's (x_i, x_i^T, y_i, b),
+    Least-squares SGD is ``solvers._lls_gain_sweep`` over each batch's
+    (u, u^T, -(alpha / b) w, z*) from its SVD, logistic and softmax SGD
+    ``solvers._sgd_sweep`` over each batch's (x_i, x_i^T, y_i, b), both
     gathered once per run, without ``euler_step``'s checks.  The other
     solvers are looked up in this module's globals when the run starts,
     so a function swapped in there (a tracer's wrapper, say) sees every step.
     """
     if cfg.method == "sgd":
+        if pb.kind == "least-squares":
+            return _lls_gain_sweep([(s.u, s.u.T, -(cfg.alpha / bf.b) * s.w, s.z_star)
+                                    for bf in batches for s in (bf.svd,)])
         return _sgd_sweep(pb.kind, [(bf.x_i, bf.x_i.T, bf.y_i, bf.b) for bf in batches],
                           cfg.alpha)
     if pb.kind == "least-squares":

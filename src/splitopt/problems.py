@@ -14,11 +14,12 @@ flow matches the closed-form solver.
 
 Each minibatch keeps one thin SVD x_i^T = u diag(s) g^T, through which
 the per-batch gradient-flow ODE restricts to the coordinates eta = u^T
-theta: the flow never leaves theta_0 + range(u), so only a state of size
-min(b, p) (times K) needs to be evolved.  ``local_rhs`` is the original
-full-space right-hand side.  ``reduced_flow`` builds the restricted one,
--(1/n) r (pred(r^T eta) - y_i) with r = diag(s) g^T (so x_i^T = u r), for
-one batch with its batch-only factors folded in:
+theta: the flow never leaves theta_0 + range(u), so only a state of the
+batch's numerical rank k <= min(b, p) (times K) needs to be evolved.
+``local_rhs`` is the original full-space right-hand side.
+``reduced_flow`` builds the restricted one, -(1/n) r (pred(r^T eta) - y_i)
+with r = diag(s) g^T (so x_i^T = u r), for one batch with its batch-only
+factors folded in:
 
     least squares   a (B eta) + c         a = -r/n, B = r^T, c = r y_i / n
     logistic        a tanh(B eta) + c     a = -(0.5/n) r, B = 0.5 r^T,
@@ -81,7 +82,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, RankDeficient
+from .errors import DimensionMismatch
 from .linalg import RANK_TOL
 
 KINDS = ("least-squares", "logistic", "softmax")
@@ -156,8 +157,9 @@ class Problem:
 
 
 class BatchSVD(NamedTuple):
-    """A batch's thin SVD x_i^T = u diag(s) g^T as its steps read it: u,
-    w = s^2, r = diag(s) g^T (x_i^T = u r) and z* = (g^T y_i) / s by rows."""
+    """A batch's thin SVD x_i^T = u diag(s) g^T at its numerical rank k, as
+    its steps read it: u (p x k), w = s^2, r = diag(s) g^T (x_i^T = u r, to
+    the dropped components) and z* = (g^T y_i) / s by rows."""
 
     u: np.ndarray
     w: np.ndarray
@@ -169,12 +171,20 @@ class BatchFactorization:
     """One minibatch (x_i, y_i) and what its local steps read, kept on it.
 
     ``svd``, the batch's one factorization, is computed on first read and
-    kept: the least-squares step reads (u, w, z*), the RK step u and r.
-    The read raises ValueError for a non-finite x_i or y_i and
-    RankDeficient for s_min < ``RANK_TOL * ||x_i||_F`` (a zero row
-    included), whatever the kind.  ``optimizers.check_run`` reads it for a
-    splitting or Kaczmarz config, else the first step does; SGD never does,
-    and every run shares it (threads at worst compute it twice, equally).
+    kept: the least-squares steps read (u, w, z*), the RK step u and r.
+    It keeps the batch's numerical rank k, the components with
+    s >= ``RANK_TOL * ||x_i||_F``, and drops the rest, whatever the kind:
+    a batch with dependent rows (a repeated or zero row, say) steps on
+    range(u) alone, where the h = inf step is the pseudoinverse projection
+    of block Kaczmarz (Needell & Tropp, Linear Algebra Appl. 2014).  A
+    dropped component, s below the tolerance, would move theta by at most
+    t s (s |u^T theta| + |g^T y_i|) in a step at a finite t = h/n (alpha / b
+    for SGD).  A batch with nothing to drop keeps LAPACK's arrays,
+    uncopied; one with every row zero has k = 0, and each of its steps
+    leaves theta as it is.  The read raises ValueError for a non-finite
+    x_i or y_i.  ``optimizers.check_run`` reads it for every config but
+    logistic and softmax SGD, which never do, and every run shares it
+    (threads at worst compute it twice, equally).
     ``lls_gain`` keeps what the last least-squares step read, one tuple
     (h/n, u, u^T, gain, z*) whose u and z* are the SVD's own arrays and
     u^T a view of u, so it holds no p x k copy, only the k gains.
@@ -194,8 +204,10 @@ class BatchFactorization:
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValueError(f"batch of shape {x.shape} has a non-finite entry in x_i or y_i")
         u, s, gt = np.linalg.svd(x.T, full_matrices=False)
-        if not s[-1] >= RANK_TOL * max(float(np.linalg.norm(x)), np.finfo(float).tiny):
-            raise RankDeficient(f"rank-deficient batch, shape {x.shape}, at RANK_TOL {RANK_TOL:g}")
+        # s descends: keep the numerical rank k, s >= RANK_TOL ||x_i||_F > 0.
+        k = np.count_nonzero(s >= RANK_TOL * max(float(np.linalg.norm(x)), np.finfo(float).tiny))
+        if k < len(s):
+            u, s, gt = u[:, :k], s[:k], gt[:k]
         z_star = (gt @ y) / (s[:, None] if y.ndim == 2 else s)
         return BatchSVD(u, s * s, s[:, None] * gt, z_star)
 
@@ -313,10 +325,10 @@ def reduced_flow(pb: Problem, bf: BatchFactorization):
     """The batch's reduced flow in folded form (see the module docstring),
     as one callable on the flattened state.  Build it once per local step;
     nothing is checked per call.  The offset c (and for softmax the limit
-    T^2 / max(w) and the normalizer -n 1_K) is read from ``bf.flow_consts``
-    and built only when that tuple is missing or tagged with another
-    (kind, n); it is replaced whole, so threads racing on a batch at worst
-    build equal tuples.  The softmax flow skips the column-max shift at a
+    T^2 / max(w), inf at rank 0, and the normalizer -n 1_K) is read from
+    ``bf.flow_consts`` and built only when that tuple is missing or tagged
+    with another (kind, n); it is replaced whole, so threads racing on a
+    batch at worst build equal tuples.  The softmax flow skips the column-max shift at a
     state v with v^T v < T^2 / max(w), which bounds every score below
     T = ``EXP_SAFE_SCORE`` in magnitude, so exp neither overflows nor
     underflows; at any other state (NaN and inf included) it shifts."""
@@ -324,8 +336,9 @@ def reduced_flow(pb: Problem, bf: BatchFactorization):
     kept = bf.flow_consts
     if kept is None or kept[0] != (kind, n):
         kept = ((kind, n), r.dot(bf.y_i - 0.5 if kind == "logistic" else bf.y_i) / n)
-        if kind == "softmax":  # ||v|| s_max < T iff v.v < limit
-            kept += (EXP_SAFE_SCORE**2 / bf.svd.w.max(), np.full(pb.k, -float(n)))
+        if kind == "softmax":  # ||v|| s_max < T iff v.v < limit; at rank 0, v is empty
+            w = bf.svd.w
+            kept += (EXP_SAFE_SCORE**2 / w.max() if w.size else np.inf, np.full(pb.k, -float(n)))
         bf.flow_consts = kept
     c = kept[1]
     if kind == "softmax":
@@ -355,7 +368,8 @@ def reduced_rhs(pb: Problem, bf: BatchFactorization, eta: np.ndarray) -> np.ndar
 
     -(1/n) r (pred(r^T eta) - y_i), evaluated through ``reduced_flow``;
     equals u^T local_rhs(theta) at any theta with u^T theta = eta.  The
-    state has min(b, p) rows (times K columns for softmax) instead of p.
+    state has k <= min(b, p) rows, the batch's numerical rank (times K
+    columns for softmax), instead of p.
     """
     eta = np.asarray(eta, dtype=float)
     r = bf.svd.r

@@ -18,7 +18,23 @@ and u^T a view of u, no copies.  A step reads it in one attribute read
 and allocates only a and out, updating each in place: a = u^T theta_0,
 a -= z*, a *= gain, out = u a, out += theta_0.  At h = inf the step is
 the projection onto the batch's solution set, the (block) Kaczmarz step
-that ``method="kaczmarz"`` runs.
+that ``method="kaczmarz"`` runs.  The SVD keeps the batch's numerical
+rank, so a batch with dependent rows steps on the range it spans.
+
+SGD's least-squares step is the same update: x_i^T (x_i theta - y_i) =
+u w (u^T theta - z*), so every least-squares method is
+theta_0 + u diag(c) (u^T theta_0 - z*) with its own gain c(t w):
+
+    method      gain c         t
+    sgd         -t w           alpha / b, the Euler step of the flow
+    splitting   expm1(-t w)    h / n = alpha m / n, the exact flow
+    kaczmarz    -1             inf, the projection
+
+On uniform batches, b = n / m, the two t agree and SGD's gain is the
+first-order term of the flow's.  A least-squares SGD run keeps one row
+(u, u^T, -(alpha / b) w, z*) per batch, at each batch's own b, and sweeps
+them with ``_lls_gain_sweep``, the closed-form step's arithmetic.
+
 Logistic and softmax local flows have no closed form.  They are integrated
 with the adaptive Runge-Kutta pair in the reduced coordinates
 eta = u^T theta, with r = diag(s) g^T so that x_i^T = u r, then lifted back
@@ -31,12 +47,14 @@ step-size proposal, to start its next step there on any batch over a
 like span.
 
 An explicit Euler step of the local flow at step h = alpha * m is exactly
-one SGD step at learning rate alpha; ``euler_step`` is that baseline.  Its
-update is written once, in ``_sgd_sweep``, specialised to the kind when
-built: a sweep steps through a batch order in one Python frame, in place on
-its temporaries, with no per-step call or kind dispatch.  A run, having
-checked alpha and theta once, sweeps each epoch; ``euler_step`` checks
-both and sweeps its one batch.
+one SGD step at learning rate alpha; ``euler_step`` is that baseline, in
+the textbook form on x_i for every kind, the oracle the gain form is
+checked against.  Its update is written once, in ``_sgd_sweep``,
+specialised to the kind when built: a sweep steps through a batch order
+in one Python frame, in place on its temporaries, with no per-step call
+or kind dispatch.  A logistic or softmax SGD run, having checked alpha and
+theta once, sweeps each epoch with it; ``euler_step`` checks both and
+sweeps its one batch.
 
 Each step's products (u^T theta_0 and the lift, the SGD step's x^T r) call
 the method ``ndarray.dot``, not ``@``: the same BLAS routine and the same
@@ -58,8 +76,11 @@ def lls_local_exact(bf: BatchFactorization, theta0: np.ndarray, h: float, n: int
 
     At h = inf it is theta_0 - u (u^T theta_0 - z*), the projection onto
     the batch's solution set (for b > p, onto its least-squares solution).
-    (u, s^2, z*) come from the batch's kept SVD, ``bf.svd``, for every
-    (h, n); reading it raises for a non-finite or rank-deficient batch.
+    (u, s^2, z*) come from the batch's kept SVD, ``bf.svd``, at its
+    numerical rank, for every (h, n); reading it raises for a non-finite
+    batch.  At h = inf on a batch with dependent rows the step is the
+    pseudoinverse projection theta_0 + pinv(x_i) (y_i - x_i theta_0), and
+    a batch of zero rows (rank 0) leaves theta_0 as it is.
     The step reads one tuple, ``bf.lls_gain = (h/n, u, u^T, gain, z*)``:
     the gain expm1(-(h/n) s^2), -1 at h = inf, beside the SVD's own u and
     z* and a view u^T of u, no copies.  It is made when h/n changes and
@@ -119,7 +140,8 @@ def local_step_rk(
 ) -> OdeSolution:
     """One local step for logistic/softmax: integrate the reduced flow.
 
-    The state u^T theta (size min(b, p), times K for softmax) is integrated
+    The state u^T theta (size k, the batch's numerical rank, at most
+    min(b, p), times K for softmax; empty at rank 0) is integrated
     from 0 to h, a finite real >= 0, with ``rk45_integrate`` and lifted back.
     The right-hand side is the batch's folded ``reduced_flow``, built once
     for the step and called by the integrator directly; least-squares
@@ -151,6 +173,28 @@ def euler_step(pb: Problem, bf: BatchFactorization, theta0: np.ndarray, alpha: f
     theta0 = _check_theta(pb, theta0)
     x = bf.x_i
     return _sgd_sweep(pb.kind, ((x, x.T, bf.y_i, bf.b),), alpha)((0,), theta0)
+
+
+def _lls_gain_sweep(rows):
+    """``sweep(order, theta)``: least-squares steps theta <- theta +
+    u (c * (u^T theta - z*)) on ``rows[i] = (u, u^T, c, z*)`` for each i in
+    order, nothing checked: the closed-form step's arithmetic at a gain c
+    fixed per batch, in place on its two temporaries.  With
+    c = -(alpha / b) w it is SGD on the batch's SVD (see the module
+    docstring)."""
+
+    def sweep(order, theta):
+        for i in order:
+            u, ut, c, z_star = rows[i]
+            a = ut.dot(theta)
+            a -= z_star
+            a *= c
+            out = u.dot(a)
+            out += theta
+            theta = out
+        return theta
+
+    return sweep
 
 
 def _sgd_sweep(kind, rows, alpha):

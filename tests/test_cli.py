@@ -396,21 +396,30 @@ class TestRun:
         assert main(["--out", str(tmp_path / "runs"), "run", "--config", str(cfg_path)]) == 2
         assert message in capsys.readouterr().err
 
-    def test_rank_deficient_batch_is_a_config_error(self, tmp_path, capsys):
-        """Splitting factors every batch before any cell runs; SGD never
-        factors, so the same data serve an SGD-only grid."""
+    def test_rank_deficient_batch_runs_under_every_method(self, tmp_path, capsys):
+        """Repeated rows make every batch of 2 rank 1; each batch steps on its
+        numerical rank, so SGD, splitting and Kaczmarz all run the file, at
+        1 and 2 threads alike apart from wall times.  Kaczmarz drives each
+        batch's residual to its least-squares value, and the three pairs of
+        rows are consistent, so its loss ends at 0."""
         data = tmp_path / "dup.txt"
         data.write_text("4 2\n1 1 1\n1 1 1\n2 2 2\n2 2 2\n")  # repeated rows
         cfg = base_config(dataset={"kind": "linear-system-file", "path": str(data)},
-                          batch_size=2)
+                          methods=["sgd", "splitting", "kaczmarz"], batch_size=2)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        out = tmp_path / "runs"
-        assert main(["--out", str(out), "run", "--config", str(cfg_path)]) == 2
-        assert "error: config: " in capsys.readouterr().err
-        assert not out.exists()
-        cfg_path.write_text(json.dumps({**cfg, "methods": ["sgd"]}))
-        assert main(["--out", str(out), "run", "--config", str(cfg_path)]) == 0
+        outputs = []
+        for threads in (1, 2):
+            out = tmp_path / f"runs{threads}"
+            argv = ["--out", str(out), "--threads", str(threads), "run", "--config", str(cfg_path)]
+            assert main(argv) == 0
+            assert "error" not in capsys.readouterr().err
+            rows = list(csv.DictReader(open(out / "summary.csv")))
+            assert [r["method"] for r in rows] == ["sgd", "splitting", "kaczmarz"]
+            assert all(r["diverged"] == "0" for r in rows)
+            outputs.append([{k: v for k, v in r.items() if k != "wall_seconds"} for r in rows])
+        assert outputs[0] == outputs[1]
+        assert float(outputs[0][2]["final_loss"]) <= 1e-25
 
     def test_nan_alpha_is_a_config_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

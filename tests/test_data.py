@@ -1,5 +1,6 @@
 """Generators, file formats, and partitioning."""
 
+import math
 import re
 import struct
 
@@ -26,7 +27,6 @@ from splitopt.errors import (
     BadMagic,
     LabelOutOfRange,
     ParseError,
-    RankDeficient,
     TruncatedFile,
 )
 
@@ -464,11 +464,17 @@ class TestPartition:
             partition(pb, b, seed)
 
     def test_rank_deficient_batch_propagates(self):
+        """A batch's dependent rows reach its SVD, factored on first read, as
+        its numerical rank: two equal rows of ones keep one component,
+        s = sqrt(6) along the unit diagonal, and still factor x_i^T."""
         x = np.ones((6, 3))  # every batch has repeated rows
-        pb = Problem("least-squares", x, np.zeros(6))
-        _, batches = partition(pb, 2, 0)  # factored on the first read of svd
-        with pytest.raises(RankDeficient):
-            batches[0].svd
+        pb = Problem("least-squares", x, np.arange(6.0))
+        _, batches = partition(pb, 2, 0)
+        svd = batches[0].svd
+        assert svd.u.shape == (3, 1) and svd.r.shape == (1, 2)
+        assert svd.w == pytest.approx([6.0], rel=1e-15)
+        assert np.abs(svd.u[:, 0]) == pytest.approx(np.full(3, 1 / math.sqrt(3)), rel=1e-15)
+        np.testing.assert_allclose(svd.u @ svd.r, batches[0].x_i.T, rtol=0, atol=1e-15)
 
     def test_kept_on_the_problem_for_the_last_batch_size_and_seed(self):
         pb = gen_random_lls(20, 6, 0.1, 2)

@@ -53,6 +53,15 @@ class TestBasics:
         assert np.array_equal(sol.y_end, y0)
         assert sol.steps_taken == 0 and sol.rhs_evals == 0
 
+    def test_empty_state_returns_at_once(self):
+        """A rank-0 batch's reduced state is empty: nothing to integrate, so
+        no evaluation, and no proposal for the run's next step (a 14-step
+        integration of nothing used to propose 1.5 spans)."""
+        calls = []
+        sol = rk45_integrate(lambda y: calls.append(y) or y, np.empty(0), 0.8)
+        assert sol.y_end.shape == (0,) and calls == []
+        assert (sol.steps_taken, sol.rhs_evals, sol.h_next) == (0, 0, 0.0)
+
     @pytest.mark.parametrize(
         "rhs, y0, t1, h_init, accepted, rejected",
         [

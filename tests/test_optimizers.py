@@ -9,7 +9,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from splitopt import (
+    BatchFactorization,
     IntegratorConfig,
     Problem,
     RunConfig,
@@ -17,6 +20,7 @@ from splitopt import (
     check_run,
     gen_gaussian_blobs,
     gen_random_lls,
+    gen_tomo_like,
     kaczmarz_step,
     lls_local_exact,
     lls_local_unit,
@@ -29,7 +33,7 @@ from splitopt import (
     theta_shape,
 )
 from splitopt import test_error as misclassification
-from splitopt.errors import DimensionMismatch, MissingReference, RankDeficient
+from splitopt.errors import DimensionMismatch, MissingReference
 from splitopt.linalg import RANK_TOL, economy_qr
 
 
@@ -345,9 +349,11 @@ class TestTailAverage:
 
 class TestRunPartition:
     def test_every_method_but_sgd_factors_the_batches(self, monkeypatch):
-        """check_run factors each batch before the run's clock starts: one
-        SVD per batch for least-squares splitting and Kaczmarz and for
-        logistic and softmax splitting, no QR, and SGD factors nothing."""
+        """check_run factors each batch before the run's clock starts, one SVD
+        per batch and no QR, for every config whose steps read the SVD:
+        least-squares SGD, splitting and Kaczmarz, and logistic and softmax
+        splitting.  Only logistic and softmax SGD, which step on x_i,
+        factor nothing."""
         qrs, svds = [], []
         qr, svd = np.linalg.qr, np.linalg.svd
 
@@ -362,10 +368,10 @@ class TestRunPartition:
         monkeypatch.setattr(np.linalg, "qr", counting_qr)
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         pb = gen_random_lls(20, 4, 0.1, 1)
-        for alpha in (0.01, 0.1, 1.0):
+        for alpha in (0.01, 0.1, 1.0):  # one SVD per batch, shared by the three runs
             run(pb, None, RunConfig(method="sgd", alpha=alpha, batch_size=5, seed=0,
                                     max_epochs=2))
-        assert svds == [] and all("svd" not in vars(bf) for bf in partition(pb, 5, 0)[1])
+        assert svds == [(4, 5)] * 4
         for method, b in (("splitting", 5), ("kaczmarz", 1)):
             check_run(pb, None, RunConfig(method=method, alpha=0.1, batch_size=b, seed=0))
             assert all("svd" in vars(bf) for bf in partition(pb, b, 0)[1])
@@ -373,6 +379,9 @@ class TestRunPartition:
         for k in (2, 3):
             svds.clear()
             blobs = gen_gaussian_blobs(20, 4, k, 3.0, 1)
+            run(blobs, None, RunConfig(method="sgd", alpha=0.1, batch_size=5, seed=0,
+                                       max_epochs=2))
+            assert svds == [] and all("svd" not in vars(bf) for bf in partition(blobs, 5, 0)[1])
             check_run(blobs, None, RunConfig(method="splitting", alpha=0.1, batch_size=5, seed=0))
             assert svds == [(4, 5)] * 4
         assert qrs == []
@@ -389,30 +398,42 @@ class TestRunPartition:
 
     @pytest.mark.parametrize(
         "kind, method",
-        [("least-squares", "splitting"), ("least-squares", "kaczmarz"),
+        [("least-squares", "sgd"), ("least-squares", "splitting"), ("least-squares", "kaczmarz"),
          ("logistic", "splitting"), ("softmax", "splitting")],
-        ids=["splitting", "kaczmarz", "logistic", "softmax"],
+        ids=["sgd", "splitting", "kaczmarz", "logistic", "softmax"],
     )
-    def test_unit_batch_with_a_zero_row_is_a_check_run_error(self, kind, method):
+    def test_zero_row_batch_steps_as_the_identity(self, kind, method):
+        """A zero row is a batch of rank 0: its SVD keeps no component, and
+        every step on it leaves theta as it is, the closed form's, Kaczmarz's,
+        SGD's gain form and the RK step over an empty reduced state alike."""
         x = np.random.default_rng(4).standard_normal((8, 3))
         x[5] = 0.0
         targets = np.eye(3)[np.arange(8) % 3] if kind == "softmax" else np.ones(8)
         pb = Problem(kind, x, targets)
-        with pytest.raises(RankDeficient):
-            check_run(pb, None, RunConfig(method=method, alpha=0.1, batch_size=1, seed=0))
+        cfg = RunConfig(method=method, alpha=0.1, batch_size=1, seed=0, max_epochs=2)
+        check_run(pb, None, cfg)
+        zero = [bf for bf in partition(pb, 1, 0)[1] if not bf.x_i.any()]
+        assert len(zero) == 1 and zero[0].svd.u.shape == (3, 0) and zero[0].svd.w.size == 0
+        assert np.isfinite(run(pb, None, cfg).theta).all()
+        lone = Problem(kind, x[5:6], targets[5:6])  # every step is the zero row's
+        theta0 = np.random.default_rng(6).standard_normal(theta_shape(lone))
+        trace = run(lone, None, dataclasses.replace(cfg, max_epochs=3), theta0)
+        assert np.array_equal(trace.theta, theta0) and not trace.diverged
+        assert trace.rhs_evals == 0  # an empty reduced state is not integrated
 
     def test_one_rank_rule_for_every_kind(self):
         """Two rows at an angle of 1.5e-10: a QR of either order keeps both
         diagonal entries above RANK_TOL * ||x||_F, but s_min is below it, so
-        a logistic batch is rejected as a least-squares one is."""
+        a logistic batch keeps rank 1, as a least-squares one does."""
         x = np.array([[1.0, 0.0, 0.0], [1.0, 1.5e-10, 0.0]])
         for rows in (x, x[::-1]):
             economy_qr(rows.T)  # the diagonal test accepts it
         assert np.linalg.svd(x, compute_uv=False)[-1] < RANK_TOL * np.linalg.norm(x)
         for kind in ("least-squares", "logistic"):
             pb = Problem(kind, x, np.array([1.0, 0.0]))
-            with pytest.raises(RankDeficient):
-                check_run(pb, None, RunConfig(method="splitting", alpha=0.1, batch_size=2, seed=0))
+            check_run(pb, None, RunConfig(method="splitting", alpha=0.1, batch_size=2, seed=0))
+            svd = partition(pb, 2, 0)[1][0].svd
+            assert svd.u.shape == (3, 1) and svd.w == pytest.approx([2.0], rel=1e-15)
 
     def test_threads_sharing_a_partition_match_serial_runs(self, monkeypatch):
         """Runs at different h over one problem step its one partition,
@@ -588,8 +609,12 @@ class TestSgdSplittingIdentity:
 
     @pytest.mark.parametrize("kind", ["least-squares", "logistic", "softmax"])
     def test_sgd_run_is_bitwise_the_euler_step_loop(self, kind):
-        """run(method="sgd") is a loop of euler_step over the epoch orders,
-        bit for bit, not just to a tolerance a reordered expression passes."""
+        """run(method="sgd") is a loop of its step over the epoch orders, bit
+        for bit, not just to a tolerance a reordered expression passes:
+        euler_step's for logistic and softmax; for least squares the gain
+        update on the batch SVD, theta + u (-(alpha / b) w (u^T theta - z*)),
+        b each batch's own size (60 rows in batches of 7 leave a short
+        one), which stays within 1e-12 of the euler_step loop."""
         from splitopt import euler_step
 
         pb = (gen_random_lls(60, 6, 0.1, 3) if kind == "least-squares"
@@ -597,11 +622,120 @@ class TestSgdSplittingIdentity:
         theta0 = 0.1 * np.random.default_rng(5).standard_normal(theta_shape(pb))
         cfg = RunConfig(method="sgd", alpha=0.05, batch_size=7, seed=2, max_epochs=3)
         part, batches = partition(pb, 7, 2)
-        theta = theta0
+        theta = gain_theta = theta0
         for epoch in range(3):
             for idx in part.epoch_order(epoch):
-                theta = euler_step(pb, batches[idx], theta, 0.05)
-        assert np.array_equal(run(pb, None, cfg, theta0).theta, theta)
+                bf = batches[idx]
+                theta = euler_step(pb, bf, theta, 0.05)
+                if kind == "least-squares":
+                    u, w, _, z_star = bf.svd
+                    a = u.T.dot(gain_theta)
+                    a -= z_star
+                    a *= -(0.05 / bf.b) * w
+                    out = u.dot(a)
+                    out += gain_theta
+                    gain_theta = out
+        got = run(pb, None, cfg, theta0).theta
+        if kind == "least-squares":
+            assert np.array_equal(got, gain_theta)
+            assert np.max(np.abs(got - theta)) <= 1e-12 * max(1.0, np.max(np.abs(theta)))
+        else:
+            assert np.array_equal(got, theta)
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(1, 6), data=st.data(), seed=st.integers(0, 2**16),
+           frac=st.floats(0.01, 1.0), epochs=st.integers(1, 3))
+    def test_sgd_gain_form_tracks_the_euler_step_loop(self, p, data, seed, frac, epochs):
+        """run(sgd) on least squares, on the batch SVD's gain, stays within
+        1e-12 of the euler_step loop on x_i: tall and wide batches (b > p)
+        and a trailing short one, alpha below every batch's step limit
+        b / ||x_i||_2^2 so no epoch diverges."""
+        from splitopt import euler_step
+
+        n = data.draw(st.integers(p, 24), label="n")
+        b = data.draw(st.integers(1, n), label="b")
+        pb = gen_random_lls(n, p, 0.1, seed)
+        part, batches = partition(pb, b, seed)
+        alpha = frac * min(bf.b / np.linalg.norm(bf.x_i, 2) ** 2 for bf in batches)
+        theta = theta0 = np.random.default_rng(seed).standard_normal(p)
+        for epoch in range(epochs):
+            for idx in part.epoch_order(epoch):
+                theta = euler_step(pb, batches[idx], theta, alpha)
+        cfg = RunConfig(method="sgd", alpha=alpha, batch_size=b, seed=seed, max_epochs=epochs)
+        trace = run(pb, None, cfg, theta0)
+        assert not trace.diverged
+        assert np.max(np.abs(trace.theta - theta)) <= 1e-12 * max(1.0, np.max(np.abs(theta)))
+
+    def test_sgd_gain_is_the_first_order_term_of_the_flows(self, monkeypatch):
+        """At t = alpha / b, which on uniform batches is splitting's h / n,
+        SGD steps a batch at the gain -t w and splitting at expm1(-t w): SGD
+        is the flow's Euler step, their gains apart by at most (t w)^2 / 2.
+        SGD's rows hold the SVD's own u and z* and a view u^T, no copies."""
+        import splitopt.optimizers
+
+        real, rows = splitopt.optimizers._lls_gain_sweep, []
+
+        def capturing(kept):
+            rows.extend(kept)
+            return real(kept)
+
+        monkeypatch.setattr(splitopt.optimizers, "_lls_gain_sweep", capturing)
+        pb = gen_random_lls(60, 6, 0.1, 4)
+        alpha, b, t = 0.02, 10, 0.02 / 10
+        for method in ("sgd", "splitting"):
+            run(pb, None, RunConfig(method=method, alpha=alpha, batch_size=b, seed=1,
+                                    max_epochs=1))
+        batches = partition(pb, b, 1)[1]
+        assert len(rows) == len(batches) == 6
+        for (u, ut, c, z_star), bf in zip(rows, batches):
+            svd = bf.svd
+            assert u is svd.u and z_star is svd.z_star and np.shares_memory(ut, u)
+            assert np.array_equal(c, -t * svd.w)
+            t_flow, _, _, gain, _ = bf.lls_gain
+            assert t_flow == pytest.approx(t, rel=1e-15)
+            assert np.array_equal(gain, np.expm1(-t_flow * svd.w))
+            assert np.all(np.abs(gain - c) <= (t * svd.w) ** 2 / 2)
+
+
+class TestNumericalRank:
+    def test_full_rank_batch_keeps_the_svds_arrays(self, monkeypatch):
+        """Where nothing drops, the batch keeps LAPACK's u and derives w, r
+        and z* from its s and g^T as before truncation existed, so full-rank
+        runs are bit-identical to the untruncated code."""
+        real, returned = np.linalg.svd, []
+
+        def keeping(*args, **kwargs):
+            returned.append(real(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(np.linalg, "svd", keeping)
+        pb = gen_random_lls(12, 8, 0.1, 3)
+        for b in (4, 12):  # below and above p = 8
+            bf = BatchFactorization(pb.x[:b], pb.targets[:b])
+            svd = bf.svd
+            u, s, gt = returned[-1]
+            assert svd.u is u
+            assert np.array_equal(svd.w, s * s)
+            assert np.array_equal(svd.r, s[:, None] * gt)
+            assert np.array_equal(svd.z_star, (gt @ bf.y_i) / s)
+
+    def test_tomography_batch_with_dependent_rows_runs_every_method(self):
+        """gen_tomo_like(3, 20, 7) at b = 2, partition seed 0: two rays of
+        one batch cross the same pixels in proportion, so its SVD keeps
+        rank 1.  Every method runs on it to the residual stop, and
+        Kaczmarz's step solves that consistent batch exactly."""
+        pb = gen_tomo_like(3, 20, 7)
+        stop = StoppingRule("relative-residual", 1e-3)
+        for method in ("sgd", "splitting", "kaczmarz"):
+            cfg = RunConfig(method=method, alpha=0.5, batch_size=2, seed=0, max_epochs=40,
+                            stop=stop)
+            trace = run(pb, None, cfg)
+            assert trace.stopped and not trace.diverged
+        batches = partition(pb, 2, 0)[1]
+        assert [len(bf.svd.w) for bf in batches].count(1) == 1
+        bf = next(bf for bf in batches if len(bf.svd.w) == 1)
+        theta = lls_local_exact(bf, np.zeros(pb.p), math.inf, pb.n)
+        np.testing.assert_allclose(bf.x_i @ theta, bf.y_i, rtol=1e-12)
 
 
 class TestKaczmarzRuns:

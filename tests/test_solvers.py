@@ -35,7 +35,7 @@ from splitopt import (
 )
 from splitopt.linalg import expm_sym
 from splitopt.problems import reduced_flow
-from splitopt.errors import RankDeficient, ZeroRow
+from splitopt.errors import ZeroRow
 
 
 def integrate_full_space(pb, bf, theta0, h, rtol=1e-10):
@@ -135,13 +135,34 @@ class TestLlsLocalExact:
             want = theta0 + np.linalg.pinv(bf.x_i) @ (bf.y_i - bf.x_i @ theta0)
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
-    def test_batch_with_two_equal_rows_rejected(self):
-        """The plan's SVD finds the rank loss: no closed-form step."""
+    def test_batch_with_two_equal_rows_steps_on_its_rank(self):
+        """Two equal rows x with targets y1, y2 pull as one row sqrt(2) x with
+        target (y1 + y2) / sqrt(2): the SVD keeps rank 1, and the closed
+        form is that unit flow, at h = inf its projection."""
         row = np.array([1.0, 2.0, -1.0, 0.5])
         bf = BatchFactorization(x_i=np.stack([row, row]), y_i=np.array([1.0, 2.0]))
-        with pytest.raises(RankDeficient):
-            lls_local_exact(bf, np.zeros(4), 1.0, 10)
-        assert "svd" not in vars(bf)
+        theta0 = np.random.default_rng(2).standard_normal(4)
+        for h in (0.3, 1.0, 40.0, math.inf):
+            got = lls_local_exact(bf, theta0, h, 10)
+            want = lls_local_unit(math.sqrt(2) * row, 3 / math.sqrt(2), theta0, h, 10)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        assert bf.svd.u.shape == (4, 1) and bf.svd.r.shape == (1, 2)
+        assert row @ got == pytest.approx(1.5, rel=1e-14)  # the rows' least-squares value
+
+    @pytest.mark.parametrize("b, rank", [(3, 2), (8, 3)], ids=["tall", "wide"])
+    def test_dependent_rows_kaczmarz_is_the_pseudoinverse_projection(self, b, rank):
+        """At h = inf on a batch of rank below min(b, p), the step is
+        theta_0 + pinv(x_i) (y_i - x_i theta_0), the block Kaczmarz step on
+        the batch's numerical rank, below (b = 3) and above (b = 8) the
+        feature count, on targets the rows do not fit exactly."""
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((b, rank)) @ rng.standard_normal((rank, 5))
+        bf = BatchFactorization(x_i=x, y_i=rng.standard_normal(b))
+        assert len(bf.svd.w) == rank
+        theta0 = rng.standard_normal(5)
+        want = theta0 + np.linalg.pinv(x, 1e-10) @ (bf.y_i - x @ theta0)
+        got = lls_local_exact(bf, theta0, math.inf, 10)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def fresh(bf):

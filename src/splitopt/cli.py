@@ -12,9 +12,11 @@ bounds    build a row-split operator family, sweep the splitting error
 plot      render trace CSVs as a log-y convergence chart (SVG)
 
 Global flags: --seed (overrides config seeds), --out (output file or
-directory), --threads (worker cap for grid cells, at least 1).  All
-randomness flows from seeds; re-running a config reproduces every output
-byte except the wall_seconds column.  Divergence of a run is a recorded
+directory), --threads (worker cap for grid cells, at least 1).  On Linux
+``run`` runs its cells in up to that many worker processes forked from
+this one; elsewhere it runs them one by one.  All randomness flows from
+seeds; re-running a config reproduces every output byte except the
+wall_seconds column, at any --threads.  Divergence of a run is a recorded
 outcome, not a failure exit.  A cell whose RK step runs out of steps or
 meets a non-finite state fails alone, its progress line ``failed: <why>``;
 the other cells' outputs are written, then each failed cell is named on
@@ -24,11 +26,12 @@ stderr and ``run`` exits 2.
 import argparse
 import csv
 import json
+import os
+import pickle
 import sys
 import types
 import typing
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -53,6 +56,10 @@ TRACE_HEADER = (
     "metric",
     "diverged",
 )
+
+# signal.SIGKILL, on every platform that forks workers; importing signal
+# would add about 0.7 ms to every command's start-up.
+_SIGKILL = 9
 
 # The DatasetSpec fields a datagen manifest writes: a run config's dataset.
 MANIFEST_KEYS = (
@@ -212,6 +219,88 @@ def cmd_datagen(args) -> int:
     return 0
 
 
+def _cell_name(c):
+    return f"method={c.method} alpha={c.alpha:g} init_seed={c.init_seed}"
+
+
+class _WorkerTraceback(Exception):
+    """The traceback, as text, of an exception raised in a worker process."""
+
+
+@contextmanager
+def _forked(run_cell, runs, k):
+    """``map(run_cell, runs)`` computed by k worker processes forked from
+    this one, which share what it has built (every batch's factors) copy
+    on write: worker w runs ``runs[w::k]``.  The iterator gives the
+    outcomes in run order and raises what a run raised, or a
+    ``SplitOptError`` naming the run whose worker died before reporting
+    it.  Leaving the block kills and reaps every worker, on every path."""
+    pids, readers = [], []
+    try:
+        for w in range(k):
+            fd_in, fd_out = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _serve(run_cell, runs[w::k], fd_out)  # never returns
+            # Closed before the next fork, so only worker w holds its write
+            # end and the pipe ends when that worker does.
+            os.close(fd_out)
+            pids.append(pid)
+            readers.append(open(fd_in, "rb"))
+
+        def outcomes():
+            for i, c in enumerate(runs):
+                head = readers[i % k].read(8)
+                size = int.from_bytes(head, "little")
+                blob = readers[i % k].read(size) if len(head) == 8 else b""
+                if len(head) < 8 or len(blob) < size:
+                    _, status = os.waitpid(pids[i % k], 0)
+                    pids[i % k] = None  # reaped
+                    raise SplitOptError(f"{_cell_name(c)}: its worker process ended with exit "
+                                        f"code {os.waitstatus_to_exitcode(status)} before "
+                                        "reporting the run")
+                value, worker_tb = pickle.loads(blob)
+                if worker_tb is not None:
+                    raise value from _WorkerTraceback(worker_tb)
+                yield value
+
+        yield outcomes()
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            if pid is not None:
+                os.kill(pid, _SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _serve(run_cell, runs, fd):
+    """A forked worker: run each of ``runs`` and write its outcome to file
+    descriptor ``fd`` as an 8-byte length and a pickle of (value,
+    traceback), the traceback text of what a run raised or None, stopping
+    after a run that raised.  It leaves by ``os._exit``, so the parent's
+    ``finally`` blocks, exit hooks and buffered output never run twice,
+    and it prints nothing: the parent reports every run."""
+    code = 1
+    try:
+        with open(fd, "wb") as out:
+            for c in runs:
+                try:
+                    outcome = (run_cell(c), None)
+                except Exception as exc:  # the parent raises it as a serial run would
+                    import traceback  # only here: a clean run never loads it
+
+                    outcome = (exc, traceback.format_exc())
+                blob = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+                out.write(len(blob).to_bytes(8, "little") + blob)
+                out.flush()
+                if outcome[1] is not None:
+                    break
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def cmd_run(args) -> int:
     with open(args.config) as f:
         cfg = parse_experiment_config(json.load(f))
@@ -242,9 +331,6 @@ def cmd_run(args) -> int:
         except (SplitOptError, ValueError) as exc:
             raise ValueError(f"config: {exc}") from None
 
-    def name(c):
-        return f"method={c.method} alpha={c.alpha:g} init_seed={c.init_seed}"
-
     def run_cell(c):
         """The cell's trace, or the integrator failure that ended it."""
         try:
@@ -252,18 +338,20 @@ def cmd_run(args) -> int:
         except (StepBudgetExceeded, NonFiniteState) as exc:
             return exc
         except (SplitOptError, ValueError) as exc:
-            raise SplitOptError(f"{name(c)}: {exc}") from exc
+            raise SplitOptError(f"{_cell_name(c)}: {exc}") from exc
 
     # Kaczmarz (h = inf) never reads alpha: one run per repeat, written under every alpha.
     def cell_of(c):
         return replace(c, alpha=cfg.alphas[0]) if c.method == "kaczmarz" else c
 
     # Runs are listed in the order of their first cells, and progress is
-    # printed from this thread in cell order, the same at any --threads.
+    # printed here in cell order, the same at any --threads.  Workers are
+    # forked only on Linux: elsewhere fork is missing or, as on macOS,
+    # unsafe once system libraries have started threads.
     runs = list(dict.fromkeys(map(cell_of, cfg.cells)))
+    k = min(args.threads, len(runs)) if sys.platform == "linux" else 1
     ran, traces, failed = {}, [], []
-    with ThreadPoolExecutor(args.threads) if args.threads > 1 else nullcontext() as pool:
-        results = pool.map(run_cell, runs) if pool else map(run_cell, runs)
+    with _forked(run_cell, runs, k) if k > 1 else nullcontext(map(run_cell, runs)) as results:
         for c in cfg.cells:
             key = cell_of(c)
             if key not in ran:
@@ -276,8 +364,8 @@ def cmd_run(args) -> int:
                 traces.append(trace)
             else:
                 outcome = f"failed: {result}"
-                failed.append(f"{name(c)}: {result}")
-            print(f"{name(c)}: {outcome}", file=sys.stderr)
+                failed.append(f"{_cell_name(c)}: {result}")
+            print(f"{_cell_name(c)}: {outcome}", file=sys.stderr)
 
     # Made only now, so a config error raised in a cell (not a recorded
     # failure) leaves no empty directory behind.
@@ -405,7 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=None, help="override config seeds")
     parser.add_argument("--out", type=str, default=None, help="output file or directory")
-    parser.add_argument("--threads", type=int, default=1, help="worker cap for run grids")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker cap for run grids: forked processes on Linux; "
+                        "other platforms run serially")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("datagen", help="generate or describe a dataset")

@@ -29,10 +29,6 @@ class NonFiniteState(SplitOptError):
     """The ODE right-hand side produced NaN or Inf at an accepted state."""
 
 
-class ZeroRow(SplitOptError):
-    """A data row required to be nonzero has (numerically) zero norm."""
-
-
 class BadMagic(SplitOptError):
     """An IDX file does not start with the expected magic number."""
 

@@ -16,8 +16,10 @@ acceptance suite's QR criterion, their unit tests and the benchmark
 harness's ``economy_qr`` counters.
 
 Everything here is a pure function of its inputs and safe to call
-concurrently.  Matrices are plain float ndarrays.  Each check runs at the
-fixed threshold of its module constant below.
+concurrently, from threads as from processes, though ``splitopt run
+--threads`` no longer uses threads: it forks worker processes.  Matrices
+are plain float ndarrays.  Each check runs at the fixed threshold of its
+module constant below.
 """
 
 from dataclasses import dataclass

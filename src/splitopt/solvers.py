@@ -65,7 +65,6 @@ than the arithmetic.  u^T theta_0 at (20, 100)-by-(100) takes 0.59 us with
 
 import numpy as np
 
-from .errors import ZeroRow
 from .ode import IntegratorConfig, OdeSolution, _check_real, rk45_integrate
 from .problems import (BatchFactorization, Problem, _check_theta, _softmax_rows, reduced_flow,
                        sigmoid)
@@ -108,6 +107,9 @@ def lls_local_unit(x: np.ndarray, y: float, theta0: np.ndarray, h: float, n: int
     """Closed form for a single-row batch:
 
     theta(h) = theta_0 + ((y - x^T theta_0) / ||x||^2) (1 - e^{-||x||^2 h / n}) x
+
+    A zero row leaves theta_0 as it is, as ``lls_local_exact`` steps a
+    batch of rank 0.
     """
     if not h >= 0:  # NaN fails too; inf is the Kaczmarz projection
         raise ValueError(f"h must be nonnegative, got {h!r}")
@@ -115,18 +117,19 @@ def lls_local_unit(x: np.ndarray, y: float, theta0: np.ndarray, h: float, n: int
     theta0 = np.asarray(theta0, dtype=float)
     nx2 = float(x @ x)
     if nx2 <= np.finfo(float).tiny:
-        raise ZeroRow("row has zero norm")
+        return theta0.copy()
     gain = (float(y) - float(x @ theta0)) / nx2 * -np.expm1(-nx2 * h / n)
     return theta0 + gain * x
 
 
 def kaczmarz_step(x: np.ndarray, y: float, theta0: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of theta_0 onto the hyperplane x^T theta = y."""
+    """Orthogonal projection of theta_0 onto the hyperplane x^T theta = y;
+    for a zero row, theta_0 itself (the pseudoinverse projection)."""
     x = np.asarray(x, dtype=float)
     theta0 = np.asarray(theta0, dtype=float)
     nx2 = float(x @ x)
     if nx2 <= np.finfo(float).tiny:
-        raise ZeroRow("row has zero norm")
+        return theta0.copy()
     return theta0 + ((float(y) - float(x @ theta0)) / nx2) * x
 
 

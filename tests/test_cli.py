@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -54,6 +55,28 @@ def base_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+@pytest.fixture
+def no_worker_left():
+    """Fails a test whose ``run`` is still going after a minute, and one
+    that leaves a forked worker unreaped: this process has no child left."""
+    def hung(signum, frame):
+        pytest.fail("splitopt run did not return within 60 s")
+
+    old = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# Elsewhere run is serial, and a cell that ends its process ends pytest.
+forked_only = pytest.mark.skipif(sys.platform != "linux", reason="workers are forked on Linux")
 
 
 class TestDatagen:
@@ -591,6 +614,104 @@ class TestRun:
                      "--config", str(cfg_path)]) == 0
         assert_same_outputs(serial, parallel)
 
+    @pytest.mark.parametrize(
+        "grid",
+        # 10 runs for 12 cells (Kaczmarz runs once per repeat), and 4 runs
+        # of the ten-class softmax flow: 3 workers take uneven strides, and
+        # 12 is more workers than either grid has runs.
+        [{"methods": ["sgd", "splitting", "kaczmarz"], "alphas": [0.05, 0.5], "repeat": 2},
+         {"dataset": {"kind": "gaussian-blobs", "n": 200, "p": 5, "k": 10, "seed": 4},
+          "holdout_size": 40, "alphas": [0.1, 1.0], "batch_size": 20,
+          "stop": {"kind": "test-error", "threshold": 0.01}}],
+        ids=["least-squares-kaczmarz", "softmax"],
+    )
+    def test_outputs_match_at_any_worker_count(self, tmp_path, capsys, no_worker_left, grid):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(**grid)))
+        errs = []
+        for threads in ("1", "2", "3", "12"):
+            assert main(["--out", str(tmp_path / threads), "--threads", threads, "run",
+                         "--config", str(cfg_path)]) == 0
+            errs.append(capsys.readouterr().err)
+            assert_same_outputs(tmp_path / "1", tmp_path / threads)
+        assert len(errs[0].splitlines()) == len(parse_experiment_config(
+            json.loads(cfg_path.read_text())).cells)
+        assert errs == [errs[0]] * 4
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5], ids=["first-worker", "second-worker"])
+    def test_error_raised_in_a_worker_reads_as_serial(self, tmp_path, capsys, monkeypatch,
+                                                       no_worker_left, alpha):
+        """An error raised in a worker's run ends the grid as it does at
+        --threads 1: the same stderr bytes, exit 2 and no output directory,
+        whichever of the two workers raised it."""
+        import splitopt.cli
+        from splitopt.errors import SplitOptError
+
+        real_run = splitopt.cli.run
+
+        def run(pb, holdout, c):
+            if c.method == "splitting" and c.alpha == alpha:
+                raise SplitOptError("no step for this cell")
+            return real_run(pb, holdout, c)
+
+        monkeypatch.setattr(splitopt.cli, "run", run)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(alphas=[0.05, 0.5])))
+        errs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            assert main(["--out", str(out), "--threads", threads, "run",
+                         "--config", str(cfg_path)]) == 2
+            errs.append(capsys.readouterr().err)
+            assert not out.exists()
+        assert errs[0] == errs[1]
+        assert errs[0].splitlines()[-1] == (
+            f"error: method=splitting alpha={alpha:g} init_seed=1: no step for this cell")
+
+    @forked_only
+    def test_bug_in_a_worker_keeps_its_traceback(self, tmp_path, monkeypatch, no_worker_left):
+        """An exception that no run should raise leaves ``main`` as it does
+        at --threads 1, its cause the traceback the worker saw."""
+        import splitopt.cli
+
+        def run(pb, holdout, c):
+            return {}["no such key"]
+
+        monkeypatch.setattr(splitopt.cli, "run", run)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config()))
+        with pytest.raises(KeyError, match="no such key") as info:
+            main(["--out", str(tmp_path / "runs"), "--threads", "2", "run",
+                  "--config", str(cfg_path)])
+        assert 'return {}["no such key"]' in str(info.value.__cause__)
+
+    @forked_only
+    def test_dead_worker_names_its_cell(self, tmp_path, capsys, monkeypatch, no_worker_left):
+        """A worker that dies in a cell ends the grid with exit 2 and an
+        error naming that cell, after the earlier cells' progress lines;
+        the other worker, still running, is killed."""
+        import splitopt.cli
+
+        real_run = splitopt.cli.run
+
+        def run(pb, holdout, c):
+            if c.method == "splitting" and c.alpha == 0.05:
+                os._exit(3)
+            return real_run(pb, holdout, c)
+
+        monkeypatch.setattr(splitopt.cli, "run", run)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(alphas=[0.05, 0.5])))
+        out = tmp_path / "runs"
+        assert main(["--out", str(out), "--threads", "2", "run",
+                     "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "method=sgd alpha=0.05 init_seed=1: epoch 2, epoch cap",
+            "method=sgd alpha=0.5 init_seed=1: epoch 2, epoch cap",
+            "error: method=splitting alpha=0.05 init_seed=1: its worker process ended with "
+            "exit code 3 before reporting the run"]
+        assert not out.exists()
+
     def test_one_progress_line_per_cell_in_cell_order(self, tmp_path, capsys):
         """run prints one stderr line per grid cell, in cell order, naming
         its cell, last epoch and outcome as summary.csv records them, the
@@ -683,16 +804,16 @@ class TestRun:
                 assert {float(r.pop("alpha")) for r in rows} == {a}
             assert traces[0] == traces[1] == traces[2]
 
-    def test_threaded_grid_builds_each_plan_once(self, tmp_path, monkeypatch):
-        """The least-squares plans are built on the main thread before the
-        pool starts, so two threads racing to a fresh batch never build its
-        plan twice."""
-        import threading
-
-        svd, calls = np.linalg.svd, []
+    def test_threaded_grid_builds_each_plan_once(self, tmp_path, monkeypatch, no_worker_left):
+        """The batches are factored once, in this process, before the
+        workers are forked: a worker that took an SVD itself would raise
+        and fail the grid."""
+        svd, calls, parent = np.linalg.svd, [], os.getpid()
 
         def counting_svd(*args, **kwargs):
-            calls.append(threading.current_thread() is threading.main_thread())
+            if os.getpid() != parent:
+                raise RuntimeError("a worker factored a batch")
+            calls.append(True)
             return svd(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)

@@ -35,7 +35,6 @@ from splitopt import (
 )
 from splitopt.linalg import expm_sym
 from splitopt.problems import reduced_flow
-from splitopt.errors import ZeroRow
 
 
 def integrate_full_space(pb, bf, theta0, h, rtol=1e-10):
@@ -339,9 +338,17 @@ class TestLlsLocalUnit:
         got = lls_local_unit(x, 1.0, np.zeros(2), np.log(2.0), 1)
         np.testing.assert_allclose(got, [0.5, 0.0], atol=1e-14)
 
-    def test_zero_row_rejected(self):
-        with pytest.raises(ZeroRow):
-            lls_local_unit(np.zeros(3), 1.0, np.zeros(3), 1.0, 1)
+    @pytest.mark.parametrize("h", [0.3, math.inf])
+    def test_zero_row_matches_exact_step(self, h):
+        """A zero row is a batch of rank 0, which the exact step leaves at
+        theta_0; the oracle agrees instead of refusing the row."""
+        theta0 = np.array([0.5, -1.0, 2.0])
+        want = lls_local_exact(BatchFactorization(np.zeros((1, 3)), np.array([1.0])),
+                               theta0, h, 4)
+        got = lls_local_unit(np.zeros(3), 1.0, theta0, h, 4)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, theta0)
+        assert got is not theta0
 
 
 class TestKaczmarz:
@@ -381,9 +388,16 @@ class TestKaczmarz:
             flow = lls_local_unit(x, y, theta0, h_big, n)
             assert np.linalg.norm(flow - proj) <= 1e-8 * (1 + np.linalg.norm(theta0))
 
-    def test_zero_row_rejected(self):
-        with pytest.raises(ZeroRow):
-            kaczmarz_step(np.zeros(2), 1.0, np.ones(2))
+    def test_zero_row_matches_exact_step(self):
+        """On a zero row the projection is the h = inf exact step of that
+        rank-0 batch, theta_0 itself."""
+        theta0 = np.array([1.0, -2.0])
+        want = lls_local_exact(BatchFactorization(np.zeros((1, 2)), np.array([1.0])),
+                               theta0, math.inf, 4)
+        got = kaczmarz_step(np.zeros(2), 1.0, theta0)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, theta0)
+        assert got is not theta0
 
     def test_exact_step_at_infinite_h_solves_the_batch(self):
         """For b <= p the h = inf least-squares step lands on the batch's

@@ -57,10 +57,6 @@ TRACE_HEADER = (
     "diverged",
 )
 
-# signal.SIGKILL, on every platform that forks workers; importing signal
-# would add about 0.7 ms to every command's start-up.
-_SIGKILL = 9
-
 # The DatasetSpec fields a datagen manifest writes: a run config's dataset.
 MANIFEST_KEYS = (
     "kind", "n", "p", "k", "separation", "seed", "images_path", "labels_path", "class_filter",
@@ -235,6 +231,8 @@ def _forked(run_cell, runs, k):
     outcomes in run order and raises what a run raised, or a
     ``SplitOptError`` naming the run whose worker died before reporting
     it.  Leaving the block kills and reaps every worker, on every path."""
+    import signal  # only here: a serial command never loads it
+
     pids, readers = [], []
     try:
         for w in range(k):
@@ -270,7 +268,7 @@ def _forked(run_cell, runs, k):
             reader.close()
         for pid in pids:
             if pid is not None:
-                os.kill(pid, _SIGKILL)
+                os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
 
 

@@ -248,16 +248,14 @@ def _forked(run_cell, runs, k):
 
         def outcomes():
             for i, c in enumerate(runs):
-                head = readers[i % k].read(8)
-                size = int.from_bytes(head, "little")
-                blob = readers[i % k].read(size) if len(head) == 8 else b""
-                if len(head) < 8 or len(blob) < size:
+                try:
+                    value, worker_tb = pickle.load(readers[i % k])
+                except (EOFError, pickle.UnpicklingError):  # no outcome, or a cut-off one
                     _, status = os.waitpid(pids[i % k], 0)
                     pids[i % k] = None  # reaped
                     raise SplitOptError(f"{_cell_name(c)}: its worker process ended with exit "
                                         f"code {os.waitstatus_to_exitcode(status)} before "
-                                        "reporting the run")
-                value, worker_tb = pickle.loads(blob)
+                                        "reporting the run") from None
                 if worker_tb is not None:
                     raise value from _WorkerTraceback(worker_tb)
                 yield value
@@ -274,11 +272,11 @@ def _forked(run_cell, runs, k):
 
 def _serve(run_cell, runs, fd):
     """A forked worker: run each of ``runs`` and write its outcome to file
-    descriptor ``fd`` as an 8-byte length and a pickle of (value,
-    traceback), the traceback text of what a run raised or None, stopping
-    after a run that raised.  It leaves by ``os._exit``, so the parent's
-    ``finally`` blocks, exit hooks and buffered output never run twice,
-    and it prints nothing: the parent reports every run."""
+    descriptor ``fd`` as a pickle of (value, traceback), the traceback
+    text of what a run raised or None, stopping after a run that raised.
+    It leaves by ``os._exit``, so the parent's ``finally`` blocks, exit
+    hooks and buffered output never run twice, and it prints nothing: the
+    parent reports every run."""
     code = 1
     try:
         with open(fd, "wb") as out:
@@ -289,8 +287,7 @@ def _serve(run_cell, runs, fd):
                     import traceback  # only here: a clean run never loads it
 
                     outcome = (exc, traceback.format_exc())
-                blob = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
-                out.write(len(blob).to_bytes(8, "little") + blob)
+                pickle.dump(outcome, out, pickle.HIGHEST_PROTOCOL)
                 out.flush()
                 if outcome[1] is not None:
                     break

@@ -328,8 +328,7 @@ def split_holdout(pb: Problem, n_holdout: int, seed: int) -> tuple:
 @dataclass
 class Partition:
     """Fixed batch layout plus the seed driving per-epoch visit orders.
-    Each order (8 m bytes) is built once and shared read-only by every run
-    and thread; threads racing to a new epoch draw equal orders."""
+    Each order (8 m bytes) is built once and shared read-only by every run."""
 
     batch_size: int
     m: int
@@ -340,9 +339,9 @@ class Partition:
         """Batch visit order for one epoch: a seeded permutation, read-only."""
         order = self._orders.get(epoch)
         if order is None:
-            order = np.random.default_rng([self.order_seed, 1 + epoch]).permutation(self.m)
+            rng = np.random.default_rng([self.order_seed, 1 + epoch])
+            order = self._orders[epoch] = rng.permutation(self.m)
             order.flags.writeable = False
-            order = self._orders.setdefault(epoch, order)
         return order
 
 
@@ -350,23 +349,20 @@ def partition(pb: Problem, b: int, seed: int):
     """Fixed contiguous batches after one seeded shuffle, kept on the problem.
 
     Returns ``(Partition, [BatchFactorization, ...])``; a trailing short
-    batch keeps its own size.  The problem keeps the partition of its last
-    key (b, seed, pb.x, pb.targets), so calls with that key, from any
-    thread, share batches that keep their SVDs and last gains, and a
-    ``Partition`` that keeps its epoch orders.
+    batch keeps its own size.  The problem, whose data never change, keeps
+    the partition of its last (b, seed), so calls with those share batches
+    that keep their SVDs and last gains, and a ``Partition`` that keeps its
+    epoch orders.
     """
     _check_count("batch size", b)
     _check_count("seed", seed, 0)
     if not (1 <= b <= pb.n):
         raise ValueError(f"batch size must be in [1, {pb.n}], got {b}")
-    x, y = pb.x, pb.targets
-    key = (b, seed, id(x), id(y))  # the entry holds x and y, so the ids stay theirs
-    kept = pb._partition.get(key)
+    kept = pb._partition.get((b, seed))
     if kept is None:
         perm = np.random.default_rng([seed, 0]).permutation(pb.n)
-        xs, ys = x[perm], y[perm]
+        xs, ys = pb.x[perm], pb.targets[perm]
         batches = [BatchFactorization(xs[lo : lo + b], ys[lo : lo + b]) for lo in range(0, pb.n, b)]
-        kept = pb._partition.setdefault(key, (Partition(b, len(batches), seed), batches, x, y))
-        for stale in pb._partition.keys() - {key}:
-            pb._partition.pop(stale, None)
-    return kept[0], kept[1]
+        pb._partition.clear()
+        kept = pb._partition[b, seed] = (Partition(b, len(batches), seed), batches)
+    return kept

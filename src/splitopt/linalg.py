@@ -15,10 +15,8 @@ same factorization restricted to tall inputs) stay public for the
 acceptance suite's QR criterion, their unit tests and the benchmark
 harness's ``economy_qr`` counters.
 
-Everything here is a pure function of its inputs and safe to call
-concurrently, from threads as from processes, though ``splitopt run
---threads`` no longer uses threads: it forks worker processes.  Matrices
-are plain float ndarrays.  Each check runs at the fixed threshold of its
+Everything here is a pure function of its inputs.  Matrices are plain
+float ndarrays.  Each check runs at the fixed threshold of its
 module constant below.
 """
 

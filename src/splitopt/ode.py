@@ -21,16 +21,15 @@ the function ``np.dot``, at 0.71 us, pays an ``__array_function__``
 dispatch that the method skips.
 
 That array, a private copy of the tableau, the h the copy is scaled by and
-the stage views into both make a workspace.  Each thread keeps one per
-state size, so a run, whose states take one or two sizes, builds them
-once.  A call takes its size's workspace out of its thread's pool and puts
-it back on return: concurrent calls draw on different pools, a nested call
-of the same size finds none there and builds its own, and a call that
-raises drops the one it held.  An attempt at the h the copy was last
+the stage views into both make a workspace.  One is kept per state size,
+so a run, whose states take one or two sizes, builds them once.  A call
+takes its size's workspace out of the pool and puts it back on return: a
+nested call of the same size finds none there and builds its own, and a
+call that raises drops the one it held.  An attempt at the h the copy was last
 scaled by skips the rescaling: where one step covers each local step's
 span, every attempt is at that span.  In the benchmark's ``classify``
 splitting runs 92-98% of the attempts at alpha <= 1 skip it, and 0-5% at
-alpha = 10.  A workspace holds 8 (d + 7) floats for the life of its thread.
+alpha = 10.  A workspace holds 8 (d + 7) floats for the life of the process.
 
 The solution carries the controller's last proposal, ``h_next``: the step
 it would try next after the last accepted step that the span end did not
@@ -47,7 +46,6 @@ one f(y0), one start-step probe when ``h_init`` is 0 and six per attempt.
 
 import math
 import numbers
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,14 +125,7 @@ class OdeSolution:
     h_next: float = 0.0
 
 
-class _Workspaces(threading.local):
-    """Each thread's idle workspaces, by state size."""
-
-    def __init__(self):
-        self.by_size = {}
-
-
-_workspaces = _Workspaces()
+_workspaces = {}  # the idle workspaces, by state size
 
 
 def _workspace(d: int) -> tuple:
@@ -192,8 +183,7 @@ def rk45_integrate(rhs, y0, t_end, cfg: IntegratorConfig | None = None, h_init=0
         return OdeSolution(y_end=y.copy(), steps_taken=0, rhs_evals=0, rejected_steps=0)
 
     atol, rtol = cfg.atol, cfg.rtol
-    pool = _workspaces.by_size
-    ks, coef, stages, h_scaled = pool.pop(y.size, None) or _workspace(y.size)
+    ks, coef, stages, h_scaled = _workspaces.pop(y.size, None) or _workspace(y.size)
     ks[0] = y
     ks[1] = rhs(y)
     if not np.isfinite(ks[1]).all():
@@ -250,6 +240,6 @@ def rk45_integrate(rhs, y0, t_end, cfg: IntegratorConfig | None = None, h_init=0
         h = h_step * factor
 
     evals = start_evals + 6 * (steps + rejected)
-    pool[y.size] = (ks, coef, stages, h_scaled)
+    _workspaces[y.size] = (ks, coef, stages, h_scaled)
     return OdeSolution(y_end=ks[0].copy(), steps_taken=steps, rhs_evals=evals,
                        rejected_steps=rejected, h_next=h_next)

@@ -297,8 +297,8 @@ def _sweep(pb: Problem, cfg: RunConfig, h: float, batches: list, trace: Trace):
     h, so each one starts from the last positive step-size proposal any
     earlier step of the run reported, a batch's first visit included; the
     run's first RK step, with no proposal yet, probes.  The proposal is a
-    number the run keeps, so runs sharing a partition across threads never
-    see each other's.
+    number the run keeps, so runs sharing a partition never see each
+    other's.
 
     Least-squares SGD is ``solvers._lls_gain_sweep`` over each batch's
     (u, u^T, -(alpha / b) w, z*) from its SVD, logistic and softmax SGD

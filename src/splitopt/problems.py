@@ -64,8 +64,7 @@ K x n, are shifted by their column maxima, exponentiated in place and
 summed by ``ones.dot``, so no reduction runs along the strided axis (at
 n = 2000, K = 10 about 140 us against 550 us row-major, numpy 2.4).
 ``test_error`` derives a holdout's true labels, the argmax of its
-one-hot targets, on first use and keeps them on the holdout ``Problem``,
-whose arrays are owned and read-only.
+one-hot targets, on first use and keeps them on the holdout ``Problem``.
 
 The flow closures, the residual, the loss and the holdout scores run once
 per RHS evaluation, step or record, so their products call the method
@@ -93,23 +92,27 @@ KINDS = ("least-squares", "logistic", "softmax")
 EXP_SAFE_SCORE = 600.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class Problem:
+    """A design matrix and its targets, as a value: the fields cannot be
+    reassigned and ``x`` and ``targets`` are owned, read-only copies, so
+    what the problem keeps (its partition, a holdout's labels) never goes
+    stale.  ``dataclasses.replace(pb, x=...)`` makes a problem of new data."""
+
     kind: str
     x: np.ndarray
     targets: np.ndarray
     theta_ref: np.ndarray | None = None  # planted solution / phantom, if known
     _partition: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _labels: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _theta_shape: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown problem kind {self.kind!r}")
-        # Owned and read-only, so the partition kept here never goes stale.
-        self.x = np.array(self.x, dtype=float)
-        self.targets = np.array(self.targets, dtype=float)
-        self.x.flags.writeable = self.targets.flags.writeable = False
+        for name in ("x", "targets"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
         if self.x.ndim != 2 or 0 in self.x.shape:
             raise DimensionMismatch(f"design matrix must be n x p, got {self.x.shape}")
         if not np.all(np.isfinite(self.x)) or not np.all(np.isfinite(self.targets)):
@@ -132,7 +135,8 @@ class Problem:
             if self.kind == "logistic" and not np.isin(self.targets, (0.0, 1.0)).all():
                 raise ValueError("logistic targets must be 0/1")
         # Derived once here, since every step's parameter check reads it.
-        self._theta_shape = (self.p, self.k) if self.kind == "softmax" else (self.p,)
+        object.__setattr__(self, "_theta_shape",
+                           (self.p, self.k) if self.kind == "softmax" else (self.p,))
         if self.theta_ref is not None:
             _check_theta(self, self.theta_ref, "theta_ref")
 
@@ -147,6 +151,11 @@ class Problem:
     @property
     def k(self) -> int:
         return self.targets.shape[1] if self.kind == "softmax" else 1
+
+    @cached_property
+    def _labels(self) -> np.ndarray:
+        """A softmax problem's true labels, the argmax of its one-hot targets."""
+        return np.argmax(self.targets, axis=1)
 
     def check_holdout(self, holdout: "Problem") -> None:
         """Raise unless ``holdout`` can score a classifier fitted to this problem."""
@@ -183,15 +192,12 @@ class BatchFactorization:
     uncopied; one with every row zero has k = 0, and each of its steps
     leaves theta as it is.  The read raises ValueError for a non-finite
     x_i or y_i.  ``optimizers.check_run`` reads it for every config but
-    logistic and softmax SGD, which never do, and every run shares it
-    (threads at worst compute it twice, equally).
+    logistic and softmax SGD, which never do, and every run shares it.
     ``lls_gain`` keeps what the last least-squares step read, one tuple
     (h/n, u, u^T, gain, z*) whose u and z* are the SVD's own arrays and
     u^T a view of u, so it holds no p x k copy, only the k gains.
     ``flow_consts`` keeps the last ``reduced_flow``'s constants, tagged
-    with the (kind, n) they were made for.  Each is replaced whole, so no
-    thread reads a gain made for another h/n or constants for another
-    (kind, n).
+    with the (kind, n) they were made for.
     """
 
     def __init__(self, x_i: np.ndarray, y_i: np.ndarray):
@@ -327,8 +333,7 @@ def reduced_flow(pb: Problem, bf: BatchFactorization):
     nothing is checked per call.  The offset c (and for softmax the limit
     T^2 / max(w), inf at rank 0, and the normalizer -n 1_K) is read from
     ``bf.flow_consts`` and built only when that tuple is missing or tagged
-    with another (kind, n); it is replaced whole, so threads racing on a
-    batch at worst build equal tuples.  The softmax flow skips the column-max shift at a
+    with another (kind, n).  The softmax flow skips the column-max shift at a
     state v with v^T v < T^2 / max(w), which bounds every score below
     T = ``EXP_SAFE_SCORE`` in magnitude, so exp neither overflows nor
     underflows; at any other state (NaN and inf included) it shifts."""
@@ -392,7 +397,4 @@ def test_error(pb: Problem, theta: np.ndarray, holdout: Problem) -> float:
     if pb.kind == "logistic":
         pred = (z >= 0).astype(float)
         return float(np.mean(pred != holdout.targets))
-    truth = holdout._labels
-    if truth is None:  # derived once: the holdout's targets are read-only
-        truth = holdout._labels = np.argmax(holdout.targets, axis=1)
-    return float(np.mean(np.argmax(z, axis=1) != truth))
+    return float(np.mean(np.argmax(z, axis=1) != holdout._labels))

@@ -82,10 +82,9 @@ def lls_local_exact(bf: BatchFactorization, theta0: np.ndarray, h: float, n: int
     a batch of zero rows (rank 0) leaves theta_0 as it is.
     The step reads one tuple, ``bf.lls_gain = (h/n, u, u^T, gain, z*)``:
     the gain expm1(-(h/n) s^2), -1 at h = inf, beside the SVD's own u and
-    z* and a view u^T of u, no copies.  It is made when h/n changes and
-    replaced whole: threads at different h at worst remake it, never read
-    one for another h/n.  The arithmetic allocates two arrays, u^T theta_0
-    and the result, and updates each in place.
+    z* and a view u^T of u, no copies.  It is made when h/n changes.  The
+    arithmetic allocates two arrays, u^T theta_0 and the result, and
+    updates each in place.
     """
     if not h >= 0:  # NaN fails too; inf is the Kaczmarz projection
         raise ValueError(f"h must be nonnegative, got {h!r}")

@@ -443,7 +443,7 @@ class TestRun:
             argv = ["--out", str(out), "--threads", str(threads), "run", "--config", str(cfg_path)]
             assert main(argv) == 0
             assert "error" not in capsys.readouterr().err
-            rows = list(csv.DictReader(open(out / "summary.csv")))
+            rows = read_csv(out / "summary.csv")
             assert [r["method"] for r in rows] == ["sgd", "splitting", "kaczmarz"]
             assert all(r["diverged"] == "0" for r in rows)
             outputs.append([{k: v for k, v in r.items() if k != "wall_seconds"} for r in rows])
@@ -717,6 +717,35 @@ class TestRun:
             "error: method=splitting alpha=0.05 init_seed=1: its worker process ended with "
             "exit code 3 before reporting the run"]
         assert not out.exists()
+
+    @forked_only
+    def test_run_forks_from_a_process_of_its_own_threads(self, tmp_path, monkeypatch,
+                                                         no_worker_left):
+        """run at --threads 2 starts no thread of its own, neither before a
+        fork nor left behind, and no splitopt module imports ``threading``:
+        concurrency in splitopt is the CLI's forked workers alone.  The
+        threads alive at each fork and after the run must be ones alive
+        before it; there may be fewer, since OpenBLAS stops its own pool
+        when the process forks."""
+        def tasks():
+            return set(os.listdir("/proc/self/task"))
+
+        real_fork, at_fork = os.fork, []
+
+        def fork():
+            at_fork.append(tasks())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(alphas=[0.05, 0.5])))
+        before = tasks()
+        assert main(["--out", str(tmp_path / "runs"), "--threads", "2", "run",
+                     "--config", str(cfg_path)]) == 0
+        assert len(at_fork) == 2 and all(now <= before for now in [*at_fork, tasks()])
+        modules = {name: m for name, m in sys.modules.items() if name.split(".")[0] == "splitopt"}
+        assert "splitopt.cli" in modules
+        assert [name for name, m in modules.items() if "threading" in vars(m)] == []
 
     def test_one_progress_line_per_cell_in_cell_order(self, tmp_path, capsys):
         """run prints one stderr line per grid cell, in cell order, naming

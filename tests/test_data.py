@@ -1,5 +1,6 @@
 """Generators, file formats, and partitioning."""
 
+import dataclasses
 import math
 import re
 import struct
@@ -22,6 +23,7 @@ from splitopt import (
     split_holdout,
     trace_ray,
 )
+from splitopt import test_error as misclassification
 from splitopt.bounds import random_full_rank
 from splitopt.errors import (
     BadMagic,
@@ -495,14 +497,27 @@ class TestPartition:
         with pytest.raises(ValueError):
             pb.targets[0] = 5.0
 
-    def test_reassigned_data_get_a_fresh_partition(self):
+    def test_frozen_problem_takes_new_data_through_replace(self):
+        """A problem's fields cannot be reassigned; ``replace`` makes a
+        problem of new data, with its own partition, and a holdout rebuilt
+        with new targets scores by its own labels."""
         pb = gen_random_lls(20, 6, 0.1, 2)
         _, batches = partition(pb, 5, 7)
-        pb.x = 2.0 * pb.x
-        _, scaled = partition(pb, 5, 7)
-        assert scaled is not batches
+        for name in ("kind", "x", "targets", "theta_ref"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(pb, name, getattr(pb, name))
+        _, scaled = partition(dataclasses.replace(pb, x=2.0 * pb.x), 5, 7)
+        assert scaled is not batches and partition(pb, 5, 7)[1] is batches
         np.testing.assert_array_equal(scaled[0].x_i, 2.0 * batches[0].x_i)
-        pb.targets = pb.targets + 1.0
-        _, shifted = partition(pb, 5, 7)
-        assert shifted is not scaled
-        np.testing.assert_array_equal(shifted[0].y_i, scaled[0].y_i + 1.0)
+
+        blobs = gen_gaussian_blobs(90, 4, 3, 3.0, 1)
+        train = Problem(blobs.kind, blobs.x[:60], blobs.targets[:60])
+        hold = Problem(blobs.kind, blobs.x[60:], blobs.targets[60:])
+        theta = np.linalg.lstsq(train.x, train.targets, rcond=None)[0]
+        pred = np.argmax(hold.x @ theta, axis=1)
+        labels = np.argmax(hold.targets, axis=1)
+        assert misclassification(train, theta, hold) == np.mean(pred != labels)
+        zeros = np.zeros_like(hold.targets)
+        zeros[:, 0] = 1.0
+        rebuilt = dataclasses.replace(hold, targets=zeros)
+        assert misclassification(train, theta, rebuilt) == np.mean(pred != 0) > 0.5

@@ -2,9 +2,6 @@
 
 import math
 import re
-import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
 import numpy as np
@@ -16,6 +13,7 @@ from splitopt import (
     gen_random_lls,
     lls_local_exact,
     local_step_rk,
+    ode,
     partition,
     rk45_integrate,
 )
@@ -232,10 +230,9 @@ class TestErrorControl:
 
 
 def fresh(fn, *args):
-    """fn(*args) on a new thread, whose integrations start with no kept
-    workspace."""
-    with ThreadPoolExecutor(1) as pool:
-        return pool.submit(fn, *args).result(timeout=30)
+    """fn(*args), its integrations starting with no kept workspace."""
+    ode._workspaces.clear()
+    return fn(*args)
 
 
 def same(a, b):
@@ -246,46 +243,10 @@ def same(a, b):
 
 
 class TestWorkspace:
-    """Each thread keeps one workspace per state size, and a call holds it
-    alone; every result is bit for bit a fresh call's."""
+    """One workspace is kept per state size, and a call holds it alone;
+    every result is bit for bit a fresh call's."""
 
     CFG = IntegratorConfig(rtol=1e-6, atol=1e-9)
-
-    def test_concurrent_threads_share_nothing(self):
-        """Four threads, more than the cores, integrate different
-        right-hand sides of one state size at once, with the interpreter
-        switching threads every microsecond: each waits for the others
-        inside its first evaluation."""
-        flows = [lambda y, c=c: np.cos(np.roll(y, 1)) - c * y * (1 + y * y)
-                 for c in (0.5, 1.0, 1.5, 2.0)]
-        met = threading.Barrier(len(flows), timeout=10)
-
-        def meeting(f):
-            first = [True]
-
-            def rhs(y):
-                if first and first.pop():
-                    met.wait()
-                return f(y)
-
-            return rhs
-
-        y0 = np.linspace(-1.0, 2.0, 4)
-        want = [fresh(rk45_integrate, f, y0, 5.0, self.CFG) for f in flows]
-        # This thread now keeps a workspace of the size, which a pool shared
-        # across threads would hand to all four.
-        rk45_integrate(flows[0], y0, 5.0, self.CFG)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(len(flows)) as pool:
-                runs = [pool.submit(rk45_integrate, meeting(f), y0, 5.0, self.CFG)
-                        for f in flows]
-                got = [run.result(timeout=30) for run in runs]
-        finally:
-            sys.setswitchinterval(interval)
-        for sol, ref in zip(got, want):
-            assert same(sol, ref)
 
     def test_nested_call_on_its_own_state_size(self):
         """A right-hand side that integrates a state of its own size while

@@ -3,8 +3,6 @@
 import dataclasses
 import math
 import re
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -435,11 +433,13 @@ class TestRunPartition:
             svd = partition(pb, 2, 0)[1][0].svd
             assert svd.u.shape == (3, 1) and svd.w == pytest.approx([2.0], rel=1e-15)
 
-    def test_threads_sharing_a_partition_match_serial_runs(self, monkeypatch):
+    def test_run_ignores_slots_left_on_a_shared_partition(self, monkeypatch):
         """Runs at different h over one problem step its one partition,
         share each batch's h-independent SVD and keep their own step-size
-        proposals, so threads interleaving their steps change nothing:
-        least squares (closed form) and logistic (RK with warm starts)."""
+        proposals, after steps taken on its batches outside a run have left
+        their plans there: each run equals one over a fresh problem, bit for
+        bit, for least squares (closed form) and logistic (RK with warm
+        starts) alike."""
         import splitopt.optimizers
 
         real, stepped = splitopt.optimizers.partition, []
@@ -456,42 +456,22 @@ class TestRunPartition:
                 RunConfig(method=m, alpha=a, batch_size=6, seed=2, max_epochs=6)
                 for a in (0.01, 0.1, 1.0, 10.0) for m in ("splitting", "sgd")
             ]
-            serial_pb = make()
-            serial = [run(serial_pb, None, c) for c in cfgs]
+            want = [run(make(), None, c) for c in cfgs]
             pb = make()
-            stepped.clear()
-            old = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                with ThreadPoolExecutor(max_workers=8) as pool:
-                    futures = [pool.submit(run, pb, None, c) for c in cfgs]
-                    threaded = [f.result(timeout=60) for f in futures]
-            finally:
-                sys.setswitchinterval(old)
-            for want, got in zip(serial, threaded):
-                assert want.losses().tolist() == got.losses().tolist()
-                assert np.array_equal(want.theta, got.theta)
-                assert want.rhs_evals == got.rhs_evals
             batches = partition(pb, 6, 2)[1]
-            assert len(stepped) >= len(cfgs) and all(b is batches for b in stepped)
-            assert all("svd" in vars(bf) for bf in batches)
-
-    def test_run_ignores_slots_left_on_a_shared_partition(self):
-        """Steps taken on a problem's batches outside a run leave their
-        plans there; a run over that problem gives the same trace."""
-        for make in (lambda: gen_random_lls(60, 6, 0.1, 3),
-                     lambda: gen_gaussian_blobs(60, 6, 2, 3.0, 3)):
-            cfg = RunConfig(method="splitting", alpha=1.0, batch_size=6, seed=2, max_epochs=3)
-            want = run(make(), None, cfg)
-            pb = make()
-            for bf in partition(pb, 6, 2)[1]:
+            for bf in batches:
                 if pb.kind == "least-squares":
                     lls_local_exact(bf, np.zeros(6), 0.5, pb.n)
                 else:
                     local_step_rk(pb, bf, np.zeros(6), 0.5)
-            got = run(pb, None, cfg)
-            assert want.losses().tolist() == got.losses().tolist()
-            assert want.rhs_evals == got.rhs_evals
+            stepped.clear()
+            for c, w in zip(cfgs, want):
+                got = run(pb, None, c)
+                assert w.losses().tolist() == got.losses().tolist()
+                assert np.array_equal(w.theta, got.theta)
+                assert w.rhs_evals == got.rhs_evals
+            assert len(stepped) >= len(cfgs) and all(b is batches for b in stepped)
+            assert all("svd" in vars(bf) for bf in batches)
 
 
 class TestRecords:

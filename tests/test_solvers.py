@@ -6,8 +6,6 @@ integration of the original full-space ODE, which shares no code with it.
 
 import copy
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -280,40 +278,6 @@ class TestLlsPlanCache:
             assert svds == [(10, 8)] * trace.m, pb.kind
         assert qrs == []
 
-    def test_shared_batch_across_threads(self):
-        """Threads stepping one batch at different h share its one plan
-        and take the steps a fresh batch takes."""
-        pb = gen_random_lls(60, 12, 0.3, 6)
-        _, batches = partition(pb, 6, 6)
-        bf = batches[0]
-        theta0 = np.random.default_rng(2).standard_normal(12)
-        steps = {h: [theta0] for h in (0.5, 3.0)}
-        for h, seq in steps.items():
-            for _ in range(100):
-                seq.append(lls_local_exact(fresh(bf), seq[-1], h, pb.n))
-        mismatches = []
-
-        def work(h):
-            theta = theta0
-            for want in steps[h][1:]:
-                theta = lls_local_exact(bf, theta, h, pb.n)
-                if not np.array_equal(theta, want):
-                    mismatches.append(h)
-                theta = want
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            pool = [threading.Thread(target=work, args=(h,)) for h in (0.5, 3.0) * 4]
-            for t in pool:
-                t.start()
-            for t in pool:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in pool)
-        finally:
-            sys.setswitchinterval(interval)
-        assert mismatches == []
-
 
 class TestLlsLocalUnit:
     def test_stationary_on_hyperplane(self):
@@ -572,35 +536,6 @@ class TestFoldedFlow:
         assert got.steps_taken > 3
         assert ((got.rhs_evals, got.steps_taken, got.rejected_steps)
                 == (want.rhs_evals, want.steps_taken, want.rejected_steps))
-
-    def test_shared_flow_constants_across_threads(self):
-        """Threads building flows on one batch for problems of two sizes
-        replace its kept constants under each other; every flow still
-        equals the one a fresh batch gives, bit for bit."""
-        pb = gen_gaussian_blobs(640, 20, 10, 4.0, 42)
-        bf = partition(pb, 64, 1)[1][0]
-        problems = (pb, Problem("softmax", pb.x[:320], pb.targets[:320]))
-        v = 0.01 * np.random.default_rng(3).standard_normal(bf.svd.r.shape[0] * 10)
-        want = {q.n: reduced_flow(q, fresh(bf))(v) for q in problems}
-        mismatches = []
-
-        def work(q):
-            for _ in range(200):
-                if not np.array_equal(reduced_flow(q, bf)(v), want[q.n]):
-                    mismatches.append(q.n)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            pool = [threading.Thread(target=work, args=(q,)) for q in problems * 4]
-            for t in pool:
-                t.start()
-            for t in pool:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in pool)
-        finally:
-            sys.setswitchinterval(interval)
-        assert mismatches == []
 
     def test_softmax_scores_near_1e3_stay_finite(self):
         """Scores of +-1e3 overflow exp unless each column is shifted by its

@@ -13,8 +13,9 @@ plot      render trace CSVs as a log-y convergence chart (SVG)
 
 Global flags: --seed (overrides config seeds), --out (output file or
 directory), --threads (worker cap for grid cells, at least 1).  On Linux
-``run`` runs its cells in up to that many worker processes forked from
-this one; elsewhere it runs them one by one.  All randomness flows from
+``run --threads k`` splits its runs k ways: it forks k − 1 worker
+processes, each running one share, and runs the first share itself;
+elsewhere it runs them one by one.  All randomness flows from
 seeds; re-running a config reproduces every output byte except the
 wall_seconds column, at any --threads.  Divergence of a run is a recorded
 outcome, not a failure exit.  A cell whose RK step runs out of steps or
@@ -42,7 +43,6 @@ from .data import DATASET_KINDS, DatasetSpec, make_problem, save_linear_system, 
 from .errors import EmptyTrace, NonFiniteState, ParseError, SplitOptError, StepBudgetExceeded
 from .ode import IntegratorConfig, _check_count, _check_real
 from .optimizers import RunConfig, StoppingRule, Trace, check_run, run
-from .plotting import PALETTE, Series, render_line_chart
 
 TRACE_HEADER = (
     "method",
@@ -225,17 +225,20 @@ class _WorkerTraceback(Exception):
 
 @contextmanager
 def _forked(run_cell, runs, k):
-    """``map(run_cell, runs)`` computed by k worker processes forked from
-    this one, which share what it has built (every batch's factors) copy
-    on write: worker w runs ``runs[w::k]``.  The iterator gives the
-    outcomes in run order and raises what a run raised, or a
-    ``SplitOptError`` naming the run whose worker died before reporting
-    it.  Leaving the block kills and reaps every worker, on every path."""
+    """``map(run_cell, runs)`` shared between this process and k − 1
+    worker processes forked from it, which share what it has built (every
+    batch's factors) copy on write: worker w ≥ 1 runs ``runs[w::k]``, and
+    this process runs ``runs[0::k]`` itself, each when the iterator reaches
+    it.  Every worker is forked before this process starts a run, so none
+    inherits a half-run state.  The iterator gives the outcomes in run
+    order and raises what a run raised, or a ``SplitOptError`` naming the
+    run whose worker died before reporting it.  Leaving the block kills
+    and reaps every worker, on every path."""
     import signal  # only here: a serial command never loads it
 
-    pids, readers = [], []
+    pids, readers = [], []  # of worker w at index w - 1
     try:
-        for w in range(k):
+        for w in range(1, k):
             fd_in, fd_out = os.pipe()
             pid = os.fork()
             if pid == 0:
@@ -248,11 +251,15 @@ def _forked(run_cell, runs, k):
 
         def outcomes():
             for i, c in enumerate(runs):
+                w = i % k
+                if w == 0:
+                    yield run_cell(c)
+                    continue
                 try:
-                    value, worker_tb = pickle.load(readers[i % k])
+                    value, worker_tb = pickle.load(readers[w - 1])
                 except (EOFError, pickle.UnpicklingError):  # no outcome, or a cut-off one
-                    _, status = os.waitpid(pids[i % k], 0)
-                    pids[i % k] = None  # reaped
+                    _, status = os.waitpid(pids[w - 1], 0)
+                    pids[w - 1] = None  # reaped
                     raise SplitOptError(f"{_cell_name(c)}: its worker process ended with exit "
                                         f"code {os.waitstatus_to_exitcode(status)} before "
                                         "reporting the run") from None
@@ -271,12 +278,13 @@ def _forked(run_cell, runs, k):
 
 
 def _serve(run_cell, runs, fd):
-    """A forked worker: run each of ``runs`` and write its outcome to file
-    descriptor ``fd`` as a pickle of (value, traceback), the traceback
-    text of what a run raised or None, stopping after a run that raised.
-    It leaves by ``os._exit``, so the parent's ``finally`` blocks, exit
-    hooks and buffered output never run twice, and it prints nothing: the
-    parent reports every run."""
+    """A forked worker: run each of ``runs``, its share of the grid, and
+    write its outcome to file descriptor ``fd`` as a pickle of (value,
+    traceback), the traceback text of what a run raised or None, stopping
+    after a run that raised.  It leaves by ``os._exit``, so the parent's
+    ``finally`` blocks, exit hooks and buffered output never run twice,
+    and it prints nothing: the parent, which runs a share of its own,
+    reports every run."""
     code = 1
     try:
         with open(fd, "wb") as out:
@@ -397,6 +405,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from .plotting import Series, render_line_chart  # only here and in plot: run never loads it
+
     _check_real("--t-max", args.t_max, positive=False)
     _check_count("--n", args.n)
     _check_count("--points", args.points)
@@ -456,6 +466,8 @@ def _read_traces(paths):
 def cmd_plot(args) -> int:
     if args.out is None:
         raise ValueError("plot needs --out")
+    from .plotting import PALETTE, Series, render_line_chart  # only here and in bounds
+
     groups = _read_traces(args.traces)
     series = []
     palette_idx = 0
@@ -489,8 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override config seeds")
     parser.add_argument("--out", type=str, default=None, help="output file or directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap for run grids: forked processes on Linux; "
-                        "other platforms run serially")
+                        help="worker cap for run grids: on Linux, --threads k forks "
+                        "k - 1 worker processes and run runs one share of the grid "
+                        "itself; other platforms run serially")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("datagen", help="generate or describe a dataset")

@@ -92,19 +92,20 @@ KINDS = ("least-squares", "logistic", "softmax")
 EXP_SAFE_SCORE = 600.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Problem:
     """A design matrix and its targets, as a value: the fields cannot be
     reassigned and ``x`` and ``targets`` are owned, read-only copies, so
     what the problem keeps (its partition, a holdout's labels) never goes
-    stale.  ``dataclasses.replace(pb, x=...)`` makes a problem of new data."""
+    stale.  ``dataclasses.replace(pb, x=...)`` makes a problem of new data.
+    Problems compare and hash by identity, so one can key a dict."""
 
     kind: str
     x: np.ndarray
     targets: np.ndarray
     theta_ref: np.ndarray | None = None  # planted solution / phantom, if known
-    _partition: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _theta_shape: tuple = field(init=False, repr=False, compare=False)
+    _partition: dict = field(default_factory=dict, init=False, repr=False)
+    _theta_shape: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:

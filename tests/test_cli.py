@@ -644,12 +644,13 @@ class TestRun:
             json.loads(cfg_path.read_text())).cells)
         assert errs == [errs[0]] * 4
 
-    @pytest.mark.parametrize("alpha", [0.05, 0.5], ids=["first-worker", "second-worker"])
+    @pytest.mark.parametrize("alpha", [0.05, 0.5], ids=["parent", "worker"])
     def test_error_raised_in_a_worker_reads_as_serial(self, tmp_path, capsys, monkeypatch,
                                                        no_worker_left, alpha):
-        """An error raised in a worker's run ends the grid as it does at
-        --threads 1: the same stderr bytes, exit 2 and no output directory,
-        whichever of the two workers raised it."""
+        """An error raised in a run ends the grid as it does at --threads
+        1: the same stderr bytes, exit 2 and no output directory, whether
+        this process ran the run (splitting at alpha 0.05, the third of
+        four runs) or its one forked worker did (alpha 0.5, the fourth)."""
         import splitopt.cli
         from splitopt.errors import SplitOptError
 
@@ -677,11 +678,16 @@ class TestRun:
     @forked_only
     def test_bug_in_a_worker_keeps_its_traceback(self, tmp_path, monkeypatch, no_worker_left):
         """An exception that no run should raise leaves ``main`` as it does
-        at --threads 1, its cause the traceback the worker saw."""
+        at --threads 1, its cause the traceback the worker saw.  It is
+        raised in the second of two runs, the one the worker runs."""
         import splitopt.cli
 
+        real_run = splitopt.cli.run
+
         def run(pb, holdout, c):
-            return {}["no such key"]
+            if c.method == "splitting":
+                return {}["no such key"]
+            return real_run(pb, holdout, c)
 
         monkeypatch.setattr(splitopt.cli, "run", run)
         cfg_path = tmp_path / "cfg.json"
@@ -694,14 +700,16 @@ class TestRun:
     @forked_only
     def test_dead_worker_names_its_cell(self, tmp_path, capsys, monkeypatch, no_worker_left):
         """A worker that dies in a cell ends the grid with exit 2 and an
-        error naming that cell, after the earlier cells' progress lines;
-        the other worker, still running, is killed."""
+        error naming that cell, after the earlier cells' progress lines.
+        Of the four runs this process runs the first and third and the
+        worker the second and fourth, in which it dies; the guard keeps a
+        wrong split from ending pytest itself."""
         import splitopt.cli
 
-        real_run = splitopt.cli.run
+        real_run, parent = splitopt.cli.run, os.getpid()
 
         def run(pb, holdout, c):
-            if c.method == "splitting" and c.alpha == 0.05:
+            if c.method == "splitting" and c.alpha == 0.5 and os.getpid() != parent:
                 os._exit(3)
             return real_run(pb, holdout, c)
 
@@ -714,19 +722,20 @@ class TestRun:
         assert capsys.readouterr().err.splitlines() == [
             "method=sgd alpha=0.05 init_seed=1: epoch 2, epoch cap",
             "method=sgd alpha=0.5 init_seed=1: epoch 2, epoch cap",
-            "error: method=splitting alpha=0.05 init_seed=1: its worker process ended with "
+            "method=splitting alpha=0.05 init_seed=1: epoch 2, epoch cap",
+            "error: method=splitting alpha=0.5 init_seed=1: its worker process ended with "
             "exit code 3 before reporting the run"]
         assert not out.exists()
 
     @forked_only
     def test_run_forks_from_a_process_of_its_own_threads(self, tmp_path, monkeypatch,
                                                          no_worker_left):
-        """run at --threads 2 starts no thread of its own, neither before a
-        fork nor left behind, and no splitopt module imports ``threading``:
-        concurrency in splitopt is the CLI's forked workers alone.  The
-        threads alive at each fork and after the run must be ones alive
-        before it; there may be fewer, since OpenBLAS stops its own pool
-        when the process forks."""
+        """run at --threads 2 forks one worker and starts no thread of its
+        own, neither before that fork nor left behind, and no splitopt
+        module imports ``threading``: concurrency in splitopt is the CLI's
+        forked workers alone.  The threads alive at the fork and after the
+        run must be ones alive before it; there may be fewer, since
+        OpenBLAS stops its own pool when the process forks."""
         def tasks():
             return set(os.listdir("/proc/self/task"))
 
@@ -742,10 +751,53 @@ class TestRun:
         before = tasks()
         assert main(["--out", str(tmp_path / "runs"), "--threads", "2", "run",
                      "--config", str(cfg_path)]) == 0
-        assert len(at_fork) == 2 and all(now <= before for now in [*at_fork, tasks()])
+        assert len(at_fork) == 1 and all(now <= before for now in [*at_fork, tasks()])
         modules = {name: m for name, m in sys.modules.items() if name.split(".")[0] == "splitopt"}
         assert "splitopt.cli" in modules
         assert [name for name, m in modules.items() if "threading" in vars(m)] == []
+
+    @forked_only
+    @pytest.mark.parametrize("cell", [("sgd", 0.05), ("splitting", 0.5)],
+                             ids=["first-run", "last-run"])
+    def test_error_in_a_run_of_its_own_reads_as_serial(self, tmp_path, capsys, monkeypatch,
+                                                      no_worker_left, cell):
+        """At --threads 3 on four runs, run forks two workers, which run
+        the second and third runs, and runs the first and fourth itself.
+        An error raised in either of its own ends the grid as it does at
+        --threads 1: the same stderr bytes, exit 2 and no output directory,
+        and every worker, still running or not, is reaped.  --threads 1
+        forks nothing."""
+        import splitopt.cli
+        from splitopt.errors import SplitOptError
+
+        real_run, real_fork, parent, forks = splitopt.cli.run, os.fork, os.getpid(), []
+
+        def run(pb, holdout, c):
+            if (c.method, c.alpha) == cell and os.getpid() == parent:
+                raise SplitOptError("no step for this cell")
+            return real_run(pb, holdout, c)
+
+        def fork():
+            forks.append(True)
+            return real_fork()
+
+        monkeypatch.setattr(splitopt.cli, "run", run)
+        monkeypatch.setattr(os, "fork", fork)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(alphas=[0.05, 0.5])))
+        errs, fork_counts = [], []
+        for threads in ("1", "3"):
+            out = tmp_path / threads
+            assert main(["--out", str(out), "--threads", threads, "run",
+                         "--config", str(cfg_path)]) == 2
+            errs.append(capsys.readouterr().err)
+            fork_counts.append(len(forks))
+            forks.clear()
+            assert not out.exists()
+        assert fork_counts == [0, 2]
+        assert errs[0] == errs[1]
+        assert errs[0].splitlines()[-1] == (
+            f"error: method={cell[0]} alpha={cell[1]:g} init_seed=1: no step for this cell")
 
     def test_one_progress_line_per_cell_in_cell_order(self, tmp_path, capsys):
         """run prints one stderr line per grid cell, in cell order, naming
@@ -951,6 +1003,25 @@ def test_cli_runs_with_scipy_blocked(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "b" / "sweep_n20_k4.csv").exists()
     assert (tmp_path / "r" / "summary.csv").exists()
+
+
+def test_run_never_loads_plotting(tmp_path):
+    """Only ``bounds`` and ``plot`` draw charts: in a fresh interpreter,
+    importing the CLI and running a grid leave ``splitopt.plotting``
+    unloaded."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config()))
+    script = ("import sys, splitopt.cli as cli\n"
+              "loaded = ['splitopt.plotting' in sys.modules]\n"
+              "assert cli.main(['--out', sys.argv[1], 'run', '--config', sys.argv[2]]) == 0\n"
+              "print(loaded + ['splitopt.plotting' in sys.modules])\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "r"), str(cfg_path)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[False, False]"
 
 
 class TestPlot:

@@ -4,6 +4,7 @@ Gradients are checked against central finite differences of the loss; the
 reduced right-hand side against the projected full-space one.
 """
 
+import dataclasses
 import math
 import re
 
@@ -94,6 +95,17 @@ class TestProblemChecks:
     def test_bad_input_raises_and_says_why(self, kind, x, targets, error, message):
         with pytest.raises(error, match=re.escape(message)):
             Problem(kind, np.array(x, dtype=float), np.array(targets, dtype=float))
+
+    def test_equality_and_hash_are_identity(self):
+        """Comparing two problems of equal arrays used to raise numpy's
+        "truth value ... is ambiguous", and hashing one failed on its
+        ndarray fields; a problem now equals only itself and can key a dict."""
+        pb = make_problem("least-squares", 6, 2, 0, seed=1)
+        twin = dataclasses.replace(pb)
+        assert (pb == twin) is False
+        assert pb == pb and pb != twin
+        assert {pb: "a", twin: "b"}[pb] == "a"
+        assert hash(pb) == hash(pb)
 
 
 class TestReference:

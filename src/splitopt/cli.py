@@ -74,6 +74,8 @@ SUMMARY_HEADER = (
     "final_loss",
     "final_metric",
     "rhs_evals",
+    "rk_accepted",
+    "rk_rejected",
 )
 
 
@@ -392,6 +394,8 @@ def cmd_run(args) -> int:
                 repr(last.loss),
                 repr(last.metric),
                 trace.rhs_evals,
+                trace.rk_accepted,
+                trace.rk_rejected,
             ]
         )
     with open(out_dir / "summary.csv", "w", newline="") as f:

@@ -1,24 +1,29 @@
 """Adaptive explicit Runge-Kutta integration of small initial value problems.
 
-Implements the Dormand-Prince 5(4) embedded pair with the standard
-step-size controller: error estimated from the difference of the 5th- and
-4th-order solutions, scaled per component by ``atol + rtol * |y|``, accepted
+Implements the Cash-Karp 5(4) embedded pair (Cash & Karp, ACM TOMS 16(3),
+1990) with the standard step-size controller: the 5th-order solution is
+propagated, the error estimated from its difference with the embedded
+4th-order one, scaled per component by ``atol + rtol * |y|``, accepted
 when the RMS of the scaled error is at most 1, and the next step chosen as
 ``h * clip(0.9 * err^(-1/5), 0.2, 5.0)``.
 
-The pair is first-same-as-last (FSAL): an accepted step's last stage is the
-next step's first, so a step costs six right-hand-side evaluations.  y and
-the stages k_1 .. k_7 are the rows of one (8, d) array.  The tableau's rows
-are scaled by the attempt's h, so every stage input, y_new and the error
-vector is one weighted product of rows: a stage input rounds as
-y + sum_j (h a_ij) k_j rather than y + h sum_j a_ij k_j.  These products
-and the error norm's inner product call the method ``ndarray.dot``, not
-``@``: both reach the same BLAS routine and give the same bits, but at
-this size matmul's ufunc dispatch costs more than the arithmetic.  A
-(4)-by-(4, 200) stage input takes 0.52 us with ``.dot`` against 0.97 us
-with ``@`` (numpy 2.4, OpenBLAS at one thread, best of 3 x 200k calls);
-the function ``np.dot``, at 0.71 us, pays an ``__array_function__``
-dispatch that the method skips.
+The pair has no first-same-as-last (FSAL) stage: an attempt evaluates
+k_2 .. k_6, and k_1 = f(y) is made once at y0 and at each accepted point
+short of the span end.  A local step ends after one to three steps (one at
+alpha <= 1), so an FSAL pair's 7th stage, f(y_new), would mostly be spent
+at the span end and on rejected attempts.  y and k_1 .. k_6 are the rows
+of one (7, d) array.  The tableau's rows are scaled by the attempt's h, so
+every stage input is one weighted product of rows, rounding as
+y + sum_j (h a_ij) k_j rather than y + h sum_j a_ij k_j, and y_new and the
+error vector are the two rows of one (2, 7)-by-(7, d) product (0.38-0.59 us
+at d = 4-200, against 0.81-1.45 us for two (7)-by-(7, d) products).
+These products and the error norm's inner product call the method
+``ndarray.dot``, not ``@``: both reach the same BLAS routine and give the
+same bits, but at this size matmul's ufunc dispatch costs more than the
+arithmetic.  A (4)-by-(4, 200) stage input takes 0.52 us with ``.dot``
+against 0.97 us with ``@``; the function ``np.dot``, at 0.71 us, pays an
+``__array_function__`` dispatch that the method skips (numpy 2.4,
+OpenBLAS at one thread, best of 3 x 100k-200k calls).
 
 That array, a private copy of the tableau, the h the copy is scaled by and
 the stage views into both make a workspace.  One is kept per state size,
@@ -28,8 +33,8 @@ nested call of the same size finds none there and builds its own, and a
 call that raises drops the one it held.  An attempt at the h the copy was last
 scaled by skips the rescaling: where one step covers each local step's
 span, every attempt is at that span.  In the benchmark's ``classify``
-splitting runs 92-98% of the attempts at alpha <= 1 skip it, and 0-5% at
-alpha = 10.  A workspace holds 8 (d + 7) floats for the life of the process.
+splitting runs 92-98% of the attempts at alpha <= 1 skip it, and 0-11% at
+alpha = 10.  A workspace holds 7 (d + 8) floats for the life of the process.
 
 The solution carries the controller's last proposal, ``h_next``: the step
 it would try next after the last accepted step that the span end did not
@@ -41,7 +46,8 @@ The right-hand side is autonomous: a callable mapping the state vector to
 its derivative, with no side effects.  States are 1-D float arrays; callers
 integrating matrix-valued states flatten and reshape around the call.  Each
 evaluation is stored straight into its stage row, unwrapped; the count is
-one f(y0), one start-step probe when ``h_init`` is 0 and six per attempt.
+one f(y0), one start-step probe when ``h_init`` is 0, five per attempt and
+one k_1 per accepted step that ends short of ``t_end``.
 """
 
 import math
@@ -52,19 +58,21 @@ import numpy as np
 
 from .errors import NonFiniteState, StepBudgetExceeded
 
-# Dormand-Prince 5(4) tableau; an autonomous RHS needs no nodes c_i.  Row i
-# < 7 weighs (y, k_1, ..., k_6) as [1 | a_i]; row 6 holds the 5th-order
-# weights (b_7 = 0), so its stage input is y_new.  Row 7 weighs k_1 .. k_7
-# by the 5th- minus the embedded 4th-order weights.
+# Cash-Karp 5(4) tableau; an autonomous RHS needs no nodes c_i.  Row i < 6
+# weighs (y, k_1, ..., k_6) as [1 | a_i] for the input of k_{i+1}; row 6
+# holds the 5th-order weights [1 | b], so its product is y_new, and row 7
+# the 5th- minus the embedded 4th-order weights, y's weight 0.  No stage
+# is evaluated at y_new (no FSAL row): the next step's k_1 is, and only
+# when a next step follows.
 _TABLEAU = np.array([
     [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
     [1.0, 1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
     [1.0, 3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
-    [1.0, 44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
-    [1.0, 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
-    [1.0, 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
-    [1.0, 35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
+    [1.0, 3 / 10, -9 / 10, 6 / 5, 0.0, 0.0, 0.0],
+    [1.0, -11 / 54, 5 / 2, -70 / 27, 35 / 27, 0.0, 0.0],
+    [1.0, 1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096, 0.0],
+    [1.0, 37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771],
+    [0.0, -277 / 64512, 0.0, 6925 / 370944, -6925 / 202752, -277 / 14336, 277 / 7084],
 ])
 
 _SAFETY = 0.9
@@ -80,10 +88,12 @@ class IntegratorConfig:
 
     The default ``rtol = 1e-4`` with ``atol = rtol * 1e-3`` comes from the
     softmax accuracy table of ``demos/softmax_local_accuracy.py``: on the
-    column-scaled blobs instance splitting stops at the same epochs as at
-    rtol 1e-6 with 34-42% fewer right-hand-side evaluations, while at
+    column-scaled blobs instance splitting stops at the same epochs
+    (18 / 19 / 20 at alpha = 0.1 / 1 / 10) as at rtol 1e-6 and 1e-8, with
+    35-43% fewer right-hand-side evaluations than at 1e-6, while at
     rtol 1e-1 it never reaches the target.  The default keeps three
-    decades from that cliff.
+    decades from that cliff; CI checks that the demo still reaches the
+    target at every alpha at the default.
     """
 
     rtol: float = 1e-4
@@ -129,13 +139,14 @@ _workspaces = {}  # the idle workspaces, by state size
 
 
 def _workspace(d: int) -> tuple:
-    """A new workspace for states of size d: the (8, d) stage array, a
+    """A new workspace for states of size d: the (7, d) stage array, a
     private copy of the tableau, the (weights, y and earlier stages, output
-    row) views of stages 2..7, and the h the copy is scaled by (NaN: none)."""
-    ks = np.empty((8, d))
+    row) views of stages 2..6, the copy's (y_new, error) rows, and the h
+    the copy is scaled by (NaN: none)."""
+    ks = np.empty((7, d))
     coef = _TABLEAU.copy()
-    stages = [(coef[i, :i + 1], ks[:i + 1], ks[i + 1]) for i in range(1, 7)]
-    return ks, coef, stages, math.nan
+    stages = [(coef[i, :i + 1], ks[:i + 1], ks[i + 1]) for i in range(1, 6)]
+    return ks, coef, stages, coef[6:], math.nan
 
 
 def _rms(x: np.ndarray) -> float:
@@ -169,7 +180,9 @@ def rk45_integrate(rhs, y0, t_end, cfg: IntegratorConfig | None = None, h_init=0
     non-finite, and StepBudgetExceeded when ``cfg.max_steps`` accepted steps
     do not reach t_end or the step size underflows.  A right-hand side that
     turns non-finite later (divergence, severe stiffness) makes the error
-    estimate non-finite; its steps are rejected until h underflows.
+    estimate non-finite; its steps are rejected until h underflows.  So
+    does a non-finite k_1 at an accepted point, which every attempt from
+    there reuses.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -183,7 +196,7 @@ def rk45_integrate(rhs, y0, t_end, cfg: IntegratorConfig | None = None, h_init=0
         return OdeSolution(y_end=y.copy(), steps_taken=0, rhs_evals=0, rejected_steps=0)
 
     atol, rtol = cfg.atol, cfg.rtol
-    ks, coef, stages, h_scaled = _workspaces.pop(y.size, None) or _workspace(y.size)
+    ks, coef, stages, tail, h_scaled = _workspaces.pop(y.size, None) or _workspace(y.size)
     ks[0] = y
     ks[1] = rhs(y)
     if not np.isfinite(ks[1]).all():
@@ -194,29 +207,26 @@ def rk45_integrate(rhs, y0, t_end, cfg: IntegratorConfig | None = None, h_init=0
         h, start_evals = _initial_step(rhs, y, ks[1], t_end, cfg), 2
 
     t = 0.0
+    end_tol = 1e-14 * t_end  # the endpoint counts as reached within rounding of the span
     steps = 0
     rejected = 0
     h_next = 0.0
     abs_y = np.abs(y)
-    while t < t_end:
-        remaining = t_end - t
-        if remaining <= 1e-14 * t_end:
-            break  # endpoint reached within rounding of the span
+    while t_end - t > end_tol:
         if steps >= cfg.max_steps:
             raise StepBudgetExceeded(
                 f"needed more than {cfg.max_steps} steps to reach t={t_end:g}"
             )
         if h <= 1e-14 * max(t, t_end):
             raise StepBudgetExceeded(f"step size underflow at t={t:g}")
-        h_step = min(h, remaining)
+        h_step = min(h, t_end - t)
         if h_step != h_scaled:
             np.multiply(_TABLEAU, h_step, out=coef)
-            coef[:7, 0] = 1.0  # the weight of y stays 1
+            coef[:7, 0] = 1.0  # the weight of y stays 1, and 0 in the error row
             h_scaled = h_step
         for w, prev, out in stages:
-            y_new = w.dot(prev)
-            out[...] = rhs(y_new)
-        err_vec = coef[7].dot(ks[1:])
+            out[...] = rhs(w.dot(prev))
+        y_new, err_vec = tail.dot(ks)
         abs_new = np.abs(y_new)
         if math.isfinite(np.maximum.reduce(abs_new, initial=0.0)):  # a NaN carries through
             err_vec /= atol + rtol * np.maximum(abs_y, abs_new)
@@ -228,7 +238,9 @@ def rk45_integrate(rhs, y0, t_end, cfg: IntegratorConfig | None = None, h_init=0
             t += h_step
             abs_y = abs_new
             steps += 1
-            ks[0], ks[1] = y_new, ks[7]  # first same as last
+            ks[0] = y_new
+            if t_end - t > end_tol:  # another step follows: its k_1
+                ks[1] = rhs(y_new)
         else:
             rejected += 1
         if err == 0.0:
@@ -239,7 +251,8 @@ def rk45_integrate(rhs, y0, t_end, cfg: IntegratorConfig | None = None, h_init=0
             h_next = h_step * factor  # not shortened to land on t_end
         h = h_step * factor
 
-    evals = start_evals + 6 * (steps + rejected)
-    _workspaces[y.size] = (ks, coef, stages, h_scaled)
+    # Every accepted step but the last, which ends at t_end, evaluated its k_1.
+    evals = start_evals + 5 * (steps + rejected) + steps - 1
+    _workspaces[y.size] = (ks, coef, stages, tail, h_scaled)
     return OdeSolution(y_end=ks[0].copy(), steps_taken=steps, rhs_evals=evals,
                        rejected_steps=rejected, h_next=h_next)

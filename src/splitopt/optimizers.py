@@ -123,6 +123,8 @@ class Trace:
     stopped: bool = False
     diverged: bool = False
     rhs_evals: int = 0  # right-hand-side evaluations of the RK local steps
+    rk_accepted: int = 0  # accepted integrator steps of the RK local steps
+    rk_rejected: int = 0  # rejected integrator steps of the RK local steps
 
     def losses(self) -> np.ndarray:
         return np.array([r.loss for r in self.records])
@@ -290,8 +292,9 @@ def run(
 def _sweep(pb: Problem, cfg: RunConfig, h: float, batches: list, trace: Trace):
     """The run's epoch, ``sweep(order, theta) -> theta``: its batch-local
     update on ``batches[i]`` for each i of ``order`` in turn, in one Python
-    frame.  RK local steps add their right-hand-side evaluations to
-    ``trace.rhs_evals``.
+    frame.  RK local steps add their right-hand-side evaluations and
+    accepted and rejected integrator steps to ``trace.rhs_evals``,
+    ``trace.rk_accepted`` and ``trace.rk_rejected``.
 
     Every RK step of a run integrates its batch's flow over the same span
     h, so each one starts from the last positive step-size proposal any
@@ -329,6 +332,8 @@ def _sweep(pb: Problem, cfg: RunConfig, h: float, batches: list, trace: Trace):
         for i in order:
             sol = rk(pb, batches[i], theta, h, integrator, start)
             trace.rhs_evals += sol.rhs_evals
+            trace.rk_accepted += sol.steps_taken
+            trace.rk_rejected += sol.rejected_steps
             if sol.h_next > 0:
                 start = sol.h_next
             theta = sol.y_end

@@ -219,26 +219,30 @@ class TestRun:
                         assert ra[key] == rb[key], (name, key)
 
     def test_summary_counts_rhs_evals(self, tmp_path):
-        """The trailing rhs_evals column is the run's RK evaluations: 0 for
-        SGD and for closed-form least-squares splitting."""
+        """The trailing rhs_evals, rk_accepted and rk_rejected columns are
+        the run's RK evaluations and accepted and rejected integrator
+        steps: 0 for SGD and for closed-form least-squares splitting."""
         from splitopt import RunConfig, gen_gaussian_blobs, run as run_opt
 
         blobs = {"kind": "gaussian-blobs", "n": 40, "p": 4, "k": 3, "seed": 2}
-        for dataset, split_evals in ((blobs, None), (base_config()["dataset"], 0)):
+        for dataset, split_counts in ((blobs, None), (base_config()["dataset"], (0, 0, 0))):
             cfg_path = tmp_path / "cfg.json"
             cfg_path.write_text(json.dumps(base_config(dataset=dataset, alphas=[1.0])))
             out = tmp_path / dataset["kind"]
             assert main(["--out", str(out), "run", "--config", str(cfg_path)]) == 0
             with open(out / "summary.csv", newline="") as f:
-                assert next(csv.reader(f))[-1] == "rhs_evals"
-            evals = {r["method"]: int(r["rhs_evals"]) for r in read_csv(out / "summary.csv")}
-            if split_evals is None:
+                assert next(csv.reader(f))[-3:] == ["rhs_evals", "rk_accepted", "rk_rejected"]
+            counts = {r["method"]: (int(r["rhs_evals"]), int(r["rk_accepted"]),
+                                    int(r["rk_rejected"]))
+                      for r in read_csv(out / "summary.csv")}
+            if split_counts is None:
                 pb = gen_gaussian_blobs(40, 4, 3, 4.0, 2)
-                split_evals = run_opt(pb, None, RunConfig(
+                tr = run_opt(pb, None, RunConfig(
                     method="splitting", alpha=1.0, batch_size=6, seed=1, max_epochs=2,
-                    init_seed=1)).rhs_evals
-                assert split_evals > 0
-            assert evals == {"sgd": 0, "splitting": split_evals}
+                    init_seed=1))
+                split_counts = (tr.rhs_evals, tr.rk_accepted, tr.rk_rejected)
+                assert split_counts[0] > 0 and split_counts[1] > 0
+            assert counts == {"sgd": (0, 0, 0), "splitting": split_counts}
 
     def test_divergent_run_still_exits_zero(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -19,19 +19,18 @@ from splitopt import (
 )
 from splitopt.errors import NonFiniteState, StepBudgetExceeded
 
-# Dormand & Prince (1980) 5(4): a_ij of stages 1..6 and the 5th-order b_j (b_7 = 0).
-DP_A = [
+# Cash & Karp (1990) 5(4): a_ij of stages 1..6 and the 5th-order b_j.
+CK_A = [
     [],
     [F(1, 5)],
     [F(3, 40), F(9, 40)],
-    [F(44, 45), F(-56, 15), F(32, 9)],
-    [F(19372, 6561), F(-25360, 2187), F(64448, 6561), F(-212, 729)],
-    [F(9017, 3168), F(-355, 33), F(46732, 5247), F(49, 176), F(-5103, 18656)],
+    [F(3, 10), F(-9, 10), F(6, 5)],
+    [F(-11, 54), F(5, 2), F(-70, 27), F(35, 27)],
+    [F(1631, 55296), F(175, 512), F(575, 13824), F(44275, 110592), F(253, 4096)],
 ]
-DP_B = [F(35, 384), F(0), F(500, 1113), F(125, 192), F(-2187, 6784), F(11, 84)]
-# The embedded 4th-order weights b*_j, b*_7 included.
-DP_B4 = [F(5179, 57600), F(0), F(7571, 16695), F(393, 640), F(-92097, 339200), F(187, 2100),
-         F(1, 40)]
+CK_B = [F(37, 378), F(0), F(250, 621), F(125, 594), F(0), F(512, 1771)]
+# The embedded 4th-order weights b*_j.
+CK_B4 = [F(2825, 27648), F(0), F(18575, 48384), F(13525, 55296), F(277, 14336), F(1, 4)]
 
 
 class TestBasics:
@@ -63,24 +62,33 @@ class TestBasics:
     @pytest.mark.parametrize(
         "rhs, y0, t1, h_init, accepted, rejected",
         [
-            (lambda y: -y, [1.0], 10.0, 0.0, 41, 0),
-            (lambda y: 50 * np.cos(50 * y), [0.1], 10.0, 0.0, 7573, 197),
-            (lambda y: np.array([y[1], -100 * y[0]]), [0.0, 1.0], 20.0, 0.0, 971, 204),
-            (lambda y: -y, [1.0], 10.0, 0.1, 41, 0),
-            (lambda y: 50 * np.cos(50 * y), [0.1], 10.0, 0.1, 7573, 199),
+            (lambda y: -y, [1.0], 10.0, 0.0, 33, 0),
+            (lambda y: 50 * np.cos(50 * y), [0.1], 10.0, 0.0, 6698, 929),
+            (lambda y: np.array([y[1], -100 * y[0]]), [0.0, 1.0], 20.0, 0.0, 745, 177),
+            (lambda y: -y, [1.0], 10.0, 0.1, 33, 0),
+            (lambda y: 50 * np.cos(50 * y), [0.1], 10.0, 0.1, 6698, 922),
         ],
         ids=["decay", "cos", "oscillator", "decay-hinit", "cos-hinit"],
     )
     def test_counters_are_consistent(self, rhs, y0, t1, h_init, accepted, rejected):
-        """Pinned step sequence; with the last stage reused (FSAL) a run
-        spends the initial f(y0), one start-step probe when h_init = 0, and
-        six evaluations per attempted step.  The sequences are pinned at
-        rtol 1e-6 / atol 1e-9, set here rather than taken from the default."""
+        """Pinned step sequence; a run spends the initial f(y0), one
+        start-step probe when h_init = 0, five evaluations per attempted
+        step (k_2 .. k_6) and one k_1 at the end of every accepted step but
+        the last, and reports as many as the right-hand side saw.  The
+        sequences are pinned at rtol 1e-6 / atol 1e-9, set here rather than
+        taken from the default."""
+        calls = []
+
+        def counted(y):
+            calls.append(None)
+            return rhs(y)
+
         cfg = IntegratorConfig(rtol=1e-6, atol=1e-9)
-        sol = rk45_integrate(rhs, np.array(y0), t1, cfg, h_init=h_init)
+        sol = rk45_integrate(counted, np.array(y0), t1, cfg, h_init=h_init)
         assert (sol.steps_taken, sol.rejected_steps) == (accepted, rejected)
         start_evals = 1 if h_init > 0 else 2
-        assert sol.rhs_evals == start_evals + 6 * (sol.steps_taken + sol.rejected_steps)
+        assert sol.rhs_evals == len(calls) == (
+            start_evals + 5 * (accepted + rejected) + accepted - 1)
 
     def test_one_step_is_the_textbook_update(self):
         """A span of h_init taken in one accepted attempt gives
@@ -92,19 +100,21 @@ class TestBasics:
 
         y0, h = np.array([0.3, -0.7, 1.1]), 0.05
         sol = rk45_integrate(rhs, y0, h, IntegratorConfig(rtol=1e-2, atol=1e-2), h_init=h)
-        assert (sol.steps_taken, sol.rejected_steps, sol.rhs_evals) == (1, 0, 7)
+        assert (sol.steps_taken, sol.rejected_steps, sol.rhs_evals) == (1, 0, 6)
         k = []
-        for row in DP_A:
+        for row in CK_A:
             k.append(rhs(y0 + h * sum((float(a) * kj for a, kj in zip(row, k)), np.zeros(3))))
-        want = y0 + h * sum(float(b) * kj for b, kj in zip(DP_B, k))
+        want = y0 + h * sum(float(b) * kj for b, kj in zip(CK_B, k))
         np.testing.assert_allclose(sol.y_end, want, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("d", [1, 3, 200])
     def test_one_step_is_the_tableau_arithmetic_bitwise(self, d):
         """The same accepted step written with @ in the integrator's layout:
         each stage input is [1, h a_i1, ..., h a_ii] times (y, k_1, ..., k_i),
-        and the error vector (h (b_j - b*_j)) times (k_1, ..., k_7).  y_end
-        and the proposal h_next agree bit for bit."""
+        and y_new and the error vector are the rows [1, h b_1, ..., h b_6]
+        and [0, h (b_1 - b*_1), ..., h (b_6 - b*_6)] of one product with
+        (y, k_1, ..., k_6).  y_end and the proposal h_next agree bit for
+        bit."""
 
         def rhs(y):
             return np.sin(np.roll(y, 1)) - 0.5 * y
@@ -112,13 +122,13 @@ class TestBasics:
         y0 = np.random.default_rng(d).standard_normal(d)
         h, rtol, atol = 0.05, 1e-2, 1e-2
         sol = rk45_integrate(rhs, y0, h, IntegratorConfig(rtol=rtol, atol=atol), h_init=h)
-        assert (sol.steps_taken, sol.rejected_steps, sol.rhs_evals) == (1, 0, 7)
+        assert (sol.steps_taken, sol.rejected_steps, sol.rhs_evals) == (1, 0, 6)
         ks = [y0, rhs(y0)]
-        for row in DP_A[1:] + [DP_B]:
-            y_new = np.array([1.0] + [h * float(a) for a in row]) @ np.array(ks)
-            ks.append(rhs(y_new))
-        err_weights = [h * float(b - b4) for b, b4 in zip(DP_B + [0], DP_B4)]
-        err_vec = np.array(err_weights) @ np.array(ks[1:])
+        for row in CK_A[1:]:
+            ks.append(rhs(np.array([1.0] + [h * float(a) for a in row]) @ np.array(ks)))
+        weights = np.array([[1.0] + [h * float(b) for b in CK_B],
+                            [0.0] + [h * float(b - b4) for b, b4 in zip(CK_B, CK_B4)]])
+        y_new, err_vec = weights @ np.array(ks)
         err_vec /= atol + rtol * np.maximum(np.abs(y0), np.abs(y_new))
         err = math.sqrt((err_vec @ err_vec) / d)
         assert np.array_equal(sol.y_end, y_new)
@@ -162,8 +172,9 @@ class TestStepProposal:
     @staticmethod
     def decay_steps(t1):
         """Solution of dy/dt = -y from 1 over (0, t1) and the size of every
-        attempted step.  With k0 = f(y) = -y exactly (FSAL), an attempt's
-        first stage evaluates f at y (1 - h/5), which gives h back."""
+        attempted step.  With k_1 = f(y) = -y exactly, an attempt's first
+        evaluation, k_2, is at y (1 - h/5), which gives h back; the
+        evaluation after an attempt's five is k_1 at the new state."""
         states = []
 
         def rhs(y):
@@ -173,23 +184,24 @@ class TestStepProposal:
         sol = rk45_integrate(rhs, np.array([1.0]), t1,
                              IntegratorConfig(rtol=1e-6, atol=1e-9))
         y, sizes = 1.0, []
-        for j in range(sol.steps_taken + sol.rejected_steps):
-            stage = states[2 + 6 * j : 8 + 6 * j]  # after f(y0) and the probe
-            sizes.append(5 * (1 - stage[0][0] / y))
-            y = stage[5][0]  # the last stage's input is the new state
+        assert sol.rejected_steps == 0  # else the attempts are not 6 apart
+        for j in range(sol.steps_taken):
+            calls = states[2 + 6 * j : 8 + 6 * j]  # after f(y0) and the probe
+            sizes.append(5 * (1 - calls[0][0] / y))
+            y = calls[-1][0]  # k_1's input is the new state; unread after the last step
         return sol, sizes
 
     def test_h_next_is_the_proposal_after_the_last_unclipped_step(self):
-        """Over (0, 10) the 41st step is clipped to land on t = 10.  Over
-        (0, 20) the same first 40 steps are taken, and the 41st is the size
-        the controller proposed after the 40th."""
+        """Over (0, 10) the 33rd step is clipped to land on t = 10.  Over
+        (0, 20) the same first 32 steps are taken, and the 33rd is the size
+        the controller proposed after the 32nd."""
         sol, sizes = self.decay_steps(10.0)
-        assert (sol.steps_taken, sol.rejected_steps) == (41, 0)
-        assert sum(sizes[:40]) < 10.0 and sizes[40] < sizes[39]  # clipped
+        assert (sol.steps_taken, sol.rejected_steps) == (33, 0)
+        assert sum(sizes[:32]) < 10.0 and sizes[32] < sizes[31]  # clipped
         _, long_sizes = self.decay_steps(20.0)
-        assert long_sizes[:40] == pytest.approx(sizes[:40], rel=1e-12)
-        assert sum(long_sizes[:41]) > 10.0
-        assert sol.h_next == pytest.approx(long_sizes[40], rel=1e-12)
+        assert long_sizes[:32] == pytest.approx(sizes[:32], rel=1e-12)
+        assert sum(long_sizes[:33]) > 10.0
+        assert sol.h_next == pytest.approx(long_sizes[32], rel=1e-12)
 
     def test_span_covered_by_one_clipped_step_proposes_nothing(self):
         sol = rk45_integrate(lambda y: -y, np.array([1.0]), 0.01, h_init=1.0)
@@ -203,7 +215,7 @@ class TestStepProposal:
         assert first.h_next > 0
         again = rk45_integrate(lambda y: -y, np.array([1.0]), 10.0,
                                IntegratorConfig(rtol=1e-6, atol=1e-9), first.h_next)
-        assert again.rhs_evals == 1 + 6 * (again.steps_taken + again.rejected_steps)
+        assert again.rhs_evals == 6 * again.steps_taken + 5 * again.rejected_steps
         assert abs(again.y_end[0] - np.exp(-10.0)) <= 1e-6 * np.exp(-10.0) + 1e-9
 
 
@@ -300,6 +312,24 @@ class TestFailureModes:
         with np.errstate(over="ignore"), pytest.raises(StepBudgetExceeded, match="underflow"):
             rk45_integrate(lambda y: np.full_like(y, 1e307), np.array([0.0]), 100.0,
                            h_init=1.0)
+
+    def test_non_finite_rhs_at_an_accepted_point(self):
+        """dy/dt = -y, made NaN at y <= 0.61: the first step, from 1 at
+        h = 0.5, evaluates its stages above 0.61 and is accepted at about
+        exp(-0.5) = 0.607, where k_1 is NaN.  Every attempt from there
+        reuses that k_1, so it is non-finite and rejected until h
+        underflows: no later step is accepted."""
+        inputs = []
+
+        def rhs(y):
+            inputs.append(y[0])
+            return -y if y[0] > 0.61 else np.full_like(y, np.nan)
+
+        with pytest.raises(StepBudgetExceeded, match=r"underflow at t=0\.5$"):
+            rk45_integrate(rhs, np.array([1.0]), 1.0, IntegratorConfig(rtol=1e-2, atol=1e-2),
+                           h_init=0.5)
+        assert min(inputs[:6]) > 0.61
+        assert inputs[6] == pytest.approx(np.exp(-0.5), rel=1e-4)
 
     def test_non_finite_rhs(self):
         with pytest.raises(NonFiniteState):

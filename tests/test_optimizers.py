@@ -213,6 +213,9 @@ class TestRunBasics:
         assert diverging.diverged and not diverging.records[0].diverged
 
     def test_rhs_evals_sum_the_rk_local_steps(self, monkeypatch):
+        """A run's rhs_evals, rk_accepted and rk_rejected sum its RK local
+        steps' counts (at alpha = 10, where some steps are rejected); all
+        three read 0 for SGD and least-squares splitting."""
         import splitopt.optimizers
 
         spent = []
@@ -220,17 +223,22 @@ class TestRunBasics:
 
         def counted(*args):
             rep = real(*args)
-            spent.append(rep.rhs_evals)
+            spent.append((rep.rhs_evals, rep.steps_taken, rep.rejected_steps))
             return rep
+
+        def counters(trace):
+            return trace.rhs_evals, trace.rk_accepted, trace.rk_rejected
 
         monkeypatch.setattr(splitopt.optimizers, "local_step_rk", counted)
         blobs = gen_gaussian_blobs(60, 4, 3, 3.0, 2)
         lls = gen_random_lls(40, 5, 0.1, 0)
-        cfg = RunConfig(method="splitting", alpha=1.0, batch_size=10, seed=0, max_epochs=3)
+        cfg = RunConfig(method="splitting", alpha=10.0, batch_size=10, seed=0, max_epochs=3)
         trace = run(blobs, None, cfg)
-        assert len(spent) == 18 and trace.rhs_evals == sum(spent) > 0
-        assert run(blobs, None, dataclasses.replace(cfg, method="sgd")).rhs_evals == 0
-        assert run(lls, None, cfg).rhs_evals == 0
+        assert len(spent) == 18
+        assert counters(trace) == tuple(map(sum, zip(*spent)))
+        assert trace.rk_accepted >= 18 and trace.rk_rejected > 0
+        assert counters(run(blobs, None, dataclasses.replace(cfg, method="sgd"))) == (0, 0, 0)
+        assert counters(run(lls, None, cfg)) == (0, 0, 0)
         assert len(spent) == 18
 
     def test_rk_steps_start_from_the_runs_last_proposal(self, monkeypatch):
@@ -272,8 +280,9 @@ class TestRunBasics:
 
     @pytest.mark.parametrize("k", [2, 10], ids=["logistic", "softmax"])
     def test_a_run_probes_for_its_start_step_once(self, monkeypatch, k):
-        """At h_init = 0 each RK step spends one f(y0) and six evaluations
-        an attempt, and the run one start-step probe in all."""
+        """Each RK step spends one f(y0), five evaluations an attempt and
+        one k_1 at the end of every accepted step but its last, and the run
+        one start-step probe in all."""
         import splitopt.solvers
 
         real = splitopt.solvers.rk45_integrate
@@ -289,7 +298,7 @@ class TestRunBasics:
         trace = run(blobs, None, cfg)
         assert len(sols) == 50 and sols[0].h_next > 0
         assert sum(s.rejected_steps for s in sols) > 0
-        assert trace.rhs_evals == sum(1 + 6 * (s.steps_taken + s.rejected_steps)
+        assert trace.rhs_evals == sum(6 * s.steps_taken + 5 * s.rejected_steps
                                       for s in sols) + 1
 
 

@@ -5,7 +5,7 @@ result, bit for bit, to the same formula written with ``@``: a wrong
 operand order, a dropped transpose or a product that takes another BLAS
 path shows as a difference in the last bit.  The shapes cover batches
 narrower than p, wider than p and single rows, at K = 2 (logistic) and
-K = 10 (softmax); the Dormand-Prince step is pinned in test_ode.py.
+K = 10 (softmax); the Cash-Karp step is pinned in test_ode.py.
 """
 
 import numpy as np

@@ -476,11 +476,12 @@ class TestLocalStepRK:
 
     def test_one_clipped_step_proposes_nothing(self):
         """A step whose span one shortened integrator step covers reports
-        no proposal."""
+        no proposal, and spends f(y0) and the attempt's five evaluations:
+        the step ends at its span end, so no k_1 is made there."""
         pb = gen_gaussian_blobs(40, 6, 2, 2.0, 3)
         _, batches = partition(pb, 5, 3)
         rep = local_step_rk(pb, batches[0], np.zeros(6), 1e-3, h_init=50.0)
-        assert rep.rhs_evals == 7 and rep.h_next == 0.0
+        assert rep.rhs_evals == 6 and rep.h_next == 0.0
 
 
 class TestFoldedFlow:
